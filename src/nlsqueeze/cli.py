@@ -5,10 +5,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,14 +26,13 @@ from .moments import (
     chi2_inverse_opt,
     entanglement_bound,
     moment_data,
+    optimal_measurement,
     optimize_generator,
     principal_submatrix,
     simulate_moment_estimator,
     spin_squeezing_profile,
 )
 from .spin import DickeBasis, build_spin_family, build_spin_operators, parity_operator
-
-WORKERS_ENV = "NLSQUEEZE_WORKERS"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -79,19 +76,6 @@ class SweepConfig:
             raise ValueError("format must be csv or json")
 
 
-_CONFIG_KEYS = {
-    "model": "model",
-    "n_particles": "n_particles",
-    "k_max": "k_max",
-    "tau_start": "tau_start",
-    "tau_end": "tau_end",
-    "steps": "steps",
-    "include_parity": "include_parity",
-    "include_qfi": "include_qfi",
-    "output_path": "output_path",
-    "format": "format",
-}
-
 _FLAG_TO_FIELD = {
     "model": "model",
     "n": "n_particles",
@@ -111,29 +95,17 @@ def _load_sweep_config(args: argparse.Namespace) -> SweepConfig:
     if args.config is not None:
         with open(args.config) as fh:
             data = json.load(fh)
-        unknown = set(data) - set(_CONFIG_KEYS)
+        unknown = set(data) - {f.name for f in fields(SweepConfig)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         for key, value in data.items():
-            setattr(cfg, _CONFIG_KEYS[key], value)
+            setattr(cfg, key, value)
     for flag, field_name in _FLAG_TO_FIELD.items():
         value = getattr(args, flag)
         if value is not None:
             setattr(cfg, field_name, value)
     cfg.validate()
     return cfg
-
-
-def _worker_count(args: argparse.Namespace) -> int:
-    if args.workers is not None:
-        return max(1, args.workers)
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -144,28 +116,16 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _run_sweep(args: argparse.Namespace) -> int:
-    try:
-        cfg = _load_sweep_config(args)
-    except (ValueError, OSError) as exc:
-        return _fail(str(exc))
-
-    if cfg.model == "OAT" and cfg.n_particles % 2 == 1:
-        print(
-            "warning: OAT revival and GHZ statements assume an even particle "
-            "number", file=sys.stderr,
-        )
-
+def _sweep_records(cfg: SweepConfig) -> list[dict]:
+    """One record per tau point; "_leak" holds the point's kernel leakage."""
     basis = DickeBasis(cfg.n_particles)
     n = cfg.n_particles
     psi0 = coherent_spin_state_z(basis)
     family = build_spin_family(basis, cfg.k_max)
     jz = build_spin_operators(basis)[2]
     parity = parity_operator(basis) if cfg.include_parity else None
-    taus = np.linspace(cfg.tau_start, cfg.tau_end, cfg.steps)
-    evolve(psi0, EvolutionSpec(cfg.model, float(taus[0])))  # warm the eigensystem cache
-
-    def point(tau: float) -> dict:
+    records = []
+    for tau in np.linspace(cfg.tau_start, cfg.tau_end, cfg.steps):
         state = evolve(psi0, EvolutionSpec(cfg.model, float(tau)))
         results = spin_squeezing_profile(state, basis, cfg.k_max, family=family)
         xi2_inv_by_k = [r.chi2_inv / n for r in results]
@@ -186,15 +146,26 @@ def _run_sweep(args: argparse.Namespace) -> int:
             record["f_max"] = f_max_density(state, basis)[0]
         record["ent_bound"] = entanglement_bound(max(candidates))
         record["_leak"] = max(r.kernel_leakage for r in results)
-        return record
+        records.append(record)
+    return records
 
-    workers = _worker_count(args)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(point, taus))
-    else:
-        records = [point(t) for t in taus]
 
+def _run_sweep(args: argparse.Namespace) -> int:
+    try:
+        cfg = _load_sweep_config(args)
+    except (ValueError, OSError) as exc:
+        return _fail(str(exc))
+
+    if cfg.model == "OAT" and cfg.n_particles % 2 == 1:
+        print(
+            "warning: OAT revival and GHZ statements assume an even particle "
+            "number", file=sys.stderr,
+        )
+
+    try:
+        records = _sweep_records(cfg)
+    except ValueError as exc:
+        return _fail(str(exc))
     flagged = any(rec.pop("_leak") > KERNEL_LEAK_TOL for rec in records)
 
     if cfg.format == "csv":
@@ -280,14 +251,16 @@ def _run_analyze(args: argparse.Namespace) -> int:
         return _fail(f"model must be one of {MODELS}")
     k_max = args.kmax or 2
     basis = DickeBasis(args.n)
-    state = evolve(coherent_spin_state_z(basis), EvolutionSpec(model, args.tau))
-    family = build_spin_family(basis, k_max)
-    md = moment_data(state, family)
     slots = [0, 1, 2]
-    n_opt, lam = optimize_generator(md, slots)
     try:
-        result = chi2_inverse_opt(state, family, n_opt, generator_slots=slots)
-        m_opt = None if result.m_coeffs is None else [float(v) for v in result.m_coeffs]
+        state = evolve(coherent_spin_state_z(basis), EvolutionSpec(model, args.tau))
+        family = build_spin_family(basis, k_max)
+        md = moment_data(state, family)
+        n_opt, lam = optimize_generator(md, slots)
+    except ValueError as exc:
+        return _fail(str(exc))
+    try:
+        m_opt = [float(v) for v in optimal_measurement(md, n_opt, slots)]
     except ZeroSignalError:
         m_opt = None
     payload = {
@@ -390,8 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="include the quantum Fisher density column")
     sweep.add_argument("--out", default=None, help="output path (default stdout)")
     sweep.add_argument("--format", choices=("csv", "json"), default=None)
-    sweep.add_argument("--workers", type=int, default=None,
-                       help=f"sweep workers (default ${WORKERS_ENV} or 1)")
     sweep.add_argument("--config", default=None, help="JSON config file; flags override")
     sweep.set_defaults(func=_run_sweep)
 

@@ -26,48 +26,60 @@ KERNEL_LEAK_TOL = 1e-8
 IMAG_RESIDUE_TOL = 1e-10
 
 
-def _centered_moment_table(state: QuantumState, family: OperatorFamily):
-    """Complex table Z_kl = <(H_k - <H_k>)(H_l - <H_l>)>.
+def _centered_rows(state: QuantumState, family: OperatorFamily) -> np.ndarray:
+    """Centered rows r_k = (H_k - <H_k>) S, flattened, where rho = S S^dagger.
+
+    S is the state vector of a pure state, and V sqrt(lambda) over the
+    positive eigenvalues of a mixed one.  Every second moment of the family
+    is an inner product of these rows: Z = R* R^T is the table
+    Z_kl = <(H_k - <H_k>)(H_l - <H_l>)>, and a combination sum_k a_k H_k has
+    the centered row a^T R.  Centering the rows before the products avoids
+    the cancellation that plagues high-degree monomials, whose raw second
+    moments dwarf their covariances.
+    """
+    if state.is_pure:
+        s = state.vector
+    else:
+        lam, vecs = np.linalg.eigh(state.density)
+        keep = lam > 0
+        s = vecs[:, keep] * np.sqrt(lam[keep])
+    mats = np.stack([op.matrix for op in family])
+    rows = (mats @ s).reshape(len(family), -1)  # rows[k] = H_k S
+    s = s.ravel()
+    mu_c = rows @ s.conj()
+    # Cauchy-Schwarz: |<H_k>| <= ||H_k S|| ||S||, the scale of the residue
+    _check_mean_residue(mu_c, np.linalg.norm(rows, axis=1) * np.linalg.norm(s))
+    rows -= mu_c.real[:, None] * s[None, :]
+    return rows
+
+
+def _moment_table(rows: np.ndarray):
+    """Covariance and commutator matrices from the centered rows.
 
     Re(Z) is the symmetrized covariance and 2 Im(Z) equals -i<[H_k, H_l]>,
-    so one table feeds both matrices.  Centering the operators before the
-    products avoids the cancellation that plagues high-degree monomials,
-    whose raw second moments dwarf their covariances.
+    so one table feeds both matrices.
     """
-    mats = np.stack([op.matrix for op in family])
-    if state.is_pure:
-        rows = mats @ state.vector  # rows[k] = H_k |psi>
-        mu_c = rows @ state.vector.conj()
-        _check_mean_residue(mu_c)
-        rows -= mu_c.real[:, None] * state.vector[None, :]
-        z = rows.conj() @ rows.T
-    else:
-        mu_c = np.einsum("kij,ji->k", mats, state.density)
-        _check_mean_residue(mu_c)
-        centered = mats - mu_c.real[:, None, None] * np.eye(mats.shape[1])[None, :, :]
-        b = centered @ state.density
-        z = np.einsum("kij,lji->kl", centered, b)
-    return z, mu_c.real
+    z = rows.conj() @ rows.T
+    return (z.real + z.real.T) / 2, z.imag - z.imag.T
 
 
-def _check_mean_residue(mu_c: np.ndarray) -> None:
-    resid = np.abs(mu_c.imag).max()
-    if resid > IMAG_RESIDUE_TOL:
+def _check_mean_residue(mu_c: np.ndarray, bound: np.ndarray) -> None:
+    over = np.abs(mu_c.imag) > IMAG_RESIDUE_TOL * bound
+    if over.any():
+        resid = np.abs(mu_c.imag[over]).max()
         raise ValueError(f"imaginary residue {resid:.2e} in operator means exceeds tolerance")
 
 
 def covariance_matrix(state: QuantumState, family: OperatorFamily) -> np.ndarray:
     """Symmetrized covariance matrix of the family in the given state."""
     check_same_basis(state, family)
-    z, _ = _centered_moment_table(state, family)
-    return (z.real + z.real.T) / 2
+    return _moment_table(_centered_rows(state, family))[0]
 
 
 def commutator_matrix(state: QuantumState, family: OperatorFamily) -> np.ndarray:
     """Real skew-symmetric matrix of -i times commutator expectations."""
     check_same_basis(state, family)
-    z, _ = _centered_moment_table(state, family)
-    return z.imag - z.imag.T
+    return _moment_table(_centered_rows(state, family))[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,8 +185,7 @@ def moment_data(state: QuantumState, family: OperatorFamily,
                 eps_rel: float = GAMMA_EPS_REL) -> MomentData:
     """Covariance, commutator and moment matrices for one state and family."""
     check_same_basis(state, family)
-    z, _ = _centered_moment_table(state, family)
-    return moment_matrix((z.real + z.real.T) / 2, z.imag - z.imag.T, eps_rel=eps_rel)
+    return moment_matrix(*_moment_table(_centered_rows(state, family)), eps_rel=eps_rel)
 
 
 def principal_submatrix(matrix: np.ndarray, indices) -> np.ndarray:
@@ -265,7 +276,9 @@ def _shot_noise_from_tag(basis_tag: str) -> float:
 class SqueezingResult:
     """Optimized inverse squeezing parameter and the vectors achieving it.
 
-    chi2_inv is the quadratic form n^T M n; xi2 the gain coefficient
+    chi2_inv is the saturating quotient |<[X, H]>|^2 / (Delta X)^2 of the
+    generator H = n.H and the optimal measurement X = m.H (the quadratic
+    form n^T M n when there is no signal); xi2 the gain coefficient
     F_SN / chi2_inv; m_coeffs the unit-norm optimal measurement (None when
     the generator produces no signal); n_coeffs the generator direction on
     its candidate slots; lambda_max the top eigenvalue of the principal
@@ -284,9 +297,16 @@ class SqueezingResult:
         return self.kernel_leakage > KERNEL_LEAK_TOL
 
 
-def _squeeze_from_md(md: MomentData, slots, n_coeffs, f_sn: float,
-                     state: QuantumState | None = None,
-                     family: OperatorFamily | None = None) -> SqueezingResult:
+def _squeeze_from_md(md: MomentData, rows: np.ndarray, slots, n_coeffs,
+                     lam: float, f_sn: float) -> SqueezingResult:
+    """Squeezing result of generator n_coeffs on `slots`, evaluated on the
+    centered rows the moment data came from.
+
+    The quadratic form n^T M n can overshoot bounds like F_Q by the noise of
+    the smallest retained covariance eigenvalues, while the saturating
+    quotient of the (first-order optimal) measurement m is stable; with
+    x = m^T R and h = n^T R it is (2 Im<x|h>)^2 / ||x||^2.
+    """
     n_coeffs = np.asarray(n_coeffs, dtype=float)
     n_full = np.zeros(md.size)
     n_full[np.asarray(slots, dtype=int)] = n_coeffs
@@ -295,18 +315,14 @@ def _squeeze_from_md(md: MomentData, slots, n_coeffs, f_sn: float,
         m = optimal_measurement(md, n_coeffs, slots=slots)
     except ZeroSignalError:
         m = None
-    if m is not None and state is not None and family is not None:
-        # re-evaluate the saturating quotient directly on the state: the
-        # quadratic form can overshoot bounds like F_Q by the noise of the
-        # smallest retained covariance eigenvalues, while the quotient of
-        # the (first-order optimal) measurement is stable
-        try:
-            chi2_inv = 1.0 / chi2_error_propagation(
-                state, family.combine(n_full), family.combine(m)
-            )
-        except ZeroSignalError:
-            pass
-    _, lam = optimize_generator(md, slots)
+    if m is not None:
+        x = m @ rows
+        h = n_full @ rows
+        var_x = np.vdot(x, x).real
+        comm = 2.0 * abs(np.vdot(x, h).imag)
+        # same no-signal test as chi2_error_propagation, on the Robertson scale
+        if comm > 1e-12 * 2.0 * math.sqrt(var_x * np.vdot(h, h).real):
+            chi2_inv = comm ** 2 / var_x
     if chi2_inv > 0:
         xi2 = f_sn / chi2_inv
     else:
@@ -335,9 +351,12 @@ def chi2_inverse_opt(state: QuantumState, family: OperatorFamily, n_coeffs,
         raise ValueError("n_coeffs length must match the generator slots")
     if abs(np.linalg.norm(n_coeffs) - 1.0) > 1e-10:
         raise ValueError("generator direction must be a unit vector")
-    md = moment_data(state, family)
-    return _squeeze_from_md(md, slots, n_coeffs, _shot_noise_from_tag(family.basis_tag),
-                            state=state, family=family)
+    check_same_basis(state, family)
+    rows = _centered_rows(state, family)
+    md = moment_matrix(*_moment_table(rows))
+    _, lam = optimize_generator(md, slots)
+    return _squeeze_from_md(md, rows, slots, n_coeffs, lam,
+                            _shot_noise_from_tag(family.basis_tag))
 
 
 def chi2_error_propagation(state: QuantumState, generator: HermitianOperator,
@@ -359,20 +378,6 @@ def xi2_opt(chi2_inv: float, f_sn: float) -> float:
     return f_sn / chi2_inv
 
 
-def xi2_spin_order_k(state: QuantumState, basis: DickeBasis, k: int) -> SqueezingResult:
-    """Order-k optimized spin squeezing: xi^2 = N / lambda_max(M-tilde).
-
-    The measurement runs over all symmetrized spin monomials of degree
-    <= k; the encoding generator is restricted to the three linear slots.
-    """
-    family = build_spin_family(basis, k)
-    md = moment_data(state, family)
-    slots = [0, 1, 2]
-    n_opt, _ = optimize_generator(md, slots)
-    return _squeeze_from_md(md, slots, n_opt, float(basis.n_particles),
-                            state=state, family=family)
-
-
 def spin_squeezing_profile(state: QuantumState, basis: DickeBasis, k_max: int,
                            family: OperatorFamily | None = None) -> list[SqueezingResult]:
     """Squeezing results for every order 1..k_max sharing one moment table.
@@ -385,17 +390,16 @@ def spin_squeezing_profile(state: QuantumState, basis: DickeBasis, k_max: int,
     if len(family) != spin_family_size(k_max):
         raise ValueError("family does not match k_max")
     check_same_basis(state, family)
-    z, _ = _centered_moment_table(state, family)
-    gamma = (z.real + z.real.T) / 2
-    c = z.imag - z.imag.T
+    rows = _centered_rows(state, family)
+    gamma, c = _moment_table(rows)
     slots = [0, 1, 2]
     results = []
     for k in range(1, k_max + 1):
         cnt = spin_family_size(k)
         md = moment_matrix(gamma[:cnt, :cnt], c[:cnt, :cnt])
-        n_opt, _ = optimize_generator(md, slots)
-        results.append(_squeeze_from_md(md, slots, n_opt, float(basis.n_particles),
-                                        state=state, family=family.prefix(cnt)))
+        n_opt, lam = optimize_generator(md, slots)
+        results.append(_squeeze_from_md(md, rows[:cnt], slots, n_opt, lam,
+                                        float(basis.n_particles)))
     return results
 
 

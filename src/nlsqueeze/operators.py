@@ -161,10 +161,3 @@ class OperatorFamily:
 
     def combine(self, coeffs, label: str | None = None) -> HermitianOperator:
         return combine(self.operators, coeffs, label=label)
-
-    def prefix(self, count: int) -> "OperatorFamily":
-        """Sub-family made of the first `count` members."""
-        if not 1 <= count <= len(self.operators):
-            raise ValueError("prefix count out of range")
-        index = {deg: pos for deg, pos in self.monomial_index.items() if pos < count}
-        return OperatorFamily(self.operators[:count], self.basis_tag, index)

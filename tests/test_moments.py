@@ -31,7 +31,6 @@ from nlsqueeze import (
     simulate_moment_estimator,
     spin_squeezing_profile,
     xi2_opt,
-    xi2_spin_order_k,
 )
 from nlsqueeze.dynamics import EvolutionSpec
 
@@ -293,6 +292,42 @@ class TestChi2:
             res = chi2_inverse_opt(fock_state(basis, n), fam, [0.6, 0.8])
             assert abs(res.chi2_inv - (4 * n + 2)) <= 1e-9 * (4 * n + 2)
 
+    @pytest.mark.parametrize("kind", ["pure_oat", "mixed_tat"])
+    def test_quotient_matches_dense_error_propagation(self, kind):
+        # the saturating quotient taken from the centered rows equals the
+        # dense re-evaluation on the state, for pure and mixed states alike
+        n = 10
+        basis = DickeBasis(n)
+        css = coherent_spin_state_z(basis)
+        if kind == "pure_oat":
+            state = evolve(css, EvolutionSpec("OAT", 0.3))
+        else:
+            dim = basis.dimension
+            rho = 0.9 * css.density_matrix() + 0.1 * np.eye(dim) / dim
+            state = evolve(QuantumState.mixed(rho, basis.tag), EvolutionSpec("TAT", 0.4))
+        family = build_spin_family(basis, 3)
+
+        def padded(coeffs, slots):
+            full = np.zeros(len(family))
+            full[slots] = coeffs
+            return full
+
+        def reference(res, n_slots):
+            chi2 = chi2_error_propagation(
+                state,
+                family.combine(padded(res.n_coeffs, n_slots)),
+                family.combine(padded(res.m_coeffs, list(range(len(res.m_coeffs))))),
+            )
+            return 1.0 / chi2
+
+        profile = spin_squeezing_profile(state, basis, 3, family=family)
+        for res in profile:
+            assert abs(res.chi2_inv - reference(res, [0, 1, 2])) <= 1e-9 * res.chi2_inv
+        slots = [0, 1, 2, 3]
+        direction = np.array([0.5, 0.5, 0.5, 0.5])
+        res = chi2_inverse_opt(state, family, direction, generator_slots=slots)
+        assert abs(res.chi2_inv - reference(res, slots)) <= 1e-9 * res.chi2_inv
+
     def test_error_propagation_css(self):
         n = 16
         basis = DickeBasis(n)
@@ -355,14 +390,14 @@ class TestSpinSqueezingOrders:
     def test_css_linear_coefficient_is_shot_noise(self):
         basis = DickeBasis(16)
         css = coherent_spin_state_z(basis)
-        res = xi2_spin_order_k(css, basis, 1)
+        res = spin_squeezing_profile(css, basis, 1)[-1]
         assert abs(res.xi2 - 1.0) < 1e-10
         assert abs(res.lambda_max - 16.0) < 1e-9
 
     def test_short_time_oat_is_spin_squeezed(self):
         basis = DickeBasis(16)
         state = evolve(coherent_spin_state_z(basis), EvolutionSpec("OAT", 0.05))
-        res = xi2_spin_order_k(state, basis, 1)
+        res = spin_squeezing_profile(state, basis, 1)[-1]
         assert res.xi2 < 1.0
 
     def test_profile_matches_single_order_calls(self):
@@ -370,7 +405,7 @@ class TestSpinSqueezingOrders:
         state = evolve(coherent_spin_state_z(basis), EvolutionSpec("OAT", 0.35))
         profile = spin_squeezing_profile(state, basis, 3)
         for k, res in enumerate(profile, start=1):
-            single = xi2_spin_order_k(state, basis, k)
+            single = spin_squeezing_profile(state, basis, k)[-1]
             assert abs(res.chi2_inv - single.chi2_inv) < 1e-10
             assert angle_between(res.n_coeffs, single.n_coeffs) < 1e-8
 
@@ -416,7 +451,7 @@ class TestSpinSqueezingOrders:
         n = 16
         basis = DickeBasis(n)
         ghz = evolve(coherent_spin_state_z(basis), EvolutionSpec("OAT", np.pi / 2))
-        linear = xi2_spin_order_k(ghz, basis, 1)
+        linear = spin_squeezing_profile(ghz, basis, 1)[-1]
         _, _, jz = build_spin_operators(basis)
         parity_inv = 1.0 / chi2_error_propagation(ghz, jz, parity_operator(basis)) / n
         assert linear.lambda_max / n < 1e-6

@@ -83,12 +83,3 @@ def test_family_combine_and_slots():
     combo = fam.combine([0.0, 0.0, 2.0])
     assert np.abs(combo.matrix - 2.0 * jz.matrix).max() < 1e-14
 
-
-def test_family_prefix():
-    basis = DickeBasis(2)
-    jx, jy, jz = build_spin_operators(basis)
-    fam = OperatorFamily([jx, jy, jz], basis.tag, {(1, 0, 0): 0, (0, 1, 0): 1, (0, 0, 1): 2})
-    sub = fam.prefix(2)
-    assert len(sub) == 2
-    assert sub.labels == ["Jx", "Jy"]
-    assert set(sub.monomial_index) == {(1, 0, 0), (0, 1, 0)}
