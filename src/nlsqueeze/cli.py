@@ -18,7 +18,7 @@ from .cv import (
     fock_state,
 )
 from .dynamics import MODELS, EvolutionSpec, coherent_spin_state_z, evolve
-from .errors import CalibrationError, ZeroSignalError
+from .errors import ZeroSignalError
 from .fisher import f_max_density
 from .moments import (
     KERNEL_LEAK_TOL,
@@ -48,6 +48,12 @@ def _fail(message: str) -> int:
     return EXIT_USAGE
 
 
+# accepted value types per field annotation; bool is an int subclass, so it
+# passes only where the annotation asks for a bool
+_FIELD_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool,
+                "str | None": (str, type(None))}
+
+
 @dataclass
 class SweepConfig:
     model: str = "OAT"
@@ -62,6 +68,11 @@ class SweepConfig:
     format: str = "csv"
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if (not isinstance(value, _FIELD_TYPES[f.type])
+                    or (isinstance(value, bool) and f.type != "bool")):
+                raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}")
         if self.n_particles < 1:
@@ -95,6 +106,8 @@ def _load_sweep_config(args: argparse.Namespace) -> SweepConfig:
     if args.config is not None:
         with open(args.config) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("config must be a JSON object")
         unknown = set(data) - {f.name for f in fields(SweepConfig)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -246,15 +259,13 @@ def _run_fock(args: argparse.Namespace) -> int:
 def _run_analyze(args: argparse.Namespace) -> int:
     if args.n is None or args.n < 1:
         return _fail("analyze needs --n >= 1")
-    model = args.model or "OAT"
-    if model not in MODELS:
-        return _fail(f"model must be one of {MODELS}")
-    k_max = args.kmax or 2
+    if not 1 <= args.kmax <= 6:
+        return _fail("kmax must be between 1 and 6")
     basis = DickeBasis(args.n)
     slots = [0, 1, 2]
     try:
-        state = evolve(coherent_spin_state_z(basis), EvolutionSpec(model, args.tau))
-        family = build_spin_family(basis, k_max)
+        state = evolve(coherent_spin_state_z(basis), EvolutionSpec(args.model, args.tau))
+        family = build_spin_family(basis, args.kmax)
         md = moment_data(state, family)
         n_opt, lam = optimize_generator(md, slots)
     except ValueError as exc:
@@ -264,10 +275,10 @@ def _run_analyze(args: argparse.Namespace) -> int:
     except ZeroSignalError:
         m_opt = None
     payload = {
-        "model": model,
+        "model": args.model,
         "n_particles": args.n,
         "tau": args.tau,
-        "k_max": k_max,
+        "k_max": args.kmax,
         "labels": family.labels,
         "gamma": md.gamma.tolist(),
         "c": md.c.tolist(),
@@ -303,26 +314,23 @@ def _spin_observable(basis: DickeBasis, name: str):
 def _run_estimate(args: argparse.Namespace) -> int:
     if args.n is None or args.n < 1:
         return _fail("estimate needs --n >= 1")
-    model = args.model or "OAT"
-    if model not in MODELS:
-        return _fail(f"model must be one of {MODELS}")
     if args.generator not in ("Jx", "Jy", "Jz"):
         return _fail("generator must be Jx, Jy or Jz")
     if args.observable not in _OBSERVABLES:
         return _fail(f"observable must be one of {_OBSERVABLES}")
     basis = DickeBasis(args.n)
-    state = evolve(coherent_spin_state_z(basis), EvolutionSpec(model, args.tau))
     generator = _spin_observable(basis, args.generator)
     observable = _spin_observable(basis, args.observable)
     window = (args.theta - args.window, args.theta + args.window)
     try:
+        state = evolve(coherent_spin_state_z(basis), EvolutionSpec(args.model, args.tau))
         report = simulate_moment_estimator(
             state, generator, observable, args.theta,
             mu=args.mu, trials=args.trials, seed=args.seed, window=window,
         )
-    except (CalibrationError, ZeroSignalError, ValueError) as exc:
+    except ValueError as exc:  # CalibrationError and ZeroSignalError included
         return _fail(str(exc))
-    print(f"model {model}, N={args.n}, tau={_fmt(args.tau)}; "
+    print(f"model {args.model}, N={args.n}, tau={_fmt(args.tau)}; "
           f"generator {args.generator}, observable {args.observable}")
     print(f"theta = {_fmt(report.theta_true)}, mu = {report.mu}, "
           f"trials = {report.trials}, seed = {report.seed}")
@@ -373,15 +381,15 @@ def build_parser() -> argparse.ArgumentParser:
     fock.set_defaults(func=_run_fock)
 
     analyze = sub.add_parser("analyze", help="moment matrices for one state")
-    analyze.add_argument("--model", choices=MODELS, default=None)
+    analyze.add_argument("--model", choices=MODELS, default="OAT")
     analyze.add_argument("--n", type=int, default=None)
     analyze.add_argument("--tau", type=float, default=0.0)
-    analyze.add_argument("--kmax", type=int, default=None)
+    analyze.add_argument("--kmax", type=int, default=2)
     analyze.add_argument("--out", default=None)
     analyze.set_defaults(func=_run_analyze)
 
     estimate = sub.add_parser("estimate", help="moment-estimator validation")
-    estimate.add_argument("--model", choices=MODELS, default=None)
+    estimate.add_argument("--model", choices=MODELS, default="OAT")
     estimate.add_argument("--n", type=int, default=None)
     estimate.add_argument("--tau", type=float, default=0.0)
     estimate.add_argument("--generator", default="Jx")

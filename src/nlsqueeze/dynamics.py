@@ -34,7 +34,8 @@ class HermitianPropagator:
     """Applies exp(-i theta H) for a fixed Hermitian generator H.
 
     The generator is diagonalized once; each application costs two dense
-    matrix-vector products.  Instances are immutable and safe to share.
+    products with the state's factor S (one column for a pure state).
+    Instances are immutable and safe to share.
     """
 
     def __init__(self, generator: HermitianOperator):
@@ -43,22 +44,13 @@ class HermitianPropagator:
         self._evals = evals
         self._evecs = evecs
 
-    def unitary(self, theta: float) -> np.ndarray:
-        return (self._evecs * np.exp(-1j * theta * self._evals)) @ self._evecs.conj().T
-
     def apply(self, state: QuantumState, theta: float) -> QuantumState:
         if state.dim != self.generator.dim:
             raise BasisMismatchError("state dimension does not match the generator")
-        if state.is_pure:
-            coeffs = self._evecs.conj().T @ state.vector
-            vec = self._evecs @ (np.exp(-1j * theta * self._evals) * coeffs)
-            vec = vec / np.linalg.norm(vec)
-            return QuantumState.pure(vec, state.basis_tag)
-        u = self.unitary(theta)
-        rho = u @ state.density @ u.conj().T
-        rho = (rho + rho.conj().T) / 2
-        rho = rho / np.trace(rho).real
-        return QuantumState.mixed(rho, state.basis_tag)
+        # rotate the factor S of rho = S S^dagger into the eigenbasis and back
+        coeffs = self._evecs.conj().T @ state.factor
+        s = self._evecs @ (np.exp(-1j * theta * self._evals)[:, None] * coeffs)
+        return QuantumState(state.basis_tag, s / np.linalg.norm(s))
 
 
 def twisting_generator(basis: DickeBasis, model: str) -> HermitianOperator:
@@ -90,7 +82,7 @@ def evolve(state: QuantumState, spec: EvolutionSpec) -> QuantumState:
     """Evolve a Dicke-basis state under the chosen twisting Hamiltonian.
 
     The generator eigendecomposition is cached per (model, N) so that a tau
-    sweep costs two matrix-vector products per point.
+    sweep costs two products with the state's factor per point.
     """
     n = parse_dicke_tag(state.basis_tag)
     if n is None:

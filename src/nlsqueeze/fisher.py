@@ -28,37 +28,31 @@ def qfi_pure(state: QuantumState, generator: HermitianOperator) -> float:
     return 4.0 * state.variance(generator)
 
 
-def qfi_mixed(state: QuantumState, generator: HermitianOperator) -> float:
-    """Spectral quantum Fisher information for density operators.
+def _qfi_matrix(state: QuantumState, mats) -> np.ndarray:
+    """Spectral quantum Fisher matrix of the generators `mats`.
 
-    Modes with eigenvalue sum below 1e-12 are dropped to avoid 0/0.
+    Q_ab = 2 sum_ij (l_i - l_j)^2 / (l_i + l_j) Re(<i|A|j><j|B|i>) over the
+    eigenpairs (l_i, |i>) of rho; modes with eigenvalue sum below 1e-12 are
+    dropped to avoid 0/0.
     """
-    rho = state.density_matrix()
-    if rho.shape != generator.matrix.shape:
-        raise BasisMismatchError("state and generator dimensions differ")
-    lam, vecs = np.linalg.eigh(rho)
-    lam = np.clip(lam, 0.0, None)
-    h = vecs.conj().T @ generator.matrix @ vecs
-    sums = lam[:, None] + lam[None, :]
-    diffs = lam[:, None] - lam[None, :]
-    weights = np.where(sums > QFI_MODE_EPS, diffs ** 2 / np.where(sums > QFI_MODE_EPS, sums, 1.0), 0.0)
-    return float(2.0 * np.sum(weights * np.abs(h) ** 2))
-
-
-def _qfi_matrix_spin(state: QuantumState, basis: DickeBasis) -> np.ndarray:
-    jmats = [op.matrix for op in build_spin_operators(basis)]
     lam, vecs = np.linalg.eigh(state.density_matrix())
     lam = np.clip(lam, 0.0, None)
     sums = lam[:, None] + lam[None, :]
     diffs = lam[:, None] - lam[None, :]
     weights = np.where(sums > QFI_MODE_EPS, diffs ** 2 / np.where(sums > QFI_MODE_EPS, sums, 1.0), 0.0)
-    rotated = [vecs.conj().T @ j @ vecs for j in jmats]
-    q = np.empty((3, 3))
-    for a in range(3):
-        for b in range(a, 3):
-            # <i|Ja|j><j|Jb|i> summed with the spectral weights
+    rotated = [vecs.conj().T @ m @ vecs for m in mats]
+    q = np.empty((len(mats), len(mats)))
+    for a in range(len(mats)):
+        for b in range(a, len(mats)):
             q[a, b] = q[b, a] = 2.0 * np.real(np.sum(weights * rotated[a] * rotated[b].T))
     return q
+
+
+def qfi_mixed(state: QuantumState, generator: HermitianOperator) -> float:
+    """Spectral quantum Fisher information for density operators."""
+    if state.dim != generator.dim:
+        raise BasisMismatchError("state and generator dimensions differ")
+    return float(_qfi_matrix(state, [generator.matrix])[0, 0])
 
 
 def f_max_density(state: QuantumState, basis: DickeBasis):
@@ -75,7 +69,8 @@ def f_max_density(state: QuantumState, basis: DickeBasis):
         cov3 = covariance_matrix(state, build_spin_family(basis, 1))
         direction, lam = principal_eigenpair(cov3)
         return 4.0 * lam / n, direction
-    direction, lam = principal_eigenpair(_qfi_matrix_spin(state, basis))
+    jmats = [op.matrix for op in build_spin_operators(basis)]
+    direction, lam = principal_eigenpair(_qfi_matrix(state, jmats))
     return lam / n, direction
 
 
@@ -108,11 +103,7 @@ def classical_fisher(state: QuantumState, generator: HermitianOperator,
     prop = HermitianPropagator(generator)
 
     def probs(th: float) -> np.ndarray:
-        probe = prop.apply(state, th)
-        if probe.is_pure:
-            amps = np.abs(evecs.conj().T @ probe.vector) ** 2
-        else:
-            amps = np.einsum("ij,jk,ki->i", evecs.conj().T, probe.density, evecs).real
+        amps = np.sum(np.abs(evecs.conj().T @ prop.apply(state, th).factor) ** 2, axis=1)
         return np.array([amps[g].sum() for g in groups])
 
     p0 = probs(theta)

@@ -29,20 +29,14 @@ IMAG_RESIDUE_TOL = 1e-10
 def _centered_rows(state: QuantumState, family: OperatorFamily) -> np.ndarray:
     """Centered rows r_k = (H_k - <H_k>) S, flattened, where rho = S S^dagger.
 
-    S is the state vector of a pure state, and V sqrt(lambda) over the
-    positive eigenvalues of a mixed one.  Every second moment of the family
-    is an inner product of these rows: Z = R* R^T is the table
-    Z_kl = <(H_k - <H_k>)(H_l - <H_l>)>, and a combination sum_k a_k H_k has
-    the centered row a^T R.  Centering the rows before the products avoids
+    S is the state's factor (the state vector of a pure state).  Every
+    second moment of the family is an inner product of these rows:
+    Z = R* R^T is the table Z_kl = <(H_k - <H_k>)(H_l - <H_l>)>, and a
+    combination sum_k a_k H_k has the centered row a^T R.  Centering the rows before the products avoids
     the cancellation that plagues high-degree monomials, whose raw second
     moments dwarf their covariances.
     """
-    if state.is_pure:
-        s = state.vector
-    else:
-        lam, vecs = np.linalg.eigh(state.density)
-        keep = lam > 0
-        s = vecs[:, keep] * np.sqrt(lam[keep])
+    s = state.factor
     mats = np.stack([op.matrix for op in family])
     rows = (mats @ s).reshape(len(family), -1)  # rows[k] = H_k S
     s = s.ravel()
@@ -476,10 +470,7 @@ def simulate_moment_estimator(state: QuantumState, generator: HermitianOperator,
 
     probe = prop.apply(state, theta_true)
     xvals, xvecs = np.linalg.eigh(observable.matrix)
-    if probe.is_pure:
-        p = np.abs(xvecs.conj().T @ probe.vector) ** 2
-    else:
-        p = np.einsum("ij,jk,ki->i", xvecs.conj().T, probe.density, xvecs).real
+    p = np.sum(np.abs(xvecs.conj().T @ probe.factor) ** 2, axis=1)
     p = np.clip(p, 0.0, None)
     p /= p.sum()
 

@@ -1,4 +1,4 @@
-"""Quantum states (pure vectors or density operators) in a labeled basis."""
+"""Quantum states, held as a factor S of rho = S S^dagger in a labeled basis."""
 
 from __future__ import annotations
 
@@ -16,56 +16,65 @@ DENSITY_EIG_FLOOR = -1e-10
 
 @dataclass(frozen=True, eq=False)
 class QuantumState:
-    """Pure state vector or density operator, tagged with its basis."""
+    """State rho = S S^dagger given by its factor S of shape (dim, rank).
+
+    A pure state is the one-column factor S = psi.  `mixed()` checks a
+    density operator and stores its positive part, S = V sqrt(lambda) over
+    the eigenvalues lambda > 0, renormalized to unit trace (||S||_F = 1).
+    Every expectation value is a product of S with operators, so pure and
+    mixed states share one code path.
+    """
 
     basis_tag: str
-    vector: np.ndarray | None = None
-    density: np.ndarray | None = None
+    factor: np.ndarray
 
     def __post_init__(self):
-        if (self.vector is None) == (self.density is None):
-            raise ValueError("provide exactly one of vector or density")
-        if self.vector is not None:
-            vec = np.asarray(self.vector, dtype=complex).ravel()
-            norm = np.linalg.norm(vec)
-            if abs(norm - 1.0) > PURE_NORM_ATOL:
-                raise ValueError(f"state vector norm {norm!r} is not 1")
-            vec.setflags(write=False)
-            object.__setattr__(self, "vector", vec)
-        else:
-            rho = np.asarray(self.density, dtype=complex)
-            if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-                raise ValueError("density must be a square matrix")
-            if np.abs(rho - rho.conj().T).max() > DENSITY_ATOL:
-                raise ValueError("density operator is not Hermitian")
-            if abs(np.trace(rho).real - 1.0) > DENSITY_ATOL:
-                raise ValueError("density operator trace is not 1")
-            if np.linalg.eigvalsh(rho).min() < DENSITY_EIG_FLOOR:
-                raise ValueError("density operator has a negative eigenvalue")
-            rho = (rho + rho.conj().T) / 2
-            rho.setflags(write=False)
-            object.__setattr__(self, "density", rho)
+        s = np.asarray(self.factor, dtype=complex)
+        if s.ndim != 2 or s.shape[1] < 1:
+            raise ValueError("state factor must be a matrix with at least one column")
+        norm = np.linalg.norm(s)
+        if abs(norm - 1.0) > PURE_NORM_ATOL:
+            raise ValueError(f"state norm {norm!r} is not 1")
+        s.setflags(write=False)
+        object.__setattr__(self, "factor", s)
 
     @classmethod
     def pure(cls, vector, basis_tag: str) -> "QuantumState":
-        return cls(basis_tag=basis_tag, vector=vector)
+        return cls(basis_tag, np.asarray(vector, dtype=complex).reshape(-1, 1))
 
     @classmethod
     def mixed(cls, density, basis_tag: str) -> "QuantumState":
-        return cls(basis_tag=basis_tag, density=density)
+        rho = np.asarray(density, dtype=complex)
+        if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+            raise ValueError("density must be a square matrix")
+        if np.abs(rho - rho.conj().T).max() > DENSITY_ATOL:
+            raise ValueError("density operator is not Hermitian")
+        if abs(np.trace(rho).real - 1.0) > DENSITY_ATOL:
+            raise ValueError("density operator trace is not 1")
+        lam, vecs = np.linalg.eigh((rho + rho.conj().T) / 2)
+        if lam[0] < DENSITY_EIG_FLOOR:
+            raise ValueError("density operator has a negative eigenvalue")
+        keep = lam > 0
+        s = vecs[:, keep] * np.sqrt(lam[keep])
+        return cls(basis_tag, s / np.linalg.norm(s))
 
     @property
     def is_pure(self) -> bool:
-        return self.vector is not None
+        return self.factor.shape[1] == 1
+
+    @property
+    def vector(self) -> np.ndarray:
+        """State vector of a pure state."""
+        if self.factor.shape[1] != 1:
+            raise ValueError("a mixed state has no state vector")
+        return self.factor[:, 0]
 
     @property
     def dim(self) -> int:
-        return len(self.vector) if self.is_pure else self.density.shape[0]
+        return self.factor.shape[0]
 
     def density_matrix(self) -> np.ndarray:
-        if self.is_pure:
-            return np.outer(self.vector, self.vector.conj())
-        return self.density
+        return self.factor @ self.factor.conj().T
 
     def _matrix_of(self, op) -> np.ndarray:
         mat = op.matrix if isinstance(op, HermitianOperator) else np.asarray(op)
@@ -76,35 +85,21 @@ class QuantumState:
         return mat
 
     def expectation(self, op) -> float:
-        """Real expectation value of a Hermitian operator."""
-        mat = self._matrix_of(op)
-        if self.is_pure:
-            val = np.vdot(self.vector, mat @ self.vector)
-        else:
-            val = np.trace(mat @ self.density)
-        return val.real
+        """Real expectation value tr(A rho) = <S, A S> of a Hermitian operator."""
+        return np.vdot(self.factor, self._matrix_of(op) @ self.factor).real
 
     def variance(self, op) -> float:
-        # centered evaluation: no catastrophic cancellation for small variances
-        mat = self._matrix_of(op)
-        if self.is_pure:
-            phi = mat @ self.vector
-            mean = np.vdot(self.vector, phi).real
-            phi -= mean * self.vector
-            return np.vdot(phi, phi).real
-        mean = np.trace(mat @ self.density).real
-        centered = mat - mean * np.eye(self.dim)
-        return max(np.trace(centered @ centered @ self.density).real, 0.0)
+        # centered evaluation ||(A - <A>) S||^2: no catastrophic cancellation
+        # for small variances
+        phi = self._matrix_of(op) @ self.factor
+        mean = np.vdot(self.factor, phi).real
+        phi -= mean * self.factor
+        return np.vdot(phi, phi).real
 
 
 def commutator_expectation(state: QuantumState, a, b) -> complex:
     """<[A, B]> on the given state (purely imaginary for Hermitian A, B)."""
-    amat = state._matrix_of(a)
-    bmat = state._matrix_of(b)
-    if state.is_pure:
-        z = np.vdot(amat @ state.vector, bmat @ state.vector)
-    else:
-        z = np.trace(amat @ bmat @ state.density)
+    z = np.vdot(state._matrix_of(a) @ state.factor, state._matrix_of(b) @ state.factor)
     return 2j * z.imag
 
 

@@ -110,6 +110,22 @@ class TestSweep:
         assert code == EXIT_USAGE
         assert "unknown config keys" in err
 
+    @pytest.mark.parametrize("document", [
+        {"n_particles": "16"},
+        {"steps": 2.5},
+        {"n_particles": 16.5},
+        {"tau_end": "3"},
+        5,
+        {"include_qfi": "false"},
+    ], ids=["n_str", "steps_float", "n_float", "tau_str", "not_object", "flag_str"])
+    def test_config_value_of_wrong_type_rejected(self, tmp_path, capsys, document):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(document))
+        code, out, err = run(capsys, "sweep", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_odd_n_oat_warns(self, capsys):
         code, _, err = run(
             capsys, "sweep", "--n", "5", "--kmax", "1",
@@ -186,6 +202,14 @@ class TestAnalyze:
         assert payload["n_particles"] == 4
 
 
+    @pytest.mark.parametrize("kmax", ["0", "9"])
+    def test_kmax_out_of_range_is_usage_error(self, capsys, kmax):
+        code, out, err = run(capsys, "analyze", "--n", "4", "--kmax", kmax)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: kmax must be between 1 and 6\n"
+
+
 class TestEstimate:
     ARGS = (
         "estimate", "--model", "OAT", "--n", "16", "--tau", "0",
@@ -217,6 +241,12 @@ class TestEstimate:
         )
         assert code == EXIT_USAGE
         assert "monotonic" in err
+
+    def test_non_finite_tau_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "estimate", "--n", "8", "--tau", "nan")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: tau must be finite\n"
 
     def test_bad_observable(self, capsys):
         code, _, _ = run(capsys, "estimate", "--n", "8", "--observable", "Qz")

@@ -103,7 +103,7 @@ class TestQfiMixed:
         state = QuantumState.mixed(rho, basis.tag)
         got = qfi_mixed(state, jz)
         assert 0.0 < got < n * n
-        oracle = bures_qfi_oracle(state.density, jz)
+        oracle = bures_qfi_oracle(state.density_matrix(), jz)
         assert abs(got - oracle) <= 1e-4 * oracle
 
 

@@ -376,7 +376,7 @@ class TestChi2:
             rho2 = random_density(rng, dim, rank=3)
             lam = float(rng.uniform(0.1, 0.9))
             blend = QuantumState.mixed(
-                lam * rho1.density + (1 - lam) * rho2.density, "test"
+                lam * rho1.density_matrix() + (1 - lam) * rho2.density_matrix(), "test"
             )
             lhs = chi2_inverse_opt(blend, fam, n_vec).chi2_inv
             rhs = (
