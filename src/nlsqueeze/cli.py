@@ -11,6 +11,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .cv import (
+    MAX_CUTOFF,
     FockBasis,
     build_cv_second_order_family,
     build_cv_third_order_family,
@@ -234,8 +235,16 @@ def _run_fock(args: argparse.Namespace) -> int:
             f"cutoff {cutoff} too small: cubic observables on |{n}> reach "
             f"|{n + 3}>, need at least {n + 4}"
         )
-    result, family = _fock_result(n, order, cutoff)
-    check, _ = _fock_result(n, order, cutoff + 4)
+    if cutoff + 4 > MAX_CUTOFF:
+        return _fail(
+            f"cutoff {cutoff} too large: the convergence check at cutoff "
+            f"{cutoff + 4} exceeds the dense limit {MAX_CUTOFF}"
+        )
+    try:
+        result, family = _fock_result(n, order, cutoff)
+        check, _ = _fock_result(n, order, cutoff + 4)
+    except ValueError as exc:
+        return _fail(str(exc))
     drift = abs(check.chi2_inv - result.chi2_inv) / max(abs(check.chi2_inv), 1e-300)
     if drift > 1e-9:
         return _fail(
@@ -377,7 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
     fock = sub.add_parser("fock", help="Fock-state displacement sensing report")
     fock.add_argument("--n", type=int, default=None, help="Fock index")
     fock.add_argument("--order", type=int, choices=(2, 3), default=3)
-    fock.add_argument("--cutoff", type=int, default=None)
+    fock.add_argument("--cutoff", type=int, default=None,
+                      help=f"Fock dimension (default n + 8, at most {MAX_CUTOFF - 4})")
     fock.set_defaults(func=_run_fock)
 
     analyze = sub.add_parser("analyze", help="moment matrices for one state")

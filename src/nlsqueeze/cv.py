@@ -12,17 +12,23 @@ from .operators import HermitianOperator, OperatorFamily, symmetric_product
 from .states import QuantumState
 
 RENORM_WARN_TOL = 1e-10
+# operators on the truncated space are dense cutoff x cutoff matrices, so
+# the dimension is bounded: at 1024 one matrix takes 16.8 MB
+MAX_CUTOFF = 1024
 
 
 @dataclass(frozen=True)
 class FockBasis:
-    """Number basis |0> ... |cutoff-1> of a single bosonic mode."""
+    """Number basis |0> ... |cutoff-1> of a single bosonic mode, with
+    2 <= cutoff <= MAX_CUTOFF."""
 
     cutoff: int
 
     def __post_init__(self):
         if self.cutoff < 2:
             raise ValueError("cutoff must be >= 2")
+        if self.cutoff > MAX_CUTOFF:
+            raise ValueError(f"cutoff {self.cutoff} exceeds the dense limit {MAX_CUTOFF}")
 
     @property
     def tag(self) -> str:
@@ -60,10 +66,7 @@ class QuadratureDirection:
 
 def build_quadratures(basis: FockBasis):
     """Quadratures x = (a + a^dag)/sqrt(2), p = i(a^dag - a)/sqrt(2)."""
-    d = basis.cutoff
-    a = np.zeros((d, d), dtype=complex)
-    for n in range(1, d):
-        a[n - 1, n] = np.sqrt(n)
+    a = np.diag(np.sqrt(np.arange(1, basis.cutoff)), 1).astype(complex)
     x = (a + a.conj().T) / np.sqrt(2)
     p = 1j * (a.conj().T - a) / np.sqrt(2)
     return (

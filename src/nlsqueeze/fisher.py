@@ -3,6 +3,7 @@ chain of inequalities chi^-2 <= F <= F_Q."""
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -55,6 +56,12 @@ def qfi_mixed(state: QuantumState, generator: HermitianOperator) -> float:
     return float(_qfi_matrix(state, [generator.matrix])[0, 0])
 
 
+@functools.lru_cache(maxsize=8)
+def _spin_axes(basis: DickeBasis):
+    """The order-1 family Jx, Jy, Jz of a basis, built once per basis."""
+    return build_spin_family(basis, 1)
+
+
 def f_max_density(state: QuantumState, basis: DickeBasis):
     """Best quantum Fisher information per particle over collective rotations.
 
@@ -66,7 +73,7 @@ def f_max_density(state: QuantumState, basis: DickeBasis):
         raise BasisMismatchError("state does not live in the given Dicke basis")
     n = basis.n_particles
     if state.is_pure:
-        cov3 = covariance_matrix(state, build_spin_family(basis, 1))
+        cov3 = covariance_matrix(state, _spin_axes(basis))
         direction, lam = principal_eigenpair(cov3)
         return 4.0 * lam / n, direction
     jmats = [op.matrix for op in build_spin_operators(basis)]

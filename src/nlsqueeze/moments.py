@@ -32,13 +32,15 @@ def _centered_rows(state: QuantumState, family: OperatorFamily) -> np.ndarray:
     S is the state's factor (the state vector of a pure state).  Every
     second moment of the family is an inner product of these rows:
     Z = R* R^T is the table Z_kl = <(H_k - <H_k>)(H_l - <H_l>)>, and a
-    combination sum_k a_k H_k has the centered row a^T R.  Centering the rows before the products avoids
-    the cancellation that plagues high-degree monomials, whose raw second
-    moments dwarf their covariances.
+    combination sum_k a_k H_k has the centered row a^T R.  Centering the
+    rows before the products avoids the cancellation that plagues
+    high-degree monomials, whose raw second moments dwarf their covariances.
+    The products H_k S come from the family's stored diagonals, so no dense
+    member is touched.
     """
     s = state.factor
-    mats = np.stack([op.matrix for op in family])
-    rows = (mats @ s).reshape(len(family), -1)  # rows[k] = H_k S
+    prod = family.bands @ s[family.band_cols]  # prod[i, k] = (H_k S)[i]
+    rows = prod.transpose(1, 0, 2).reshape(len(family), -1)  # rows[k] = H_k S
     s = s.ravel()
     mu_c = rows @ s.conj()
     # Cauchy-Schwarz: |<H_k>| <= ||H_k S|| ||S||, the scale of the residue

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Iterator, Sequence
@@ -112,6 +113,24 @@ def combine(ops: Sequence[HermitianOperator], coeffs, label: str | None = None) 
     return HermitianOperator(matrix=mat, label=label, degree=degree)
 
 
+def _bandwidth(mat: np.ndarray) -> int:
+    """Largest |i - j| over the nonzero entries of a matrix (0 if none)."""
+    rows, cols = np.nonzero(mat != 0)
+    return int(np.abs(rows - cols).max(initial=0))
+
+
+@functools.lru_cache(maxsize=32)
+def _band_index(dim: int, width: int):
+    """Column indices i + o of the diagonals o = -width..width of a dim x dim
+    matrix, clipped into it, and which of them lie inside it."""
+    cols = np.arange(dim)[:, None] + np.arange(-width, width + 1)
+    inside = (cols >= 0) & (cols < dim)
+    cols = np.clip(cols, 0, dim - 1)
+    cols.setflags(write=False)
+    inside.setflags(write=False)
+    return cols, inside
+
+
 @dataclass(frozen=True, eq=False)
 class OperatorFamily:
     """Ordered list of Hermitian operators acting on one common basis.
@@ -119,11 +138,20 @@ class OperatorFamily:
     monomial_index maps a multi-degree tuple (one entry per elementary
     operator) to the list position of the corresponding symmetrized monomial;
     it may be empty for ad-hoc families.
+
+    The members' nonzero diagonals are stored once, at construction:
+    bands[i, k, w + o] = H_k[i, i + o] for o = -w..w (zero where i + o falls
+    outside the matrix) and band_cols[i, w + o] = i + o, clipped into the
+    matrix.  The bandwidth w is the largest offset of a nonzero entry of
+    any member (K for spin monomials up to degree K, 3 for the cv families),
+    so every H_k S is in bands @ S[band_cols], at O(L (2w+1) D r) cost.
     """
 
     operators: tuple[HermitianOperator, ...]
     basis_tag: str
     monomial_index: dict = field(default_factory=dict)
+    bands: np.ndarray = field(init=False, repr=False)
+    band_cols: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "operators", tuple(self.operators))
@@ -137,6 +165,14 @@ class OperatorFamily:
             raise ValueError("duplicate positions in monomial_index")
         if any(not 0 <= p < len(self.operators) for p in positions):
             raise ValueError("monomial_index positions out of range")
+        width = max(_bandwidth(op.matrix) for op in self.operators)
+        cols, inside = _band_index(dim, width)
+        rows = np.arange(dim)[:, None]
+        bands = np.stack([np.where(inside, op.matrix[rows, cols], 0.0)
+                          for op in self.operators], axis=1)
+        bands.setflags(write=False)
+        object.__setattr__(self, "bands", bands)
+        object.__setattr__(self, "band_cols", cols)
 
     def __len__(self) -> int:
         return len(self.operators)

@@ -59,9 +59,7 @@ def build_spin_operators(basis: DickeBasis):
     j = basis.j
     m = basis.m_values
     jz = np.diag(m).astype(complex)
-    jp = np.zeros((basis.dimension, basis.dimension), dtype=complex)
-    for i in range(1, basis.dimension):
-        jp[i - 1, i] = np.sqrt(j * (j + 1) - m[i] * (m[i] + 1))
+    jp = np.diag(np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)), 1).astype(complex)
     jx = (jp + jp.conj().T) / 2
     jy = (jp - jp.conj().T) / 2j
     return (

@@ -20,7 +20,8 @@ class QuantumState:
 
     A pure state is the one-column factor S = psi.  `mixed()` checks a
     density operator and stores its positive part, S = V sqrt(lambda) over
-    the eigenvalues lambda > 0, renormalized to unit trace (||S||_F = 1).
+    the eigenvalues lambda > eps * dim * lambda_max, renormalized to unit
+    trace (||S||_F = 1).
     Every expectation value is a product of S with operators, so pure and
     mixed states share one code path.
     """
@@ -54,7 +55,9 @@ class QuantumState:
         lam, vecs = np.linalg.eigh((rho + rho.conj().T) / 2)
         if lam[0] < DENSITY_EIG_FLOOR:
             raise ValueError("density operator has a negative eigenvalue")
-        keep = lam > 0
+        # eigenvalues within rounding of zero (relative to the largest) are
+        # noise, so a pure density keeps one column
+        keep = lam > np.finfo(float).eps * rho.shape[0] * lam[-1]
         s = vecs[:, keep] * np.sqrt(lam[keep])
         return cls(basis_tag, s / np.linalg.norm(s))
 

@@ -170,6 +170,18 @@ class TestFock:
         code, _, _ = run(capsys, "fock")
         assert code == EXIT_USAGE
 
+    # both inputs are refused by the dimension bound before anything is allocated
+    @pytest.mark.parametrize("argv", [
+        ("--n", "3", "--order", "2", "--cutoff", "1000000000"),
+        ("--n", "1000000000",),
+    ])
+    def test_huge_dimension_refused(self, capsys, argv):
+        code, out, err = run(capsys, "fock", *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: cutoff") and err.count("\n") == 1
+        assert "1024" in err
+
 
 class TestAnalyze:
     def test_dimensions_and_roundtrip(self, capsys):
@@ -261,14 +273,16 @@ def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
 
 
-@pytest.mark.parametrize("command", ["sweep", "analyze"])
+@pytest.mark.parametrize("command", ["sweep", "analyze", "fock"])
 def test_library_value_error_is_usage_error(capsys, monkeypatch, command):
     def refuse(*args, **kwargs):
         raise ValueError("planted failure")
 
     monkeypatch.setattr(cli, "spin_squeezing_profile", refuse)
     monkeypatch.setattr(cli, "moment_data", refuse)
-    code, out, err = run(capsys, command, "--n", "4", "--kmax", "2")
+    monkeypatch.setattr(cli, "chi2_inverse_opt", refuse)
+    argv = ["--n", "4"] if command == "fock" else ["--n", "4", "--kmax", "2"]
+    code, out, err = run(capsys, command, *argv)
     assert code == EXIT_USAGE
     assert out == ""
     assert err == "error: planted failure\n"

@@ -14,12 +14,20 @@ from nlsqueeze import (
     qfi_pure,
     quadrature_generator,
 )
+from nlsqueeze.cv import MAX_CUTOFF
 
 
 def test_two_level_x_matrix():
     x, _ = build_quadratures(FockBasis(2))
     want = np.array([[0.0, 1.0], [1.0, 0.0]]) / np.sqrt(2)
     assert np.abs(x.matrix - want).max() < 1e-15
+
+
+def test_cutoff_bounded_by_dense_limit():
+    assert FockBasis(MAX_CUTOFF).cutoff == MAX_CUTOFF
+    for cutoff in (MAX_CUTOFF + 1, 10 ** 9):
+        with pytest.raises(ValueError, match="dense limit"):
+            FockBasis(cutoff)
 
 
 @pytest.mark.parametrize("d", [2, 5, 12])

@@ -9,10 +9,12 @@ from nlsqueeze import (
     HermitianPropagator,
     QuadratureDirection,
     QuantumState,
+    build_spin_family,
     build_spin_operators,
     chi2_error_propagation,
     classical_fisher,
     coherent_spin_state_z,
+    covariance_matrix,
     evolve,
     f_max_density,
     fock_state,
@@ -23,6 +25,7 @@ from nlsqueeze import (
     shot_noise_limit,
 )
 from nlsqueeze.dynamics import EvolutionSpec
+from nlsqueeze.fisher import _spin_axes
 
 from conftest import random_density, random_hermitian, random_pure_state
 
@@ -256,3 +259,28 @@ class TestFisherReport:
                 qfi=qfi_pure(state, gen),
             )
             report.validate_chain(slack=1e-6)
+
+
+class TestSpinAxes:
+    def test_cached_per_basis(self):
+        basis = DickeBasis(9)
+        assert _spin_axes(basis) is _spin_axes(DickeBasis(9))
+        assert _spin_axes(basis).labels == ["Jx", "Jy", "Jz"]
+
+    def test_f_max_matches_fresh_family(self):
+        basis = DickeBasis(12)
+        state = evolve(coherent_spin_state_z(basis), EvolutionSpec("OAT", 0.3))
+        cov3 = covariance_matrix(state, build_spin_family(basis, 1))
+        want = 4.0 * np.linalg.eigvalsh(cov3)[-1] / basis.n_particles
+        got, _ = f_max_density(state, basis)
+        assert abs(got - want) <= 1e-13 * want
+
+    def test_mixed_branch_on_rank_one_factor(self):
+        # a zero second column keeps rho pure but sends it down the mixed branch
+        n = 8
+        basis, ghz = standard_ghz(n)
+        padded = QuantumState(basis.tag, np.column_stack([ghz.vector, np.zeros(n + 1)]))
+        assert not padded.is_pure
+        pure_val, _ = f_max_density(ghz, basis)
+        mixed_val, _ = f_max_density(padded, basis)
+        assert abs(mixed_val - pure_val) < 1e-8 * max(pure_val, 1.0)

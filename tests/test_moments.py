@@ -33,6 +33,7 @@ from nlsqueeze import (
     xi2_opt,
 )
 from nlsqueeze.dynamics import EvolutionSpec
+from nlsqueeze.moments import _centered_rows
 
 from conftest import angle_between, random_density, random_family, random_pure_state
 
@@ -103,6 +104,39 @@ class TestCovarianceAndCommutator:
             c = commutator_matrix(state, fam)
             assert np.abs(gamma - gamma.T).max() < 1e-10
             assert np.abs(c + c.T).max() < 1e-10
+
+
+def _dense_centered_rows(state, family):
+    """Reference rows from the stacked dense members, centered like the library."""
+    s = state.factor
+    raw = (np.stack([op.matrix for op in family]) @ s).reshape(len(family), -1)
+    mu = raw @ s.ravel().conj()
+    return raw - mu.real[:, None] * s.ravel()[None, :], np.abs(raw).max(axis=1)
+
+
+class TestBandedRows:
+    def _cases(self, rng):
+        spin_basis = DickeBasis(16)
+        oat = evolve(coherent_spin_state_z(spin_basis), EvolutionSpec("OAT", 0.4))
+        fock = FockBasis(20)
+        dense = random_family(rng, 9, 4)
+        return [
+            (oat, build_spin_family(spin_basis, 5)),
+            (random_density(rng, 17, spin_basis.tag, rank=3), build_spin_family(spin_basis, 5)),
+            (fock_state(fock, 6), build_cv_third_order_family(fock)),
+            (random_density(rng, 20, fock.tag, rank=3), build_cv_third_order_family(fock)),
+            (random_pure_state(rng, 9), dense),
+            (random_density(rng, 9, rank=3), dense),
+        ]
+
+    def test_rows_match_dense_products(self, rng):
+        cases = self._cases(rng)
+        assert [state.factor.shape[1] for state, _ in cases] == [1, 3] * 3
+        for state, fam in cases:
+            got = _centered_rows(state, fam)
+            want, scale = _dense_centered_rows(state, fam)
+            assert got.shape == want.shape
+            assert (np.abs(got - want).max(axis=1) <= 1e-13 * scale).all()
 
 
 class TestMomentMatrix:

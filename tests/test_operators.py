@@ -3,8 +3,12 @@ import pytest
 
 from nlsqueeze import (
     DickeBasis,
+    FockBasis,
     HermitianOperator,
     OperatorFamily,
+    build_cv_second_order_family,
+    build_cv_third_order_family,
+    build_spin_family,
     build_spin_operators,
     symmetric_product,
 )
@@ -83,3 +87,48 @@ def test_family_combine_and_slots():
     combo = fam.combine([0.0, 0.0, 2.0])
     assert np.abs(combo.matrix - 2.0 * jz.matrix).max() < 1e-14
 
+
+
+def _dense_from_bands(fam):
+    """Rebuild every member from the stored diagonals."""
+    dim, size, width = fam.bands.shape
+    mats = np.zeros((size, dim, dim), dtype=complex)
+    rows = np.repeat(np.arange(dim)[:, None], width, axis=1)
+    for k in range(size):
+        # clipped positions carry zeros, so adding never disturbs a real entry
+        np.add.at(mats[k], (rows, fam.band_cols), fam.bands[:, k, :])
+    return mats
+
+
+def _band_families():
+    rng = np.random.default_rng(11)
+    diag = [HermitianOperator(np.diag(rng.normal(size=6)), f"d{k}") for k in range(3)]
+    return {
+        "spin N=16 K=5": (build_spin_family(DickeBasis(16), 5), 5),
+        "spin N=7 K=6": (build_spin_family(DickeBasis(7), 6), 6),
+        "cv order 2": (build_cv_second_order_family(FockBasis(20)), 2),
+        "cv order 3": (build_cv_third_order_family(FockBasis(20)), 3),
+        "dense": (OperatorFamily([random_hermitian(rng, 9, f"H{k}") for k in range(4)],
+                                 "test"), 8),
+        "diagonal": (OperatorFamily(diag, "test"), 0),
+    }
+
+
+@pytest.mark.parametrize("name", list(_band_families()))
+def test_family_bands_rebuild_every_member(name):
+    fam, width = _band_families()[name]
+    dim = fam.dim
+    assert fam.bands.shape == (dim, len(fam), 2 * width + 1)
+    assert fam.band_cols.shape == (dim, 2 * width + 1)
+    assert fam.band_cols.min() >= 0 and fam.band_cols.max() <= dim - 1
+    rebuilt = _dense_from_bands(fam)
+    for k, op in enumerate(fam):
+        assert np.array_equal(rebuilt[k], op.matrix), op.label
+
+
+def test_family_bands_are_read_only():
+    fam = build_spin_family(DickeBasis(4), 2)
+    with pytest.raises(ValueError):
+        fam.bands[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        fam.band_cols[0, 0] = 1

@@ -43,6 +43,27 @@ class TestValidation:
             state.vector
 
 
+def test_mixed_drops_rounding_noise_eigenvalues():
+    # the density of an evolved pure state has eigenvalues at rounding level
+    basis = DickeBasis(6)
+    pure = evolve(coherent_spin_state_z(basis), EvolutionSpec("OAT", 0.4))
+    rho = pure.density_matrix()
+    state = QuantumState.mixed(rho, basis.tag)
+    assert state.factor.shape == (7, 1)
+    assert state.is_pure
+    assert np.abs(state.density_matrix() - rho).max() <= 1e-14
+
+
+def test_mixed_keeps_every_noise_weighted_direction():
+    # white noise of weight 0.1 leaves every eigenvalue at or above 0.1 / dim
+    basis = DickeBasis(60)
+    css = coherent_spin_state_z(basis)
+    rho = 0.9 * css.density_matrix() + 0.1 * np.eye(61) / 61
+    state = QuantumState.mixed(rho, basis.tag)
+    assert state.factor.shape == (61, 61)
+    assert np.abs(state.density_matrix() - rho).max() <= 1e-14
+
+
 def test_evolution_keeps_rank_and_matches_direct_exponential():
     basis = DickeBasis(6)
     rho = np.zeros((7, 7))
