@@ -113,22 +113,31 @@ def combine(ops: Sequence[HermitianOperator], coeffs, label: str | None = None) 
     return HermitianOperator(matrix=mat, label=label, degree=degree)
 
 
-def _bandwidth(mat: np.ndarray) -> int:
-    """Largest |i - j| over the nonzero entries of a matrix (0 if none)."""
-    rows, cols = np.nonzero(mat != 0)
-    return int(np.abs(rows - cols).max(initial=0))
+def _bandwidth(mats) -> int:
+    """Largest |i - j| over the entries that are nonzero in any of the
+    complex matrices (0 if none)."""
+    # compare the real and imaginary parts side by side: faster than
+    # comparing complex numbers, and one scan covers the whole family
+    mask = mats[0].view(float) != 0
+    for mat in mats[1:]:
+        mask |= mat.view(float) != 0
+    rows, cols = np.nonzero(mask)
+    return int(np.abs(rows - cols // 2).max(initial=0))
 
 
 @functools.lru_cache(maxsize=32)
 def _band_index(dim: int, width: int):
     """Column indices i + o of the diagonals o = -width..width of a dim x dim
-    matrix, clipped into it, and which of them lie inside it."""
-    cols = np.arange(dim)[:, None] + np.arange(-width, width + 1)
+    matrix, clipped into it, their flat positions i * dim + (i + o), and
+    which of them lie inside the matrix."""
+    rows = np.arange(dim)[:, None]
+    cols = rows + np.arange(-width, width + 1)
     inside = (cols >= 0) & (cols < dim)
     cols = np.clip(cols, 0, dim - 1)
-    cols.setflags(write=False)
-    inside.setflags(write=False)
-    return cols, inside
+    flat = rows * dim + cols
+    for arr in (cols, flat, inside):
+        arr.setflags(write=False)
+    return cols, flat, inside
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,11 +174,10 @@ class OperatorFamily:
             raise ValueError("duplicate positions in monomial_index")
         if any(not 0 <= p < len(self.operators) for p in positions):
             raise ValueError("monomial_index positions out of range")
-        width = max(_bandwidth(op.matrix) for op in self.operators)
-        cols, inside = _band_index(dim, width)
-        rows = np.arange(dim)[:, None]
-        bands = np.stack([np.where(inside, op.matrix[rows, cols], 0.0)
-                          for op in self.operators], axis=1)
+        width = _bandwidth([op.matrix for op in self.operators])
+        cols, flat, inside = _band_index(dim, width)
+        bands = np.stack([op.matrix.take(flat) for op in self.operators], axis=1)
+        bands = np.where(inside[:, None, :], bands, 0.0)
         bands.setflags(write=False)
         object.__setattr__(self, "bands", bands)
         object.__setattr__(self, "band_cols", cols)
