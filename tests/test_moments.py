@@ -85,13 +85,16 @@ class TestCovarianceAndCommutator:
     def test_mixed_state_matrices_match_pure(self, rng):
         state = random_pure_state(rng, 6)
         fam = random_family(rng, 6, 3)
-        as_mixed = QuantumState.mixed(state.density_matrix(), "test")
-        assert np.abs(
-            covariance_matrix(state, fam) - covariance_matrix(as_mixed, fam)
-        ).max() < 1e-10
-        assert np.abs(
-            commutator_matrix(state, fam) - commutator_matrix(as_mixed, fam)
-        ).max() < 1e-10
+        # the density comes back as one column; a zero second column keeps
+        # rho pure but takes the multi-column path
+        padded = QuantumState("test", np.column_stack([state.vector, np.zeros(6)]))
+        for as_mixed in (QuantumState.mixed(state.density_matrix(), "test"), padded):
+            assert np.abs(
+                covariance_matrix(state, fam) - covariance_matrix(as_mixed, fam)
+            ).max() < 1e-10
+            assert np.abs(
+                commutator_matrix(state, fam) - commutator_matrix(as_mixed, fam)
+            ).max() < 1e-10
 
     def test_residue_properties_on_benchmarks(self):
         # symmetry/skewness residues stay at rounding level on states of interest
