@@ -309,24 +309,18 @@ def _run_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_OBSERVABLES = ("Jx", "Jy", "Jz", "parity")
+_AXES = ("Jx", "Jy", "Jz")
 
 
 def _spin_observable(basis: DickeBasis, name: str):
-    jx, jy, jz = build_spin_operators(basis)
-    table = {"Jx": jx, "Jy": jy, "Jz": jz}
     if name == "parity":
         return parity_operator(basis)
-    return table[name]
+    return build_spin_operators(basis)[_AXES.index(name)]
 
 
 def _run_estimate(args: argparse.Namespace) -> int:
     if args.n is None or args.n < 1:
         return _fail("estimate needs --n >= 1")
-    if args.generator not in ("Jx", "Jy", "Jz"):
-        return _fail("generator must be Jx, Jy or Jz")
-    if args.observable not in _OBSERVABLES:
-        return _fail(f"observable must be one of {_OBSERVABLES}")
     basis = DickeBasis(args.n)
     generator = _spin_observable(basis, args.generator)
     observable = _spin_observable(basis, args.observable)
@@ -402,8 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     estimate.add_argument("--model", choices=MODELS, default="OAT")
     estimate.add_argument("--n", type=int, default=None)
     estimate.add_argument("--tau", type=float, default=0.0)
-    estimate.add_argument("--generator", default="Jx")
-    estimate.add_argument("--observable", default="Jy")
+    estimate.add_argument("--generator", choices=_AXES, default="Jx")
+    estimate.add_argument("--observable", choices=_AXES + ("parity",), default="Jy")
     estimate.add_argument("--theta", type=float, default=0.0)
     estimate.add_argument("--mu", type=int, default=10_000)
     estimate.add_argument("--trials", type=int, default=200)

@@ -47,8 +47,9 @@ class HermitianPropagator:
     def apply(self, state: QuantumState, theta: float) -> QuantumState:
         if state.dim != self.generator.dim:
             raise BasisMismatchError("state dimension does not match the generator")
-        # rotate the factor S of rho = S S^dagger into the eigenbasis and back
-        coeffs = self._evecs.conj().T @ state.factor
+        # rotate the factor S of rho = S S^dagger into the eigenbasis and back;
+        # E^dagger S is formed as (S^dagger E)^dagger so that no D x D copy is made
+        coeffs = (state.factor.conj().T @ self._evecs).conj().T
         s = self._evecs @ (np.exp(-1j * theta * self._evals)[:, None] * coeffs)
         return QuantumState(state.basis_tag, s / np.linalg.norm(s))
 

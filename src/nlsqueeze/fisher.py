@@ -1,5 +1,5 @@
-"""Quantum and classical Fisher information, shot-noise references, and the
-chain of inequalities chi^-2 <= F <= F_Q."""
+"""Quantum and classical Fisher information and the chain of inequalities
+chi^-2 <= F <= F_Q."""
 
 from __future__ import annotations
 
@@ -11,7 +11,8 @@ import numpy as np
 
 from .dynamics import HermitianPropagator
 from .errors import BasisMismatchError
-from .moments import covariance_matrix, principal_eigenpair
+# covariance_matrix and build_spin_operators: unused, kept for perfbench's trace targets
+from .moments import _centered_rows, _operator_rows, covariance_matrix, principal_eigenpair
 from .operators import HermitianOperator
 from .spin import DickeBasis, build_spin_family, build_spin_operators
 from .states import QuantumState
@@ -22,38 +23,35 @@ PROB_FLOOR = 1e-12
 RICHARDSON_REL = 1e-4
 
 
-def qfi_pure(state: QuantumState, generator: HermitianOperator) -> float:
-    """Quantum Fisher information of a pure state: four times the variance."""
-    if not state.is_pure:
-        raise ValueError("qfi_pure needs a pure state; use qfi_mixed")
-    return 4.0 * state.variance(generator)
+def _qfi_matrix(s: np.ndarray, rows_of) -> np.ndarray:
+    """Quantum Fisher matrix of rho = S S^dagger from centered rows.
 
-
-def _qfi_matrix(state: QuantumState, mats) -> np.ndarray:
-    """Spectral quantum Fisher matrix of the generators `mats`.
-
-    Q_ab = 2 sum_ij (l_i - l_j)^2 / (l_i + l_j) Re(<i|A|j><j|B|i>) over the
-    eigenpairs (l_i, |i>) of rho; modes with eigenvalue sum below 1e-12 are
-    dropped to avoid 0/0.
+    The factor is first turned into its eigenframe S W, where S^dagger S =
+    W diag(l) W^dagger: the same rho, with orthogonal columns S W / sqrt(l)
+    that are the eigenvectors of rho for its nonzero eigenvalues l.  With
+    the centered rows R_a = (A_a - <A_a>) S W that `rows_of(S W)` returns
+    and P^a = (S W)^dagger R_a,
+    Q_ab = 4 Re<R_a|R_b> - 8 sum_ij Re(P^a_ij conj(P^b_ij)) / (l_i + l_j),
+    which is the spectral formula 2 sum_ij (l_i - l_j)^2 / (l_i + l_j)
+    Re(A_ij B_ji); pairs with l_i + l_j below 1e-12 are dropped to avoid
+    0/0.  For a pure state P vanishes and Q is four times the covariance
+    matrix.
     """
-    lam, vecs = np.linalg.eigh(state.density_matrix())
-    lam = np.clip(lam, 0.0, None)
-    sums = lam[:, None] + lam[None, :]
-    diffs = lam[:, None] - lam[None, :]
-    weights = np.where(sums > QFI_MODE_EPS, diffs ** 2 / np.where(sums > QFI_MODE_EPS, sums, 1.0), 0.0)
-    rotated = [vecs.conj().T @ m @ vecs for m in mats]
-    q = np.empty((len(mats), len(mats)))
-    for a in range(len(mats)):
-        for b in range(a, len(mats)):
-            q[a, b] = q[b, a] = 2.0 * np.real(np.sum(weights * rotated[a] * rotated[b].T))
-    return q
+    lam, w = np.linalg.eigh(s.conj().T @ s)
+    s = s @ w
+    rows = rows_of(s)
+    sums = (lam[:, None] + lam[None, :]).ravel()
+    inv = np.divide(1.0, sums, out=np.zeros_like(sums), where=sums > QFI_MODE_EPS)
+    p = (s.conj().T @ rows.reshape(len(rows), *s.shape)).reshape(len(rows), -1)
+    # Re(x conj(y)) summed is the real dot product of the float views
+    cross = (p * inv).view(float) @ p.view(float).T
+    return 4.0 * (rows.conj() @ rows.T).real - 8.0 * cross
 
 
-def qfi_mixed(state: QuantumState, generator: HermitianOperator) -> float:
-    """Spectral quantum Fisher information for density operators."""
-    if state.dim != generator.dim:
-        raise BasisMismatchError("state and generator dimensions differ")
-    return float(_qfi_matrix(state, [generator.matrix])[0, 0])
+def qfi(state: QuantumState, generator: HermitianOperator) -> float:
+    """Quantum Fisher information of a pure or mixed state for a generator."""
+    mat = state._matrix_of(generator)
+    return float(_qfi_matrix(state.factor, lambda s: _operator_rows(s, mat))[0, 0])
 
 
 @functools.lru_cache(maxsize=8)
@@ -65,20 +63,15 @@ def _spin_axes(basis: DickeBasis):
 def f_max_density(state: QuantumState, basis: DickeBasis):
     """Best quantum Fisher information per particle over collective rotations.
 
-    Returns (f_max, direction).  For pure states this is four times the top
-    eigenvalue of the 3x3 spin covariance matrix divided by N; for mixed
-    states the top eigenvalue of the 3x3 QFI matrix divided by N.
+    Returns (f_max, direction): the top eigenvalue of the 3x3 quantum Fisher
+    matrix of Jx, Jy, Jz divided by N, and its eigenvector (for a pure
+    state, four times the spin covariance matrix).
     """
     if state.basis_tag != basis.tag:
         raise BasisMismatchError("state does not live in the given Dicke basis")
-    n = basis.n_particles
-    if state.is_pure:
-        cov3 = covariance_matrix(state, _spin_axes(basis))
-        direction, lam = principal_eigenpair(cov3)
-        return 4.0 * lam / n, direction
-    jmats = [op.matrix for op in build_spin_operators(basis)]
-    direction, lam = principal_eigenpair(_qfi_matrix(state, jmats))
-    return lam / n, direction
+    q = _qfi_matrix(state.factor, lambda s: _centered_rows(s, _spin_axes(basis)))
+    direction, lam = principal_eigenpair(q)
+    return lam / basis.n_particles, direction
 
 
 def _clustered_projectors(observable: HermitianOperator, tol: float = EIG_CLUSTER_TOL):
@@ -129,17 +122,6 @@ def classical_fisher(state: QuantumState, generator: HermitianOperator,
             f"step is halved (step {dtheta:g}); reduce dtheta", stacklevel=2,
         )
     return f
-
-
-def shot_noise_limit(system: str, n_particles: int | None = None) -> float:
-    """Best classical sensitivity: N for N spins, 2 for a single bosonic mode."""
-    if system == "spin":
-        if n_particles is None or n_particles < 1:
-            raise ValueError("spin shot noise needs the particle number")
-        return float(n_particles)
-    if system == "cv":
-        return 2.0
-    raise ValueError("system must be 'spin' or 'cv'")
 
 
 @dataclass(frozen=True)

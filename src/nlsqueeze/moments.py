@@ -15,7 +15,7 @@ from .dynamics import HermitianPropagator
 from .errors import CalibrationError, ZeroSignalError
 from .operators import HermitianOperator, OperatorFamily
 from .spin import DickeBasis, build_spin_family, parse_dicke_tag, spin_family_size
-from .states import QuantumState, check_same_basis, commutator_expectation
+from .states import QuantumState, check_same_basis
 
 # retention threshold for the equilibrated covariance spectrum: sits well
 # above its ~K*eps eigenvalue noise floor while keeping the genuinely dark
@@ -26,10 +26,10 @@ KERNEL_LEAK_TOL = 1e-8
 IMAG_RESIDUE_TOL = 1e-10
 
 
-def _centered_rows(state: QuantumState, family: OperatorFamily) -> np.ndarray:
+def _centered_rows(s: np.ndarray, family: OperatorFamily) -> np.ndarray:
     """Centered rows r_k = (H_k - <H_k>) S, flattened, where rho = S S^dagger.
 
-    S is the state's factor (the state vector of a pure state).  Every
+    S is a state's factor (the state vector of a pure state).  Every
     second moment of the family is an inner product of these rows:
     Z = R* R^T is the table Z_kl = <(H_k - <H_k>)(H_l - <H_l>)>, and a
     combination sum_k a_k H_k has the centered row a^T R.  Centering the
@@ -38,15 +38,35 @@ def _centered_rows(state: QuantumState, family: OperatorFamily) -> np.ndarray:
     The products H_k S come from the family's stored diagonals, so no dense
     member is touched.
     """
-    s = state.factor
     prod = family.bands @ s[family.band_cols]  # prod[i, k] = (H_k S)[i]
-    rows = prod.transpose(1, 0, 2).reshape(len(family), -1)  # rows[k] = H_k S
-    s = s.ravel()
+    return _center(prod.transpose(1, 0, 2).reshape(len(family), -1), s.ravel())
+
+
+def _operator_rows(s: np.ndarray, *mats) -> np.ndarray:
+    """Centered rows (A - <A>) S of dense matrices, as `_centered_rows`."""
+    return _center(np.stack([(a @ s).ravel() for a in mats]), s.ravel())
+
+
+def _center(rows: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Subtract <H_k> S from the rows H_k S (in place), checking the means."""
     mu_c = rows @ s.conj()
     # Cauchy-Schwarz: |<H_k>| <= ||H_k S|| ||S||, the scale of the residue
     _check_mean_residue(mu_c, np.linalg.norm(rows, axis=1) * np.linalg.norm(s))
     rows -= mu_c.real[:, None] * s[None, :]
     return rows
+
+
+def _signal(x: np.ndarray, h: np.ndarray):
+    """((Delta X)^2, |<[X, H]>|) from the centered rows x, h of X and H.
+
+    Returns None when the commutator is no signal: zero, or below 1e-12 of
+    its Robertson bound 2 sqrt(Var X Var H).
+    """
+    var_x = np.vdot(x, x).real
+    comm = 2.0 * abs(np.vdot(x, h).imag)
+    if comm > 1e-12 * 2.0 * math.sqrt(var_x * np.vdot(h, h).real):
+        return var_x, comm
+    return None
 
 
 def _moment_table(rows: np.ndarray):
@@ -69,13 +89,13 @@ def _check_mean_residue(mu_c: np.ndarray, bound: np.ndarray) -> None:
 def covariance_matrix(state: QuantumState, family: OperatorFamily) -> np.ndarray:
     """Symmetrized covariance matrix of the family in the given state."""
     check_same_basis(state, family)
-    return _moment_table(_centered_rows(state, family))[0]
+    return _moment_table(_centered_rows(state.factor, family))[0]
 
 
 def commutator_matrix(state: QuantumState, family: OperatorFamily) -> np.ndarray:
     """Real skew-symmetric matrix of -i times commutator expectations."""
     check_same_basis(state, family)
-    return _moment_table(_centered_rows(state, family))[1]
+    return _moment_table(_centered_rows(state.factor, family))[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,7 +201,7 @@ def moment_data(state: QuantumState, family: OperatorFamily,
                 eps_rel: float = GAMMA_EPS_REL) -> MomentData:
     """Covariance, commutator and moment matrices for one state and family."""
     check_same_basis(state, family)
-    return moment_matrix(*_moment_table(_centered_rows(state, family)), eps_rel=eps_rel)
+    return moment_matrix(*_moment_table(_centered_rows(state.factor, family)), eps_rel=eps_rel)
 
 
 def principal_submatrix(matrix: np.ndarray, indices) -> np.ndarray:
@@ -254,17 +274,24 @@ def optimize_generator(md: MomentData, generator_slots):
     return principal_eigenpair(m_tilde)
 
 
-def _shot_noise_from_tag(basis_tag: str) -> float:
-    """Best classical sensitivity for the system behind a basis tag.
+def shot_noise_limit(system: str, n_particles: int | None = None) -> float:
+    """Best classical sensitivity: N for N spins, 2 for a single bosonic mode."""
+    if system == "spin":
+        if n_particles is None or n_particles < 1:
+            raise ValueError("spin shot noise needs the particle number")
+        return float(n_particles)
+    if system == "cv":
+        return 2.0
+    raise ValueError("system must be 'spin' or 'cv'")
 
-    N separable qubits reach at most N; a single coherent bosonic mode
-    reaches 2.  Unknown tags yield NaN (no classical reference defined).
-    """
+
+def _shot_noise_from_tag(basis_tag: str) -> float:
+    """Shot-noise limit of the system behind a basis tag (NaN if unknown)."""
     n = parse_dicke_tag(basis_tag)
     if n is not None:
-        return float(n)
+        return shot_noise_limit("spin", n)
     if parse_fock_tag(basis_tag) is not None:
-        return 2.0
+        return shot_noise_limit("cv")
     return math.nan
 
 
@@ -311,14 +338,10 @@ def _squeeze_from_md(md: MomentData, rows: np.ndarray, slots, n_coeffs,
         m = optimal_measurement(md, n_coeffs, slots=slots)
     except ZeroSignalError:
         m = None
-    if m is not None:
-        x = m @ rows
-        h = n_full @ rows
-        var_x = np.vdot(x, x).real
-        comm = 2.0 * abs(np.vdot(x, h).imag)
-        # same no-signal test as chi2_error_propagation, on the Robertson scale
-        if comm > 1e-12 * 2.0 * math.sqrt(var_x * np.vdot(h, h).real):
-            chi2_inv = comm ** 2 / var_x
+    signal = None if m is None else _signal(m @ rows, n_full @ rows)
+    if signal is not None:
+        var_x, comm = signal
+        chi2_inv = comm ** 2 / var_x
     if chi2_inv > 0:
         xi2 = f_sn / chi2_inv
     else:
@@ -348,7 +371,7 @@ def chi2_inverse_opt(state: QuantumState, family: OperatorFamily, n_coeffs,
     if abs(np.linalg.norm(n_coeffs) - 1.0) > 1e-10:
         raise ValueError("generator direction must be a unit vector")
     check_same_basis(state, family)
-    rows = _centered_rows(state, family)
+    rows = _centered_rows(state.factor, family)
     md = moment_matrix(*_moment_table(rows))
     _, lam = optimize_generator(md, slots)
     return _squeeze_from_md(md, rows, slots, n_coeffs, lam,
@@ -358,12 +381,11 @@ def chi2_inverse_opt(state: QuantumState, family: OperatorFamily, n_coeffs,
 def chi2_error_propagation(state: QuantumState, generator: HermitianOperator,
                            observable: HermitianOperator) -> float:
     """Error-propagation squeezing parameter (Delta X)^2 / |<[X, H]>|^2."""
-    var_x = state.variance(observable)
-    var_h = state.variance(generator)
-    comm = abs(commutator_expectation(state, observable, generator))
-    # Robertson bound |<[X,H]>| <= 2 sqrt(VarX VarH) sets the natural scale
-    if comm <= 1e-12 * 2.0 * math.sqrt(max(var_x, 0.0) * max(var_h, 0.0)) or comm == 0.0:
+    rows = _operator_rows(state.factor, state._matrix_of(observable), state._matrix_of(generator))
+    signal = _signal(*rows)
+    if signal is None:
         raise ZeroSignalError("observable carries no signal for this generator")
+    var_x, comm = signal
     return var_x / comm ** 2
 
 
@@ -386,7 +408,7 @@ def spin_squeezing_profile(state: QuantumState, basis: DickeBasis, k_max: int,
     if len(family) != spin_family_size(k_max):
         raise ValueError("family does not match k_max")
     check_same_basis(state, family)
-    rows = _centered_rows(state, family)
+    rows = _centered_rows(state.factor, family)
     gamma, c = _moment_table(rows)
     slots = [0, 1, 2]
     results = []

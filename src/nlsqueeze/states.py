@@ -100,12 +100,6 @@ class QuantumState:
         return np.vdot(phi, phi).real
 
 
-def commutator_expectation(state: QuantumState, a, b) -> complex:
-    """<[A, B]> on the given state (purely imaginary for Hermitian A, B)."""
-    z = np.vdot(state._matrix_of(a) @ state.factor, state._matrix_of(b) @ state.factor)
-    return 2j * z.imag
-
-
 def check_same_basis(state: QuantumState, family) -> None:
     if state.basis_tag != family.basis_tag:
         raise BasisMismatchError(

@@ -11,7 +11,7 @@ from nlsqueeze import (
     coherent_state,
     default_cutoff,
     fock_state,
-    qfi_pure,
+    qfi,
     quadrature_generator,
 )
 from nlsqueeze.cv import MAX_CUTOFF
@@ -83,7 +83,7 @@ def test_fock_state_qfi_isotropic():
     three = fock_state(basis, 3)
     for phi in (0.0, 0.9, 2.4):
         q = quadrature_generator(basis, QuadratureDirection.from_phase(phi))
-        assert abs(qfi_pure(three, q) - 14.0) < 1e-10
+        assert abs(qfi(three, q) - 14.0) < 1e-10
 
 
 def test_fock_state_out_of_range():
@@ -103,7 +103,7 @@ def test_coherent_state_displacement_and_qfi():
     assert abs(state.expectation(x) - np.sqrt(2)) < 1e-10
     for phi in (0.3, 1.7):
         q = quadrature_generator(basis, QuadratureDirection.from_phase(phi))
-        assert abs(qfi_pure(state, q) - 2.0) < 1e-9
+        assert abs(qfi(state, q) - 2.0) < 1e-9
 
 
 def test_coherent_state_renormalization_warning():

@@ -87,8 +87,10 @@ def test_mixed_state_evolution_matches_pure():
     css = coherent_spin_state_z(basis)
     spec = EvolutionSpec("TAT", 0.7)
     pure_out = evolve(css, spec)
-    mixed = QuantumState.mixed(css.density_matrix(), basis.tag)
+    # a zero second column: a two-column factor whose rho is the coherent state
+    mixed = QuantumState(basis.tag, np.column_stack([css.vector, np.zeros(7)]))
     mixed_out = evolve(mixed, spec)
+    assert mixed_out.factor.shape == (7, 2)
     assert np.abs(mixed_out.density_matrix() - pure_out.density_matrix()).max() < 1e-12
 
 

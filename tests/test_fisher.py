@@ -19,15 +19,14 @@ from nlsqueeze import (
     f_max_density,
     fock_state,
     parity_operator,
-    qfi_mixed,
-    qfi_pure,
+    qfi,
     quadrature_generator,
     shot_noise_limit,
 )
 from nlsqueeze.dynamics import EvolutionSpec
 from nlsqueeze.fisher import _spin_axes
 
-from conftest import random_density, random_hermitian, random_pure_state
+from conftest import random_hermitian, random_pure_state
 
 
 def standard_ghz(n):
@@ -35,6 +34,25 @@ def standard_ghz(n):
     vec = np.zeros(n + 1, dtype=complex)
     vec[0] = vec[-1] = 1 / np.sqrt(2)
     return basis, QuantumState.pure(vec, basis.tag)
+
+
+def spectral_qfi_matrix(rho, mats):
+    """Reference Q_ab = 2 sum_ij (l_i - l_j)^2 / (l_i + l_j) Re(A_ij B_ji) over
+    the eigenpairs of rho, pairs with l_i + l_j <= 1e-12 dropped."""
+    lam, vecs = np.linalg.eigh(rho)
+    lam = np.clip(lam, 0.0, None)
+    sums = lam[:, None] + lam[None, :]
+    weights = np.where(sums > 1e-12, (lam[:, None] - lam[None, :]) ** 2
+                       / np.where(sums > 1e-12, sums, 1.0), 0.0)
+    rotated = [vecs.conj().T @ m @ vecs for m in mats]
+    return np.array([[2.0 * np.real(np.sum(weights * a * b.T)) for b in rotated]
+                     for a in rotated])
+
+
+def random_factor(rng, dim, rank, basis_tag="test"):
+    """Unit-trace factor with non-orthogonal columns (rho = S S^dagger)."""
+    s = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    return QuantumState(basis_tag, s / np.linalg.norm(s))
 
 
 def bures_qfi_oracle(rho, generator, dtheta=1e-4):
@@ -57,32 +75,27 @@ class TestQfiPure:
         basis = FockBasis(12)
         state = fock_state(basis, 3)
         q = quadrature_generator(basis, QuadratureDirection.from_phase(1.1))
-        assert abs(qfi_pure(state, q) - 14.0) < 1e-10
+        assert abs(qfi(state, q) - 14.0) < 1e-10
 
     def test_css_value(self):
         n = 10
         basis = DickeBasis(n)
         css = coherent_spin_state_z(basis)
         jx = build_spin_operators(basis)[0]
-        assert abs(qfi_pure(css, jx) - n) < 1e-11
+        assert abs(qfi(css, jx) - n) < 1e-11
 
     def test_eigenstate_gives_zero(self):
         n = 6
         basis = DickeBasis(n)
         css = coherent_spin_state_z(basis)
         jz = build_spin_operators(basis)[2]
-        assert qfi_pure(css, jz) < 1e-12
+        assert qfi(css, jz) < 1e-12
 
     def test_identity_shift_invariance(self, rng):
         state = random_pure_state(rng, 8)
         h = random_hermitian(rng, 8)
         shifted = HermitianOperator(h.matrix + 2.7 * np.eye(8), "H+c")
-        assert abs(qfi_pure(state, h) - qfi_pure(state, shifted)) < 1e-10
-
-    def test_rejects_mixed(self, rng):
-        state = random_density(rng, 5)
-        with pytest.raises(ValueError, match="pure"):
-            qfi_pure(state, random_hermitian(rng, 5))
+        assert abs(qfi(state, h) - qfi(state, shifted)) < 1e-10
 
 
 class TestQfiMixed:
@@ -90,13 +103,13 @@ class TestQfiMixed:
         state = random_pure_state(rng, 7)
         h = random_hermitian(rng, 7)
         as_mixed = QuantumState.mixed(state.density_matrix(), "test")
-        pure_val = qfi_pure(state, h)
-        assert abs(qfi_mixed(as_mixed, h) - pure_val) <= 1e-9 * max(pure_val, 1.0)
+        pure_val = qfi(state, h)
+        assert abs(qfi(as_mixed, h) - pure_val) <= 1e-9 * max(pure_val, 1.0)
 
     def test_maximally_mixed_gives_zero(self, rng):
         dim = 6
         state = QuantumState.mixed(np.eye(dim) / dim, "test")
-        assert qfi_mixed(state, random_hermitian(rng, dim)) < 1e-12
+        assert qfi(state, random_hermitian(rng, dim)) < 1e-12
 
     def test_noisy_ghz_against_fidelity_oracle(self):
         n = 8
@@ -104,7 +117,7 @@ class TestQfiMixed:
         jz = build_spin_operators(basis)[2]
         rho = 0.9 * ghz.density_matrix() + 0.1 * np.eye(n + 1) / (n + 1)
         state = QuantumState.mixed(rho, basis.tag)
-        got = qfi_mixed(state, jz)
+        got = qfi(state, jz)
         assert 0.0 < got < n * n
         oracle = bures_qfi_oracle(state.density_matrix(), jz)
         assert abs(got - oracle) <= 1e-4 * oracle
@@ -125,10 +138,11 @@ class TestFMaxDensity:
         assert abs(fmax - n) < 1e-8
 
     def test_mixed_rank_one_matches_pure(self):
+        # two parallel columns: rho = psi psi^dagger, rank-deficient Gram matrix
         n = 8
         basis, ghz = standard_ghz(n)
         pure_val, _ = f_max_density(ghz, basis)
-        mixed = QuantumState.mixed(ghz.density_matrix(), basis.tag)
+        mixed = QuantumState(basis.tag, np.outer(ghz.vector, [0.6, 0.8]))
         mixed_val, _ = f_max_density(mixed, basis)
         assert abs(mixed_val - pure_val) < 1e-8 * max(pure_val, 1.0)
 
@@ -150,7 +164,7 @@ class TestFMaxDensity:
             direction[0] * jx.matrix + direction[1] * jy.matrix + direction[2] * jz.matrix,
             "J_n", degree=1,
         )
-        assert abs(qfi_pure(state, gen) / n - f_original) < 1e-9
+        assert abs(qfi(state, gen) / n - f_original) < 1e-9
 
 
 class TestClassicalFisher:
@@ -161,9 +175,9 @@ class TestClassicalFisher:
         jx, jy, _ = build_spin_operators(basis)
         f = classical_fisher(css, jx, jy, theta=0.0)
         chi2_inv = 1.0 / chi2_error_propagation(css, jx, jy)
-        qfi = qfi_pure(css, jx)
+        f_q = qfi(css, jx)
         assert chi2_inv <= f * (1 + 1e-6)
-        assert f <= qfi * (1 + 1e-6)
+        assert f <= f_q * (1 + 1e-6)
         assert abs(f - n) < 1e-5 * n
 
     def test_commuting_observable_carries_nothing(self):
@@ -195,7 +209,8 @@ class TestClassicalFisher:
         basis, ghz = standard_ghz(n)
         jz = build_spin_operators(basis)[2]
         parity = parity_operator(basis)
-        mixed = QuantumState.mixed(ghz.density_matrix(), basis.tag)
+        # a zero second column: a two-column factor whose rho is the GHZ state
+        mixed = QuantumState(basis.tag, np.column_stack([ghz.vector, np.zeros(n + 1)]))
         f_pure = classical_fisher(ghz, jz, parity, theta=np.pi / (2 * n))
         f_mixed = classical_fisher(mixed, jz, parity, theta=np.pi / (2 * n))
         assert abs(f_pure - f_mixed) < 1e-8 * f_pure
@@ -230,7 +245,7 @@ class TestFisherReport:
             report = FisherReport(
                 chi2_inv=1.0 / chi2_error_propagation(probe, gen, obs),
                 classical_fisher=classical_fisher(state, gen, obs, theta=theta),
-                qfi=qfi_pure(probe, gen),
+                qfi=qfi(probe, gen),
             )
             report.validate_chain(slack=1e-6)
 
@@ -256,7 +271,7 @@ class TestFisherReport:
             report = FisherReport(
                 chi2_inv=res.chi2_inv,
                 classical_fisher=classical_fisher(state, gen, obs, theta=0.0),
-                qfi=qfi_pure(state, gen),
+                qfi=qfi(state, gen),
             )
             report.validate_chain(slack=1e-6)
 
@@ -276,7 +291,7 @@ class TestSpinAxes:
         assert abs(got - want) <= 1e-13 * want
 
     def test_mixed_branch_on_rank_one_factor(self):
-        # a zero second column keeps rho pure but sends it down the mixed branch
+        # a zero second column keeps rho pure but makes the Gram matrix singular
         n = 8
         basis, ghz = standard_ghz(n)
         padded = QuantumState(basis.tag, np.column_stack([ghz.vector, np.zeros(n + 1)]))
@@ -284,3 +299,48 @@ class TestSpinAxes:
         pure_val, _ = f_max_density(ghz, basis)
         mixed_val, _ = f_max_density(padded, basis)
         assert abs(mixed_val - pure_val) < 1e-8 * max(pure_val, 1.0)
+
+
+class TestQfiKernel:
+    """The centered-row kernel against formulas on the density matrix rho."""
+
+    @staticmethod
+    def check(state, basis, h):
+        rho = state.density_matrix()
+        want = spectral_qfi_matrix(rho, [h.matrix])[0, 0]
+        assert abs(qfi(state, h) - want) <= 1e-12 * want
+        jmats = [op.matrix for op in build_spin_operators(basis)]
+        want_f = np.linalg.eigvalsh(spectral_qfi_matrix(rho, jmats))[-1] / basis.n_particles
+        got_f, _ = f_max_density(state, basis)
+        assert abs(got_f - want_f) <= 1e-12 * want_f
+
+    @pytest.mark.parametrize("rank", [1, 3, 5])
+    def test_random_non_orthogonal_factors(self, rng, rank):
+        basis = DickeBasis(6)
+        for _ in range(5):
+            self.check(random_factor(rng, 7, rank, basis.tag), basis, random_hermitian(rng, 7))
+
+    def test_factor_with_zero_column(self, rng):
+        basis = DickeBasis(6)
+        s = random_factor(rng, 7, 3).factor.copy()
+        s[:, 1] = 0.0
+        state = QuantumState(basis.tag, s / np.linalg.norm(s))
+        self.check(state, basis, random_hermitian(rng, 7))
+
+    def test_evolved_noisy_tat_state(self):
+        basis = DickeBasis(60)
+        css = coherent_spin_state_z(basis)
+        rho = 0.9 * css.density_matrix() + 0.1 * np.eye(61) / 61
+        state = evolve(QuantumState.mixed(rho, basis.tag), EvolutionSpec("TAT", 1.0))
+        assert state.factor.shape == (61, 61)
+        self.check(state, basis, build_spin_operators(basis)[0])
+
+    def test_error_propagation_matches_trace_formula(self, rng):
+        state = random_factor(rng, 7, 3)
+        rho = state.density_matrix()
+        x = random_hermitian(rng, 7).matrix
+        h = random_hermitian(rng, 7).matrix
+        centered = x - np.trace(rho @ x).real * np.eye(7)
+        want = np.trace(rho @ centered @ centered).real / abs(np.trace(rho @ (x @ h - h @ x))) ** 2
+        got = chi2_error_propagation(state, HermitianOperator(h, "H"), HermitianOperator(x, "X"))
+        assert abs(got - want) <= 1e-12 * want

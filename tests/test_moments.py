@@ -136,7 +136,7 @@ class TestBandedRows:
         cases = self._cases(rng)
         assert [state.factor.shape[1] for state, _ in cases] == [1, 3] * 3
         for state, fam in cases:
-            got = _centered_rows(state, fam)
+            got = _centered_rows(state.factor, fam)
             want, scale = _dense_centered_rows(state, fam)
             assert got.shape == want.shape
             assert (np.abs(got - want).max(axis=1) <= 1e-13 * scale).all()

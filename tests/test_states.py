@@ -5,12 +5,14 @@ from conftest import random_hermitian
 from nlsqueeze import (
     DickeBasis,
     EvolutionSpec,
+    OperatorFamily,
     QuantumState,
     coherent_spin_state_z,
+    commutator_matrix,
     evolve,
 )
 from nlsqueeze.dynamics import twisting_generator
-from nlsqueeze.states import DENSITY_EIG_FLOOR, commutator_expectation
+from nlsqueeze.states import DENSITY_EIG_FLOOR
 
 
 class TestValidation:
@@ -92,12 +94,15 @@ def test_moments_match_trace_formulas(rng):
         rho = s @ s.conj().T
         rho /= np.trace(rho).real
         state = QuantumState.mixed(rho, "test")
-        a = random_hermitian(rng, dim).matrix
-        b = random_hermitian(rng, dim).matrix
+        a_op = random_hermitian(rng, dim)
+        b_op = random_hermitian(rng, dim)
+        a, b = a_op.matrix, b_op.matrix
         mean = np.trace(a @ rho).real
         centered = a - mean * np.eye(dim)
         var = np.trace(centered @ centered @ rho).real
         comm = np.trace((a @ b - b @ a) @ rho)
         assert abs(state.expectation(a) - mean) < 1e-12
         assert abs(state.variance(a) - var) < 1e-12
-        assert abs(commutator_expectation(state, a, b) - comm) < 1e-12
+        # c_01 = -i <[A, B]>, from the family's centered rows
+        c = commutator_matrix(state, OperatorFamily([a_op, b_op], "test"))
+        assert abs(1j * c[0, 1] - comm) < 1e-12
