@@ -40,11 +40,9 @@ from .moments import (
     optimal_measurement,
     optimize_generator,
     principal_eigenpair,
-    principal_submatrix,
     shot_noise_limit,
     simulate_moment_estimator,
     spin_squeezing_profile,
-    xi2_opt,
 )
 from .operators import HermitianOperator, OperatorFamily, combine, symmetric_product
 from .spin import (
@@ -98,7 +96,6 @@ __all__ = [
     "optimize_generator",
     "parity_operator",
     "principal_eigenpair",
-    "principal_submatrix",
     "qfi",
     "quadrature_generator",
     "shot_noise_limit",
@@ -107,5 +104,4 @@ __all__ = [
     "spin_squeezing_profile",
     "symmetric_product",
     "twisting_generator",
-    "xi2_opt",
 ]

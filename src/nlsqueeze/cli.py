@@ -26,10 +26,6 @@ from .moments import (
     chi2_error_propagation,
     chi2_inverse_opt,
     entanglement_bound,
-    moment_data,
-    optimal_measurement,
-    optimize_generator,
-    principal_submatrix,
     simulate_moment_estimator,
     spin_squeezing_profile,
 )
@@ -88,20 +84,6 @@ class SweepConfig:
             raise ValueError("format must be csv or json")
 
 
-_FLAG_TO_FIELD = {
-    "model": "model",
-    "n": "n_particles",
-    "kmax": "k_max",
-    "tau_start": "tau_start",
-    "tau_end": "tau_end",
-    "steps": "steps",
-    "parity": "include_parity",
-    "qfi": "include_qfi",
-    "out": "output_path",
-    "format": "format",
-}
-
-
 def _load_sweep_config(args: argparse.Namespace) -> SweepConfig:
     cfg = SweepConfig()
     if args.config is not None:
@@ -114,10 +96,10 @@ def _load_sweep_config(args: argparse.Namespace) -> SweepConfig:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         for key, value in data.items():
             setattr(cfg, key, value)
-    for flag, field_name in _FLAG_TO_FIELD.items():
-        value = getattr(args, flag)
+    for f in fields(SweepConfig):
+        value = getattr(args, f.name)
         if value is not None:
-            setattr(cfg, field_name, value)
+            setattr(cfg, f.name, value)
     cfg.validate()
     return cfg
 
@@ -270,19 +252,14 @@ def _run_analyze(args: argparse.Namespace) -> int:
         return _fail("analyze needs --n >= 1")
     if not 1 <= args.kmax <= 6:
         return _fail("kmax must be between 1 and 6")
-    basis = DickeBasis(args.n)
-    slots = [0, 1, 2]
     try:
+        basis = DickeBasis(args.n)
         state = evolve(coherent_spin_state_z(basis), EvolutionSpec(args.model, args.tau))
         family = build_spin_family(basis, args.kmax)
-        md = moment_data(state, family)
-        n_opt, lam = optimize_generator(md, slots)
+        result = spin_squeezing_profile(state, basis, args.kmax, family=family)[-1]
     except ValueError as exc:
         return _fail(str(exc))
-    try:
-        m_opt = [float(v) for v in optimal_measurement(md, n_opt, slots)]
-    except ZeroSignalError:
-        m_opt = None
+    md = result.moments
     payload = {
         "model": args.model,
         "n_particles": args.n,
@@ -292,10 +269,10 @@ def _run_analyze(args: argparse.Namespace) -> int:
         "gamma": md.gamma.tolist(),
         "c": md.c.tolist(),
         "m_matrix": md.m_matrix.tolist(),
-        "m_tilde": principal_submatrix(md.m_matrix, slots).tolist(),
-        "lambda_max": lam,
-        "n_opt": [float(v) for v in n_opt],
-        "m_opt": m_opt,
+        "m_tilde": md.m_matrix[:3, :3].tolist(),
+        "lambda_max": result.lambda_max,
+        "n_opt": [float(v) for v in result.n_coeffs],
+        "m_opt": None if result.m_coeffs is None else [float(v) for v in result.m_coeffs],
         "retained_count": md.retained_count,
         "kernel_leakage": md.kernel_leakage,
     }
@@ -304,7 +281,7 @@ def _run_analyze(args: argparse.Namespace) -> int:
         _write_text(args.out, text)
     except OSError as exc:
         return _fail(f"cannot write output: {exc}")
-    if md.robertson_violated:
+    if result.robertson_violated:
         return EXIT_INTEGRITY
     return EXIT_OK
 
@@ -321,11 +298,11 @@ def _spin_observable(basis: DickeBasis, name: str):
 def _run_estimate(args: argparse.Namespace) -> int:
     if args.n is None or args.n < 1:
         return _fail("estimate needs --n >= 1")
-    basis = DickeBasis(args.n)
-    generator = _spin_observable(basis, args.generator)
-    observable = _spin_observable(basis, args.observable)
     window = (args.theta - args.window, args.theta + args.window)
     try:
+        basis = DickeBasis(args.n)
+        generator = _spin_observable(basis, args.generator)
+        observable = _spin_observable(basis, args.observable)
         state = evolve(coherent_spin_state_z(basis), EvolutionSpec(args.model, args.tau))
         report = simulate_moment_estimator(
             state, generator, observable, args.theta,
@@ -360,19 +337,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sweep = sub.add_parser("sweep", help="tau sweep of squeezing coefficients",
-                           parents=[], add_help=True)
+    # every dest but config's is a SweepConfig field name
+    sweep = sub.add_parser("sweep", help="tau sweep of squeezing coefficients")
     sweep.add_argument("--model", choices=MODELS, default=None)
-    sweep.add_argument("--n", type=int, default=None, help="particle number")
-    sweep.add_argument("--kmax", type=int, default=None, help="highest family order")
+    sweep.add_argument("--n", dest="n_particles", type=int, default=None,
+                       help="particle number")
+    sweep.add_argument("--kmax", dest="k_max", type=int, default=None,
+                       help="highest family order")
     sweep.add_argument("--tau-start", dest="tau_start", type=float, default=None)
     sweep.add_argument("--tau-end", dest="tau_end", type=float, default=None)
     sweep.add_argument("--steps", type=int, default=None)
-    sweep.add_argument("--parity", action=argparse.BooleanOptionalAction, default=None,
+    sweep.add_argument("--parity", dest="include_parity",
+                       action=argparse.BooleanOptionalAction, default=None,
                        help="include the parity squeezing column")
-    sweep.add_argument("--qfi", action=argparse.BooleanOptionalAction, default=None,
+    sweep.add_argument("--qfi", dest="include_qfi",
+                       action=argparse.BooleanOptionalAction, default=None,
                        help="include the quantum Fisher density column")
-    sweep.add_argument("--out", default=None, help="output path (default stdout)")
+    sweep.add_argument("--out", dest="output_path", default=None,
+                       help="output path (default stdout)")
     sweep.add_argument("--format", choices=("csv", "json"), default=None)
     sweep.add_argument("--config", default=None, help="JSON config file; flags override")
     sweep.set_defaults(func=_run_sweep)

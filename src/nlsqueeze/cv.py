@@ -8,13 +8,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .operators import MAX_DIMENSION as MAX_CUTOFF
 from .operators import HermitianOperator, OperatorFamily, symmetric_product
 from .states import QuantumState
 
 RENORM_WARN_TOL = 1e-10
-# operators on the truncated space are dense cutoff x cutoff matrices, so
-# the dimension is bounded: at 1024 one matrix takes 16.8 MB
-MAX_CUTOFF = 1024
 
 
 @dataclass(frozen=True)

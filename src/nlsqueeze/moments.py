@@ -107,10 +107,11 @@ class MomentData:
     spectrum well conditioned when the family mixes operator degrees; the
     stored gamma, c and m_matrix refer to the original operators.
     retained_dims holds the kept (trailing, ascending-eigenvalue)
-    eigenvector columns of the equilibrated covariance and gamma_eigs its
-    full spectrum.  kernel_leakage is the largest norm of an equilibrated
-    commutator column along a dropped direction, relative to the Frobenius
-    norm of the equilibrated commutator matrix; values above
+    eigenvector columns of the equilibrated covariance, gamma_eigs its
+    full spectrum and scales the member factors 1 / (Delta H_k) (1 for a
+    member without variance).  kernel_leakage is the largest norm of an
+    equilibrated commutator column along a dropped direction, relative to
+    the Frobenius norm of the equilibrated commutator matrix; values above
     KERNEL_LEAK_TOL signal numerical corruption because exact states
     cannot carry signal in a zero-variance direction.
     """
@@ -121,7 +122,7 @@ class MomentData:
     retained_dims: np.ndarray
     gamma_eigs: np.ndarray
     kernel_leakage: float
-    scales: np.ndarray | None = None
+    scales: np.ndarray
 
     @property
     def size(self) -> int:
@@ -136,22 +137,19 @@ class MomentData:
         return self.gamma_eigs[self.size - self.retained_count:]
 
     @property
-    def member_scales(self) -> np.ndarray:
-        return self.scales if self.scales is not None else np.ones(self.size)
-
-    @property
     def robertson_violated(self) -> bool:
         return self.kernel_leakage > KERNEL_LEAK_TOL
 
 
-def moment_matrix(gamma: np.ndarray, c: np.ndarray, eps_rel: float = GAMMA_EPS_REL) -> MomentData:
+def moment_matrix(gamma: np.ndarray, c: np.ndarray) -> MomentData:
     """Moment matrix C^T Gamma^+ C with a spectral pseudo-inverse of Gamma.
 
     Both matrices are first equilibrated by the member standard deviations,
     which changes nothing in exact arithmetic but keeps mixed-degree
     families well conditioned.  Eigen-directions of the equilibrated
-    covariance with eigenvalue <= eps_rel * lambda_max are dropped; their
-    commutator leakage is recorded (not raised) on the returned MomentData.
+    covariance with eigenvalue <= GAMMA_EPS_REL * lambda_max are dropped;
+    their commutator leakage is recorded (not raised) on the returned
+    MomentData.
     """
     gamma = np.asarray(gamma, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -175,7 +173,7 @@ def moment_matrix(gamma: np.ndarray, c: np.ndarray, eps_rel: float = GAMMA_EPS_R
     if evals[0] < -1e-10 * max(1.0, lam_top):
         raise ValueError("gamma has a negative eigenvalue beyond tolerance")
     if lam_top > 0:
-        keep = evals > eps_rel * lam_top
+        keep = evals > GAMMA_EPS_REL * lam_top
     else:
         keep = np.zeros(k, dtype=bool)
 
@@ -197,17 +195,10 @@ def moment_matrix(gamma: np.ndarray, c: np.ndarray, eps_rel: float = GAMMA_EPS_R
     return MomentData(gamma, c, m, retained, evals, leakage, scales)
 
 
-def moment_data(state: QuantumState, family: OperatorFamily,
-                eps_rel: float = GAMMA_EPS_REL) -> MomentData:
+def moment_data(state: QuantumState, family: OperatorFamily) -> MomentData:
     """Covariance, commutator and moment matrices for one state and family."""
     check_same_basis(state, family)
-    return moment_matrix(*_moment_table(_centered_rows(state.factor, family)), eps_rel=eps_rel)
-
-
-def principal_submatrix(matrix: np.ndarray, indices) -> np.ndarray:
-    """Rows and columns of `matrix` restricted to `indices`."""
-    idx = np.asarray(indices, dtype=int)
-    return np.asarray(matrix)[np.ix_(idx, idx)]
+    return moment_matrix(*_moment_table(_centered_rows(state.factor, family)))
 
 
 def principal_eigenpair(matrix: np.ndarray):
@@ -229,27 +220,20 @@ def principal_eigenpair(matrix: np.ndarray):
     return best.copy(), float(lam)
 
 
-def optimal_measurement(md: MomentData, n_coeffs, slots=None) -> np.ndarray:
+def optimal_measurement(md: MomentData, n_coeffs) -> np.ndarray:
     """Unit-norm measurement coefficients saturating the moment bound.
 
     Implements the pseudo-inverse version of m ~ Gamma^{-1} C n.  When
-    n_coeffs is shorter than the family, it is placed on `slots` (default:
-    the leading positions) and zero-padded elsewhere.  Raises
-    ZeroSignalError when C n vanishes: no accessible observable responds
-    to this generator.
+    n_coeffs is shorter than the family, it sits on the leading members and
+    is zero-padded elsewhere.  Raises ZeroSignalError when C n vanishes: no
+    accessible observable responds to this generator.
     """
     n_coeffs = np.asarray(n_coeffs, dtype=float)
-    k = md.size
-    if len(n_coeffs) == k and slots is None:
-        n_full = n_coeffs
-    else:
-        if slots is None:
-            slots = list(range(len(n_coeffs)))
-        if len(slots) != len(n_coeffs):
-            raise ValueError("n_coeffs length must match the generator slots")
-        n_full = np.zeros(k)
-        n_full[np.asarray(slots, dtype=int)] = n_coeffs
-    scales = md.member_scales
+    if len(n_coeffs) > md.size:
+        raise ValueError("n_coeffs is longer than the family")
+    n_full = np.zeros(md.size)
+    n_full[:len(n_coeffs)] = n_coeffs
+    scales = md.scales
     cn_eq = scales * (md.c @ n_full)  # equilibrated signal vector C' n'
     if np.linalg.norm(cn_eq) <= 1e-14 * max(1.0, np.linalg.norm(md.c * scales[:, None] * scales[None, :])):
         raise ZeroSignalError("C n vanishes: zero sensitivity for this generator")
@@ -270,8 +254,7 @@ def optimize_generator(md: MomentData, generator_slots):
     slots = list(generator_slots)
     if not slots:
         raise ValueError("generator_slots must be non-empty")
-    m_tilde = principal_submatrix(md.m_matrix, slots)
-    return principal_eigenpair(m_tilde)
+    return principal_eigenpair(md.m_matrix[np.ix_(slots, slots)])
 
 
 def shot_noise_limit(system: str, n_particles: int | None = None) -> float:
@@ -300,12 +283,12 @@ class SqueezingResult:
     """Optimized inverse squeezing parameter and the vectors achieving it.
 
     chi2_inv is the saturating quotient |<[X, H]>|^2 / (Delta X)^2 of the
-    generator H = n.H and the optimal measurement X = m.H (the quadratic
-    form n^T M n when there is no signal); xi2 the gain coefficient
-    F_SN / chi2_inv; m_coeffs the unit-norm optimal measurement (None when
-    the generator produces no signal); n_coeffs the generator direction on
-    its candidate slots; lambda_max the top eigenvalue of the principal
-    submatrix on those slots.
+    generator H = n.H and the optimal measurement X = m.H, and exactly 0
+    when there is no signal; xi2 the gain coefficient F_SN / chi2_inv;
+    m_coeffs the unit-norm optimal measurement (None when C n vanishes);
+    n_coeffs the generator direction on its candidate slots; lambda_max the
+    top eigenvalue of the principal submatrix on those slots; moments the
+    MomentData (of this order's family) that all of it was read from.
     """
 
     chi2_inv: float
@@ -313,47 +296,44 @@ class SqueezingResult:
     m_coeffs: np.ndarray | None
     n_coeffs: np.ndarray
     lambda_max: float
-    kernel_leakage: float = 0.0
+    moments: MomentData
+
+    @property
+    def kernel_leakage(self) -> float:
+        return self.moments.kernel_leakage
 
     @property
     def robertson_violated(self) -> bool:
-        return self.kernel_leakage > KERNEL_LEAK_TOL
+        return self.moments.robertson_violated
 
 
-def _squeeze_from_md(md: MomentData, rows: np.ndarray, slots, n_coeffs,
-                     lam: float, f_sn: float) -> SqueezingResult:
-    """Squeezing result of generator n_coeffs on `slots`, evaluated on the
-    centered rows the moment data came from.
+def _squeeze(md: MomentData, rows: np.ndarray, slots, f_sn: float,
+             n_coeffs=None) -> SqueezingResult:
+    """Squeezing result of the moment data `md` and the centered rows it came
+    from, for the generator n_coeffs on `slots` (default: the best one).
 
-    The quadratic form n^T M n can overshoot bounds like F_Q by the noise of
-    the smallest retained covariance eigenvalues, while the saturating
-    quotient of the (first-order optimal) measurement m is stable; with
-    x = m^T R and h = n^T R it is (2 Im<x|h>)^2 / ||x||^2.
+    lambda_max and the default generator are the top eigenpair of M on the
+    slots.  chi2_inv is the saturating quotient of the optimal measurement
+    m: with x = m^T R and h = n^T R it is (2 Im<x|h>)^2 / ||x||^2, which
+    stays stable where the quadratic form n^T M n overshoots bounds like F_Q
+    by the noise of the smallest retained covariance eigenvalues.  Without
+    signal (see `_signal`) chi2_inv is 0.
     """
-    n_coeffs = np.asarray(n_coeffs, dtype=float)
+    n_opt, lam = optimize_generator(md, slots)
+    n_coeffs = n_opt if n_coeffs is None else np.asarray(n_coeffs, dtype=float)
     n_full = np.zeros(md.size)
-    n_full[np.asarray(slots, dtype=int)] = n_coeffs
-    chi2_inv = float(max(n_full @ md.m_matrix @ n_full, 0.0))
+    n_full[slots] = n_coeffs
     try:
-        m = optimal_measurement(md, n_coeffs, slots=slots)
+        m = optimal_measurement(md, n_full)
     except ZeroSignalError:
         m = None
     signal = None if m is None else _signal(m @ rows, n_full @ rows)
-    if signal is not None:
-        var_x, comm = signal
-        chi2_inv = comm ** 2 / var_x
+    chi2_inv = 0.0 if signal is None else signal[1] ** 2 / signal[0]
     if chi2_inv > 0:
         xi2 = f_sn / chi2_inv
     else:
         xi2 = math.inf if not math.isnan(f_sn) else math.nan
-    return SqueezingResult(
-        chi2_inv=chi2_inv,
-        xi2=xi2,
-        m_coeffs=m,
-        n_coeffs=n_coeffs,
-        lambda_max=lam,
-        kernel_leakage=md.kernel_leakage,
-    )
+    return SqueezingResult(chi2_inv, xi2, m, n_coeffs, lam, md)
 
 
 def chi2_inverse_opt(state: QuantumState, family: OperatorFamily, n_coeffs,
@@ -372,10 +352,8 @@ def chi2_inverse_opt(state: QuantumState, family: OperatorFamily, n_coeffs,
         raise ValueError("generator direction must be a unit vector")
     check_same_basis(state, family)
     rows = _centered_rows(state.factor, family)
-    md = moment_matrix(*_moment_table(rows))
-    _, lam = optimize_generator(md, slots)
-    return _squeeze_from_md(md, rows, slots, n_coeffs, lam,
-                            _shot_noise_from_tag(family.basis_tag))
+    return _squeeze(moment_matrix(*_moment_table(rows)), rows, slots,
+                    _shot_noise_from_tag(family.basis_tag), n_coeffs)
 
 
 def chi2_error_propagation(state: QuantumState, generator: HermitianOperator,
@@ -387,13 +365,6 @@ def chi2_error_propagation(state: QuantumState, generator: HermitianOperator,
         raise ZeroSignalError("observable carries no signal for this generator")
     var_x, comm = signal
     return var_x / comm ** 2
-
-
-def xi2_opt(chi2_inv: float, f_sn: float) -> float:
-    """Gain coefficient F_SN / chi^-2; below 1 means quantum enhancement."""
-    if chi2_inv <= 0:
-        raise ValueError("chi2_inv must be positive")
-    return f_sn / chi2_inv
 
 
 def spin_squeezing_profile(state: QuantumState, basis: DickeBasis, k_max: int,
@@ -410,14 +381,11 @@ def spin_squeezing_profile(state: QuantumState, basis: DickeBasis, k_max: int,
     check_same_basis(state, family)
     rows = _centered_rows(state.factor, family)
     gamma, c = _moment_table(rows)
-    slots = [0, 1, 2]
     results = []
     for k in range(1, k_max + 1):
         cnt = spin_family_size(k)
         md = moment_matrix(gamma[:cnt, :cnt], c[:cnt, :cnt])
-        n_opt, lam = optimize_generator(md, slots)
-        results.append(_squeeze_from_md(md, rows[:cnt], slots, n_opt, lam,
-                                        float(basis.n_particles)))
+        results.append(_squeeze(md, rows[:cnt], [0, 1, 2], float(basis.n_particles)))
     return results
 
 
@@ -457,14 +425,13 @@ class EstimatorReport:
 def simulate_moment_estimator(state: QuantumState, generator: HermitianOperator,
                               observable: HermitianOperator, theta_true: float,
                               mu: int, trials: int, seed: int,
-                              window: tuple | None = None,
-                              grid_points: int = 1001) -> EstimatorReport:
+                              window: tuple | None = None) -> EstimatorReport:
     """Monte Carlo check of (Delta theta_est)^2 = chi^2 / mu.
 
     Each trial draws mu outcomes from the spectral distribution of the
     observable at theta_true and inverts the calibration curve <X>(theta)
-    by monotone bracketing with linear interpolation on a fixed grid over
-    the declared window (default: theta_true +- 0.3).
+    by monotone bracketing with linear interpolation on a fixed 1001-point
+    grid over the declared window (default: theta_true +- 0.3).
     """
     if mu < 1:
         raise ValueError("mu must be >= 1")
@@ -482,7 +449,7 @@ def simulate_moment_estimator(state: QuantumState, generator: HermitianOperator,
         raise ValueError("theta_true must lie strictly inside the window")
 
     prop = HermitianPropagator(generator)
-    grid = np.linspace(lo, hi, grid_points)
+    grid = np.linspace(lo, hi, 1001)
     curve = np.array([prop.apply(state, t).expectation(observable) for t in grid])
     diffs = np.diff(curve)
     if not (np.all(diffs > 0) or np.all(diffs < 0)):

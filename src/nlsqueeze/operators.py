@@ -10,6 +10,9 @@ from typing import Iterator, Sequence
 import numpy as np
 
 HERMITICITY_ATOL = 1e-12
+# operators are dense dim x dim matrices, so a basis dimension is bounded:
+# at 1024 one matrix takes 16.8 MB
+MAX_DIMENSION = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,6 +205,3 @@ class OperatorFamily:
     def linear_slots(self) -> list[int]:
         """Positions of the degree-1 members (the default generator candidates)."""
         return [k for k, op in enumerate(self.operators) if op.degree == 1]
-
-    def combine(self, coeffs, label: str | None = None) -> HermitianOperator:
-        return combine(self.operators, coeffs, label=label)

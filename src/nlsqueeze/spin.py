@@ -6,12 +6,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import HermitianOperator, OperatorFamily, symmetric_product
+from .operators import MAX_DIMENSION, HermitianOperator, OperatorFamily, symmetric_product
 
 
 @dataclass(frozen=True)
 class DickeBasis:
-    """Symmetric subspace of n_particles spin-1/2 particles.
+    """Symmetric subspace of n_particles spin-1/2 particles, with
+    1 <= n_particles < MAX_DIMENSION.
 
     Basis states are ordered by descending collective J_z eigenvalue
     m = j, j-1, ..., -j with j = n_particles / 2.
@@ -22,6 +23,9 @@ class DickeBasis:
     def __post_init__(self):
         if self.n_particles < 1:
             raise ValueError("n_particles must be >= 1 (one-dimensional space is trivial)")
+        if self.n_particles + 1 > MAX_DIMENSION:
+            raise ValueError(f"n_particles {self.n_particles} exceeds the dense limit: "
+                             f"dimension {self.n_particles + 1} > {MAX_DIMENSION}")
 
     @property
     def dimension(self) -> int:
@@ -108,10 +112,8 @@ def build_spin_family(basis: DickeBasis, k: int) -> OperatorFamily:
 def parity_operator(basis: DickeBasis) -> HermitianOperator:
     """Spin parity (-1)^(J - Jx): eigenvalue (-1)^(J-m) on each Jx eigenstate.
 
-    Involutory and Hermitian; degree 0 because it is not polynomial in J.
+    In the Jz basis this is exactly the flip |m> -> |-m>, an antidiagonal
+    of ones.  Involutory and Hermitian; degree 0 because it is not
+    polynomial in J.
     """
-    jx = build_spin_operators(basis)[0]
-    evals, evecs = np.linalg.eigh(jx.matrix)
-    signs = np.array([(-1.0) ** round(basis.j - m) for m in evals])
-    mat = (evecs * signs) @ evecs.conj().T
-    return HermitianOperator(mat, "P", degree=0)
+    return HermitianOperator(np.eye(basis.dimension)[::-1], "P", degree=0)

@@ -183,6 +183,16 @@ class TestFock:
         assert "1024" in err
 
 
+# the Dicke dimension bound refuses this before anything is allocated
+@pytest.mark.parametrize("command", ["sweep", "analyze", "estimate"])
+def test_huge_particle_number_refused(capsys, command):
+    code, out, err = run(capsys, command, "--n", "1000000000")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: n_particles") and err.count("\n") == 1
+    assert "1024" in err
+
+
 class TestAnalyze:
     def test_dimensions_and_roundtrip(self, capsys):
         code, out, _ = run(
@@ -279,7 +289,6 @@ def test_library_value_error_is_usage_error(capsys, monkeypatch, command):
         raise ValueError("planted failure")
 
     monkeypatch.setattr(cli, "spin_squeezing_profile", refuse)
-    monkeypatch.setattr(cli, "moment_data", refuse)
     monkeypatch.setattr(cli, "chi2_inverse_opt", refuse)
     argv = ["--n", "4"] if command == "fock" else ["--n", "4", "--kmax", "2"]
     code, out, err = run(capsys, command, *argv)

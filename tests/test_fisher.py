@@ -14,6 +14,7 @@ from nlsqueeze import (
     chi2_error_propagation,
     classical_fisher,
     coherent_spin_state_z,
+    combine,
     covariance_matrix,
     evolve,
     f_max_density,
@@ -266,8 +267,8 @@ class TestFisherReport:
         for tau in (0.15, 0.6, 1.1):
             state = evolve(coherent_spin_state_z(basis), EvolutionSpec("OAT", tau))
             res = spin_squeezing_profile(state, basis, 3, family=family)[-1]
-            gen = family.combine(list(res.n_coeffs) + [0.0] * (len(family) - 3))
-            obs = family.combine(res.m_coeffs)
+            gen = combine(family.operators, list(res.n_coeffs) + [0.0] * (len(family) - 3))
+            obs = combine(family.operators, res.m_coeffs)
             report = FisherReport(
                 chi2_inv=res.chi2_inv,
                 classical_fisher=classical_fisher(state, gen, obs, theta=0.0),

@@ -17,6 +17,7 @@ from nlsqueeze import (
     chi2_error_propagation,
     chi2_inverse_opt,
     coherent_spin_state_z,
+    combine,
     commutator_matrix,
     covariance_matrix,
     entanglement_bound,
@@ -27,13 +28,11 @@ from nlsqueeze import (
     optimal_measurement,
     optimize_generator,
     principal_eigenpair,
-    principal_submatrix,
     simulate_moment_estimator,
     spin_squeezing_profile,
-    xi2_opt,
 )
 from nlsqueeze.dynamics import EvolutionSpec
-from nlsqueeze.moments import _centered_rows
+from nlsqueeze.moments import _centered_rows, _signal
 
 from conftest import angle_between, random_density, random_family, random_pure_state
 
@@ -241,7 +240,8 @@ class TestOptimalMeasurement:
             n_vec /= np.linalg.norm(n_vec)
             target = n_vec @ md.m_matrix @ n_vec
             m = optimal_measurement(md, n_vec)
-            chi2 = chi2_error_propagation(state, fam.combine(n_vec), fam.combine(m))
+            chi2 = chi2_error_propagation(state, combine(fam.operators, n_vec),
+                                          combine(fam.operators, m))
             assert abs(1.0 / chi2 - target) <= 1e-8 * target
 
     def test_random_measurements_never_beat_the_bound(self, rng):
@@ -275,6 +275,7 @@ class TestGeneratorOptimization:
             retained_dims=np.eye(3),
             gamma_eigs=np.ones(3),
             kernel_leakage=0.0,
+            scales=np.ones(3),
         )
         n_opt, lam = optimize_generator(md, [0, 1, 2])
         assert lam == 3.0
@@ -293,11 +294,6 @@ class TestGeneratorOptimization:
         assert vec[0] > 0
         assert angle_between(vec, u) < 1e-12
 
-    def test_principal_submatrix(self):
-        mat = np.arange(16.0).reshape(4, 4)
-        sub = principal_submatrix(mat, [0, 2])
-        assert np.abs(sub - [[0.0, 2.0], [8.0, 10.0]]).max() == 0.0
-
 
 class TestChi2:
     def test_chi2_inverse_opt_css(self):
@@ -312,7 +308,7 @@ class TestChi2:
         n = 16
         _, css, fam = css_and_linear_family(n)
         res = chi2_inverse_opt(css, fam, [0.0, 0.0, 1.0])
-        assert res.chi2_inv < 1e-12
+        assert res.chi2_inv == 0.0
         assert res.m_coeffs is None
         assert math.isinf(res.xi2)
 
@@ -352,8 +348,8 @@ class TestChi2:
         def reference(res, n_slots):
             chi2 = chi2_error_propagation(
                 state,
-                family.combine(padded(res.n_coeffs, n_slots)),
-                family.combine(padded(res.m_coeffs, list(range(len(res.m_coeffs))))),
+                combine(family.operators, padded(res.n_coeffs, n_slots)),
+                combine(family.operators, padded(res.m_coeffs, list(range(len(res.m_coeffs))))),
             )
             return 1.0 / chi2
 
@@ -446,6 +442,32 @@ class TestSpinSqueezingOrders:
             assert abs(res.chi2_inv - single.chi2_inv) < 1e-10
             assert angle_between(res.n_coeffs, single.n_coeffs) < 1e-8
 
+    def test_no_signal_orders_report_zero_on_the_readme_grid(self):
+        # chi2_inv has one formula: an order whose saturating quotient finds
+        # no signal reports exactly 0, not the rounding noise of n^T M n
+        # (order 1 has no signal at 11 points between tau = 1.38 and 1.76)
+        n, k_max = 16, 5
+        basis = DickeBasis(n)
+        family = build_spin_family(basis, k_max)
+        css = coherent_spin_state_z(basis)
+        no_signal = 0
+        for tau in np.linspace(0.0, np.pi, 101):
+            state = evolve(css, EvolutionSpec("OAT", float(tau)))
+            rows = _centered_rows(state.factor, family)
+            for res in spin_squeezing_profile(state, basis, k_max, family=family):
+                cnt = res.moments.size
+                assert res.kernel_leakage == res.moments.kernel_leakage
+                n_full = np.zeros(cnt)
+                n_full[:3] = res.n_coeffs
+                signal = None if res.m_coeffs is None else _signal(
+                    res.m_coeffs @ rows[:cnt], n_full @ rows[:cnt])
+                if signal is None:
+                    no_signal += 1
+                    assert res.chi2_inv == 0.0
+                else:
+                    assert res.chi2_inv == signal[1] ** 2 / signal[0] > 0.0
+        assert no_signal > 0
+
     def test_hierarchy_pointwise_in_n(self, rng):
         # for every fixed generator direction the order-(k+1) quadratic form
         # dominates the order-k one
@@ -493,13 +515,6 @@ class TestSpinSqueezingOrders:
         parity_inv = 1.0 / chi2_error_propagation(ghz, jz, parity_operator(basis)) / n
         assert linear.lambda_max / n < 1e-6
         assert parity_inv > 10.0
-
-    def test_xi2_opt_values(self):
-        assert xi2_opt(16.0, 16.0) == 1.0
-        assert abs(xi2_opt(6.0, 2.0) - 1.0 / 3.0) < 1e-15
-        assert abs(1.0 / xi2_opt(256.0, 16.0) - 16.0) < 1e-12
-        with pytest.raises(ValueError):
-            xi2_opt(0.0, 2.0)
 
 
 class TestEntanglementBound:

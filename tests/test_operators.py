@@ -10,6 +10,7 @@ from nlsqueeze import (
     build_cv_third_order_family,
     build_spin_family,
     build_spin_operators,
+    combine,
     symmetric_product,
 )
 
@@ -84,7 +85,7 @@ def test_family_combine_and_slots():
     jx, jy, jz = build_spin_operators(basis)
     fam = OperatorFamily([jx, jy, jz], basis.tag)
     assert fam.linear_slots() == [0, 1, 2]
-    combo = fam.combine([0.0, 0.0, 2.0])
+    combo = combine(fam.operators, [0.0, 0.0, 2.0])
     assert np.abs(combo.matrix - 2.0 * jz.matrix).max() < 1e-14
 
 

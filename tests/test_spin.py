@@ -8,6 +8,7 @@ from nlsqueeze import (
     parity_operator,
     spin_family_size,
 )
+from nlsqueeze.operators import MAX_DIMENSION
 
 LEVI_CIVITA = {("x", "y"): "z", ("y", "z"): "x", ("z", "x"): "y"}
 
@@ -41,6 +42,12 @@ def test_commutation_algebra_and_casimir(n):
 def test_rejects_trivial_space():
     with pytest.raises(ValueError):
         DickeBasis(0)
+
+
+def test_dimension_bounded_like_the_fock_cutoff():
+    assert DickeBasis(MAX_DIMENSION - 1).dimension == MAX_DIMENSION
+    with pytest.raises(ValueError, match="dense limit"):
+        DickeBasis(MAX_DIMENSION)
 
 
 @pytest.mark.parametrize("k,count", [(1, 3), (2, 9), (3, 19)])
@@ -80,6 +87,17 @@ def test_family_members_hermitian_with_unique_degrees():
 def test_parity_involution(n):
     p = parity_operator(DickeBasis(n))
     assert np.abs(p.matrix @ p.matrix - np.eye(n + 1)).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16, 40])
+def test_parity_is_the_exact_flip(n):
+    # (-1)^(J - Jx) maps |m> to |-m>; its spectral form agrees to rounding
+    basis = DickeBasis(n)
+    p = parity_operator(basis)
+    assert np.array_equal(p.matrix, np.eye(basis.dimension)[::-1])
+    evals, evecs = np.linalg.eigh(build_spin_operators(basis)[0].matrix)
+    spectral = (evecs * (-1.0) ** np.round(basis.j - evals)) @ evecs.conj().T
+    assert np.abs(spectral - p.matrix).max() < 1e-13
 
 
 def test_parity_single_spin_eigenvalues():
