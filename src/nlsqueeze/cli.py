@@ -198,10 +198,8 @@ def _run_sweep(args: argparse.Namespace) -> int:
 
 def _fock_result(n: int, order: int, cutoff: int):
     basis = FockBasis(cutoff)
-    if order == 2:
-        family = build_cv_second_order_family(basis)
-    else:
-        family = build_cv_third_order_family(basis)
+    build = build_cv_second_order_family if order == 2 else build_cv_third_order_family
+    family = build(basis)
     state = fock_state(basis, n)
     return chi2_inverse_opt(state, family, [1.0, 0.0]), family
 

@@ -9,7 +9,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import MAX_DIMENSION as MAX_CUTOFF
-from .operators import HermitianOperator, OperatorFamily, symmetric_product
+from .operators import HermitianOperator, OperatorFamily, dense_matrix, ladder_bands
+# symmetric_product: unused, kept for perfbench's trace targets
+from .operators import symmetric_product
 from .states import QuantumState
 
 RENORM_WARN_TOL = 1e-10
@@ -62,15 +64,21 @@ class QuadratureDirection:
         return np.array([self.n1, self.n2])
 
 
+_QUADRATURES = ("x", "p")
+
+
+def _quadrature_bands(basis: FockBasis) -> np.ndarray:
+    """Bands (cutoff, 2, 3) of x and p, from <n-1|a|n> = sqrt(n)."""
+    upper = np.zeros(basis.cutoff)
+    upper[:-1] = np.sqrt(np.arange(1, basis.cutoff))
+    return ladder_bands(upper, np.sqrt(2))
+
+
 def build_quadratures(basis: FockBasis):
     """Quadratures x = (a + a^dag)/sqrt(2), p = i(a^dag - a)/sqrt(2)."""
-    a = np.diag(np.sqrt(np.arange(1, basis.cutoff)), 1).astype(complex)
-    x = (a + a.conj().T) / np.sqrt(2)
-    p = 1j * (a.conj().T - a) / np.sqrt(2)
-    return (
-        HermitianOperator(x, "x", degree=1),
-        HermitianOperator(p, "p", degree=1),
-    )
+    bands = _quadrature_bands(basis)
+    return tuple(HermitianOperator(dense_matrix(bands[:, a]), label, degree=1)
+                 for a, label in enumerate(_QUADRATURES))
 
 
 def quadrature_generator(basis: FockBasis, direction: QuadratureDirection) -> HermitianOperator:
@@ -82,33 +90,16 @@ def quadrature_generator(basis: FockBasis, direction: QuadratureDirection) -> He
 
 def build_cv_second_order_family(basis: FockBasis) -> OperatorFamily:
     """Quadratures plus all symmetric quadratic combinations (five members)."""
-    x, p = build_quadratures(basis)
-    ops = [
-        x,
-        p,
-        symmetric_product([x, x]),
-        symmetric_product([x, p]),
-        symmetric_product([p, p]),
-    ]
-    index = {(1, 0): 0, (0, 1): 1, (2, 0): 2, (1, 1): 3, (0, 2): 4}
-    return OperatorFamily(ops, basis.tag, index)
+    return OperatorFamily.from_factors(_quadrature_bands(basis), _QUADRATURES,
+                                       [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)], basis.tag)
 
 
 def build_cv_third_order_family(basis: FockBasis) -> OperatorFamily:
     """Quadratures plus the four symmetric cubic observables (six members)."""
     if basis.cutoff < 4:
         raise ValueError("cutoff must be >= 4 for cubic operators")
-    x, p = build_quadratures(basis)
-    ops = [
-        x,
-        p,
-        symmetric_product([x, x, x]),
-        symmetric_product([x, x, p]),
-        symmetric_product([x, p, p]),
-        symmetric_product([p, p, p]),
-    ]
-    index = {(1, 0): 0, (0, 1): 1, (3, 0): 2, (2, 1): 3, (1, 2): 4, (0, 3): 5}
-    return OperatorFamily(ops, basis.tag, index)
+    return OperatorFamily.from_factors(_quadrature_bands(basis), _QUADRATURES,
+                                       [(1, 0), (0, 1), (3, 0), (2, 1), (1, 2), (0, 3)], basis.tag)
 
 
 def default_cutoff(n: int) -> int:

@@ -285,7 +285,8 @@ class SqueezingResult:
     chi2_inv is the saturating quotient |<[X, H]>|^2 / (Delta X)^2 of the
     generator H = n.H and the optimal measurement X = m.H, and exactly 0
     when there is no signal; xi2 the gain coefficient F_SN / chi2_inv;
-    m_coeffs the unit-norm optimal measurement (None when C n vanishes);
+    m_coeffs the unit-norm optimal measurement (None without signal, where
+    chi2_inv is 0);
     n_coeffs the generator direction on its candidate slots; lambda_max the
     top eigenvalue of the principal submatrix on those slots; moments the
     MomentData (of this order's family) that all of it was read from.
@@ -317,7 +318,7 @@ def _squeeze(md: MomentData, rows: np.ndarray, slots, f_sn: float,
     m: with x = m^T R and h = n^T R it is (2 Im<x|h>)^2 / ||x||^2, which
     stays stable where the quadratic form n^T M n overshoots bounds like F_Q
     by the noise of the smallest retained covariance eigenvalues.  Without
-    signal (see `_signal`) chi2_inv is 0.
+    signal (see `_signal`) chi2_inv is 0 and there is no measurement.
     """
     n_opt, lam = optimize_generator(md, slots)
     n_coeffs = n_opt if n_coeffs is None else np.asarray(n_coeffs, dtype=float)
@@ -328,12 +329,11 @@ def _squeeze(md: MomentData, rows: np.ndarray, slots, f_sn: float,
     except ZeroSignalError:
         m = None
     signal = None if m is None else _signal(m @ rows, n_full @ rows)
-    chi2_inv = 0.0 if signal is None else signal[1] ** 2 / signal[0]
-    if chi2_inv > 0:
-        xi2 = f_sn / chi2_inv
-    else:
-        xi2 = math.inf if not math.isnan(f_sn) else math.nan
-    return SqueezingResult(chi2_inv, xi2, m, n_coeffs, lam, md)
+    if signal is None:
+        return SqueezingResult(0.0, math.nan if math.isnan(f_sn) else math.inf, None,
+                               n_coeffs, lam, md)
+    chi2_inv = signal[1] ** 2 / signal[0]
+    return SqueezingResult(chi2_inv, f_sn / chi2_inv, m, n_coeffs, lam, md)
 
 
 def chi2_inverse_opt(state: QuantumState, family: OperatorFamily, n_coeffs,

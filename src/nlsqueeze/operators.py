@@ -1,17 +1,20 @@
-"""Dense Hermitian operators, operator families and symmetrized products."""
+"""Dense Hermitian operators, banded operator families and symmetrized products."""
 
 from __future__ import annotations
 
 import functools
+import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import permutations
 from typing import Iterator, Sequence
 
 import numpy as np
 
 HERMITICITY_ATOL = 1e-12
-# operators are dense dim x dim matrices, so a basis dimension is bounded:
-# at 1024 one matrix takes 16.8 MB
+# the evolution and the observables outside a family (generators, parity,
+# members built on demand) are dense dim x dim matrices, so a basis
+# dimension is bounded: at 1024 one matrix takes 16.8 MB
 MAX_DIMENSION = 1024
 
 
@@ -50,55 +53,130 @@ class HermitianOperator:
         return f"HermitianOperator({self.label!r}, dim={self.dim}, degree={self.degree})"
 
 
-def _sym_label(ops: Sequence[HermitianOperator]) -> str:
-    # compress repeated factors: [x, x, p] -> "S[x^2 p]", [x, x, x] -> "x^3"
-    parts: list[tuple[str, int]] = []
-    for op in ops:
-        if parts and parts[-1][0] == op.label:
-            parts[-1] = (op.label, parts[-1][1] + 1)
-        else:
-            parts.append((op.label, 1))
-    text = " ".join(lbl if n == 1 else f"{lbl}^{n}" for lbl, n in parts)
-    if len(parts) == 1:
-        return text
-    return f"S[{text}]"
+def _sym_label(powers) -> str:
+    """Label from (factor label, power) pairs: "x^3", "S[p x^2]"."""
+    parts = [lbl if n == 1 else f"{lbl}^{n}" for lbl, n in sorted(powers) if n]
+    return parts[0] if len(parts) == 1 else f"S[{' '.join(parts)}]"
+
+
+# band layout of a matrix H: band[i, w + o] = H[i, i + o] for o = -w..w,
+# zero where i + o falls outside the matrix
+def _diagonals(dim: int, width: int):
+    """(o, slice of the rows i with 0 <= i + o < dim) for o = -width..width."""
+    for o in range(max(-width, 1 - dim), min(width, dim - 1) + 1):
+        yield o, slice(max(0, -o), min(dim, dim - o))
+
+
+@functools.lru_cache(maxsize=32)
+def _band_cols(dim: int, width: int) -> np.ndarray:
+    """Column indices i + o of the band layout, clipped into the matrix."""
+    cols = np.clip(np.arange(dim)[:, None] + np.arange(-width, width + 1), 0, dim - 1)
+    cols.setflags(write=False)
+    return cols
+
+
+def _bands_of(mats) -> np.ndarray:
+    """Bands (dim, L, 2w+1) of dense matrices, w their widest nonzero offset."""
+    stack = np.stack(mats)
+    rows, cols = np.nonzero((stack != 0).any(axis=0))
+    width = int(np.abs(rows - cols).max(initial=0))
+    bands = np.zeros((stack.shape[1], len(stack), 2 * width + 1), dtype=complex)
+    for o, r in _diagonals(stack.shape[1], width):
+        bands[r, :, width + o] = np.diagonal(stack, o, axis1=1, axis2=2).T
+    return bands
+
+
+def dense_matrix(band: np.ndarray) -> np.ndarray:
+    """The dense matrix of one band (dim, 2w+1)."""
+    mat = np.zeros((len(band), len(band)), dtype=complex)
+    # clipped positions hold zeros, so adding them leaves every entry exact
+    np.add.at(mat, (np.arange(len(band))[:, None], _band_cols(len(band), band.shape[1] // 2)), band)
+    return mat
+
+
+def ladder_bands(upper: np.ndarray, scale: float) -> np.ndarray:
+    """Bands (dim, 2, 3) of (L + L^dagger) / scale and i (L^dagger - L) / scale
+    for the ladder operator with L[i, i + 1] = upper[i] (upper[-1] = 0)."""
+    x = upper / scale
+    bands = np.zeros((len(upper), 2, 3), dtype=complex)
+    bands[:, 0, 2], bands[1:, 0, 0] = x, x[:-1]
+    bands[:, 1, 2], bands[1:, 1, 0] = -1j * x, 1j * x[:-1]
+    return bands
+
+
+def _band_products(f: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Bands of every product F_j B_m, laid out as out[i, u + v + o, j, m],
+    from f[i, j, u + t] = F_j[i, i + t] and b[i, v + s, m] = B_m[i, i + s]."""
+    dim, span, size = b.shape
+    u = f.shape[2] // 2
+    out = np.zeros((dim, span + 2 * u, f.shape[1], size), dtype=complex)
+    for t, r in _diagonals(dim, u):  # (F B)[i, i + t + s] += F[i, i + t] B[i + t, i + t + s]
+        out[r, u + t:u + t + span] += f[r, None, :, u + t, None] * b[r.start + t:r.stop + t, :, None, :]
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _level(box: tuple, n: int):
+    """The multi-degrees d <= box of total degree n, by position, and the 0/1
+    matrix adding F_j W(d - e_j) (row j * size + position of d - e_j one
+    level down) into W(d) (column)."""
+    here = [d for d in itertools.product(*(range(m, -1, -1) for m in box)) if sum(d) == n]
+    here = {d: p for p, d in enumerate(here)}
+    below = _level(box, n - 1)[0] if n else {}
+    sums = np.zeros((len(box) * len(below), len(here)))
+    for d, p in here.items():
+        for j in np.flatnonzero(d):
+            sums[j * len(below) + below[d[:j] + (d[j] - 1,) + d[j + 1:]], p] = 1.0
+    return here, sums
+
+
+def symmetrized_bands(factors: np.ndarray, degrees) -> np.ndarray:
+    """Bands (dim, L, 2Ku+1) of the symmetrized monomials of factors F_j with
+    bands (dim, n_f, 2u+1), one per multi-degree tuple (total 1..K).
+
+    The sum W(d) of all words of multi-degree d obeys W(d) = sum_j F_j
+    W(d - e_j) with W(0) = 1, so all W of one total degree come from one
+    banded product of every factor with every W one degree lower.  Monomial
+    d is W(d) over its number of words, made exactly Hermitian.
+    """
+    dim, _, span = factors.shape
+    degrees = [tuple(d) for d in degrees]
+    box, top = tuple(map(max, zip(*degrees))), max(map(sum, degrees))
+    width = top * (span // 2)
+    bands = np.zeros((dim, len(degrees), 2 * width + 1), dtype=complex)
+    level = np.ones((dim, 1, 1), dtype=complex)  # level[i, v + o, m] = W_m[i, i + o]
+    for n in range(1, top + 1):
+        here, sums = _level(box, n)
+        prod = _band_products(factors, level)
+        level = (prod.reshape(-1, len(sums)) @ sums).reshape(dim, prod.shape[1], -1)
+        ks = [k for k, d in enumerate(degrees) if sum(d) == n]
+        words = [[math.factorial(n) // math.prod(map(math.factorial, degrees[k]))] for k in ks]
+        pad = width - level.shape[1] // 2
+        bands[:, ks, pad:2 * width + 1 - pad] = (level[:, :, [here[degrees[k]] for k in ks]]
+                                                 .transpose(0, 2, 1) / np.reshape(words, (-1, 1)))
+    adjoint = np.zeros_like(bands)  # (H + H^dagger) / 2 has exactly conjugate entries
+    for o, r in _diagonals(dim, width):
+        adjoint[r, :, width + o] = bands[r.start + o:r.stop + o, :, width - o].conj()
+    return (bands + adjoint) / 2
 
 
 def symmetric_product(ops: Sequence[HermitianOperator]) -> HermitianOperator:
     """Average of the operator product over all orderings of the factors.
 
-    The result is Hermitian by construction and has degree equal to the sum
-    of the input degrees.  A single factor is returned unchanged.
+    The result is Hermitian, of degree the sum of the input degrees; a single
+    factor is returned unchanged.  Identical objects are one factor with a power.
     """
     if len(ops) == 0:
         raise ValueError("symmetric_product needs at least one operator")
     if len(ops) == 1:
         return ops[0]
-    dim = ops[0].dim
-    if any(op.dim != dim for op in ops):
+    if any(op.dim != ops[0].dim for op in ops):
         raise ValueError("symmetric_product: operator dimension mismatch")
-
-    # identical objects are interchangeable, so average over distinct orderings
-    keys = []
-    for op in ops:
-        for j, other in enumerate(ops):
-            if other is op:
-                keys.append(j)
-                break
-    orderings = set(permutations(keys))
-    acc = np.zeros((dim, dim), dtype=complex)
-    for order in orderings:
-        prod = ops[order[0]].matrix
-        for k in order[1:]:
-            prod = prod @ ops[k].matrix
-        acc += prod
-    acc /= len(orderings)
-    acc = (acc + acc.conj().T) / 2  # remove rounding skew
-    return HermitianOperator(
-        matrix=acc,
-        label=_sym_label(sorted(ops, key=lambda o: o.label)),
-        degree=sum(op.degree for op in ops),
-    )
+    factors = list({id(op): op for op in ops}.values())
+    powers = tuple(sum(op is f for op in ops) for f in factors)
+    band = symmetrized_bands(_bands_of([f.matrix for f in factors]), [powers])[:, 0]
+    return HermitianOperator(dense_matrix(band), _sym_label(Counter(op.label for op in ops).items()),
+                             sum(op.degree for op in ops))
 
 
 def combine(ops: Sequence[HermitianOperator], coeffs, label: str | None = None) -> HermitianOperator:
@@ -116,92 +194,79 @@ def combine(ops: Sequence[HermitianOperator], coeffs, label: str | None = None) 
     return HermitianOperator(matrix=mat, label=label, degree=degree)
 
 
-def _bandwidth(mats) -> int:
-    """Largest |i - j| over the entries that are nonzero in any of the
-    complex matrices (0 if none)."""
-    # compare the real and imaginary parts side by side: faster than
-    # comparing complex numbers, and one scan covers the whole family
-    mask = mats[0].view(float) != 0
-    for mat in mats[1:]:
-        mask |= mat.view(float) != 0
-    rows, cols = np.nonzero(mask)
-    return int(np.abs(rows - cols // 2).max(initial=0))
-
-
-@functools.lru_cache(maxsize=32)
-def _band_index(dim: int, width: int):
-    """Column indices i + o of the diagonals o = -width..width of a dim x dim
-    matrix, clipped into it, their flat positions i * dim + (i + o), and
-    which of them lie inside the matrix."""
-    rows = np.arange(dim)[:, None]
-    cols = rows + np.arange(-width, width + 1)
-    inside = (cols >= 0) & (cols < dim)
-    cols = np.clip(cols, 0, dim - 1)
-    flat = rows * dim + cols
-    for arr in (cols, flat, inside):
-        arr.setflags(write=False)
-    return cols, flat, inside
-
-
 @dataclass(frozen=True, eq=False)
 class OperatorFamily:
-    """Ordered list of Hermitian operators acting on one common basis.
+    """Ordered Hermitian operators on one basis, stored only as their bands.
 
-    monomial_index maps a multi-degree tuple (one entry per elementary
-    operator) to the list position of the corresponding symmetrized monomial;
-    it may be empty for ad-hoc families.
-
-    The members' nonzero diagonals are stored once, at construction:
-    bands[i, k, w + o] = H_k[i, i + o] for o = -w..w (zero where i + o falls
-    outside the matrix) and band_cols[i, w + o] = i + o, clipped into the
-    matrix.  The bandwidth w is the largest offset of a nonzero entry of
-    any member (K for spin monomials up to degree K, 3 for the cv families),
-    so every H_k S is in bands @ S[band_cols], at O(L (2w+1) D r) cost.
+    bands[i, k, w + o] = H_k[i, i + o]; with band_cols[i, w + o] = i + o
+    clipped into the matrix, every H_k S is in bands @ S[band_cols], at
+    O(L (2w+1) D r) cost (w = K for spin monomials up to degree K).  labels
+    and degrees (monomial degree, 0 if not polynomial) hold one entry per
+    member; monomial_index maps a multi-degree tuple to the position of its
+    symmetrized monomial (empty for ad-hoc families).  The dense members
+    (`operators`, iteration, indexing) are built on first use.
     """
 
-    operators: tuple[HermitianOperator, ...]
+    bands: np.ndarray
+    labels: list
+    degrees: tuple
     basis_tag: str
     monomial_index: dict = field(default_factory=dict)
-    bands: np.ndarray = field(init=False, repr=False)
-    band_cols: np.ndarray = field(init=False, repr=False)
+    _members: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "operators", tuple(self.operators))
-        if not self.operators:
+        if self.bands.ndim != 3 or self.bands.shape[1] == 0:
             raise ValueError("family must contain at least one operator")
-        dim = self.operators[0].dim
-        if any(op.dim != dim for op in self.operators):
-            raise ValueError("family operators must share one dimension")
+        if not len(self.labels) == len(self.degrees) == len(self):
+            raise ValueError("family needs one label and one degree per member")
         positions = list(self.monomial_index.values())
         if len(positions) != len(set(positions)):
             raise ValueError("duplicate positions in monomial_index")
-        if any(not 0 <= p < len(self.operators) for p in positions):
+        if any(not 0 <= p < len(self) for p in positions):
             raise ValueError("monomial_index positions out of range")
-        width = _bandwidth([op.matrix for op in self.operators])
-        cols, flat, inside = _band_index(dim, width)
-        bands = np.stack([op.matrix.take(flat) for op in self.operators], axis=1)
-        bands = np.where(inside[:, None, :], bands, 0.0)
-        bands.setflags(write=False)
-        object.__setattr__(self, "bands", bands)
-        object.__setattr__(self, "band_cols", cols)
+        self.bands.setflags(write=False)
+
+    @classmethod
+    def from_operators(cls, ops: Sequence[HermitianOperator], basis_tag: str) -> "OperatorFamily":
+        """Ad-hoc family of given dense operators, read by a nonzero scan."""
+        if not ops:
+            raise ValueError("family must contain at least one operator")
+        if any(op.dim != ops[0].dim for op in ops):
+            raise ValueError("family operators must share one dimension")
+        return cls(_bands_of([op.matrix for op in ops]), [op.label for op in ops],
+                   tuple(op.degree for op in ops), basis_tag)
+
+    @classmethod
+    def from_factors(cls, factors: np.ndarray, names, degrees, basis_tag: str) -> "OperatorFamily":
+        """Symmetrized monomials of the named factors, one per multi-degree."""
+        return cls(symmetrized_bands(factors, degrees), [_sym_label(zip(names, d)) for d in degrees],
+                   tuple(map(sum, degrees)), basis_tag, {d: k for k, d in enumerate(degrees)})
 
     def __len__(self) -> int:
-        return len(self.operators)
+        return self.bands.shape[1]
 
     def __iter__(self) -> Iterator[HermitianOperator]:
-        return iter(self.operators)
+        return (self[k] for k in range(len(self)))
 
     def __getitem__(self, idx: int) -> HermitianOperator:
-        return self.operators[idx]
+        k = range(len(self))[idx]
+        if k not in self._members:
+            self._members[k] = HermitianOperator(
+                dense_matrix(self.bands[:, k]), self.labels[k], self.degrees[k])
+        return self._members[k]
+
+    @property
+    def operators(self) -> tuple[HermitianOperator, ...]:
+        return tuple(self)
 
     @property
     def dim(self) -> int:
-        return self.operators[0].dim
+        return self.bands.shape[0]
 
     @property
-    def labels(self) -> list[str]:
-        return [op.label for op in self.operators]
+    def band_cols(self) -> np.ndarray:
+        return _band_cols(self.dim, self.bands.shape[2] // 2)
 
     def linear_slots(self) -> list[int]:
         """Positions of the degree-1 members (the default generator candidates)."""
-        return [k for k, op in enumerate(self.operators) if op.degree == 1]
+        return [k for k, d in enumerate(self.degrees) if d == 1]

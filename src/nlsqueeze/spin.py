@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import MAX_DIMENSION, HermitianOperator, OperatorFamily, symmetric_product
+from .operators import MAX_DIMENSION, HermitianOperator, OperatorFamily, dense_matrix, ladder_bands
+# symmetric_product: unused, kept for perfbench's trace targets
+from .operators import symmetric_product
+
+_AXES = ("Jx", "Jy", "Jz")
 
 
 @dataclass(frozen=True)
@@ -54,36 +59,29 @@ def parse_dicke_tag(tag: str) -> int | None:
     return None
 
 
-def build_spin_operators(basis: DickeBasis):
-    """Collective Jx, Jy, Jz for total spin j = n_particles / 2.
+def _spin_bands(basis: DickeBasis) -> np.ndarray:
+    """Bands (D, 3, 3) of Jx, Jy, Jz (see `OperatorFamily`): Jz is diagonal,
+    and <m+1|J+|m> = sqrt(j(j+1) - m(m+1)) sits above it as m descends."""
+    j, m = basis.j, basis.m_values
+    upper = np.zeros(basis.dimension)
+    upper[:-1] = np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1))
+    bands = np.zeros((basis.dimension, 3, 3), dtype=complex)
+    bands[:, :2] = ladder_bands(upper, 2.0)
+    bands[:, 2, 1] = m
+    return bands
 
-    Jz is diagonal in the basis ordering; Jx and Jy come from the ladder
-    operator with elements <m+1|J+|m> = sqrt(j(j+1) - m(m+1)).
-    """
-    j = basis.j
-    m = basis.m_values
-    jz = np.diag(m).astype(complex)
-    jp = np.diag(np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)), 1).astype(complex)
-    jx = (jp + jp.conj().T) / 2
-    jy = (jp - jp.conj().T) / 2j
-    return (
-        HermitianOperator(jx, "Jx", degree=1),
-        HermitianOperator(jy, "Jy", degree=1),
-        HermitianOperator(jz, "Jz", degree=1),
-    )
+
+def build_spin_operators(basis: DickeBasis):
+    """Dense collective Jx, Jy, Jz for total spin j = n_particles / 2."""
+    bands = _spin_bands(basis)
+    return tuple(HermitianOperator(dense_matrix(bands[:, a]), label, degree=1)
+                 for a, label in enumerate(_AXES))
 
 
 def _monomial_degrees(k_max: int) -> list[tuple[int, int, int]]:
     # total degree first, then descending lexicographic so Jx, Jy, Jz lead
-    degs = []
-    for d in range(1, k_max + 1):
-        level = []
-        for dx in range(d + 1):
-            for dy in range(d + 1 - dx):
-                level.append((dx, dy, d - dx - dy))
-        level.sort(key=lambda t: tuple(-x for x in t))
-        degs.extend(level)
-    return degs
+    return [d for n in range(1, k_max + 1)
+            for d in itertools.product(range(n, -1, -1), repeat=3) if sum(d) == n]
 
 
 def spin_family_size(k: int) -> int:
@@ -99,14 +97,7 @@ def build_spin_family(basis: DickeBasis, k: int) -> OperatorFamily:
     """
     if k < 1:
         raise ValueError("family order must be >= 1")
-    jx, jy, jz = build_spin_operators(basis)
-    ops = []
-    index = {}
-    for pos, (dx, dy, dz) in enumerate(_monomial_degrees(k)):
-        factors = [jx] * dx + [jy] * dy + [jz] * dz
-        ops.append(symmetric_product(factors))
-        index[(dx, dy, dz)] = pos
-    return OperatorFamily(ops, basis.tag, index)
+    return OperatorFamily.from_factors(_spin_bands(basis), _AXES, _monomial_degrees(k), basis.tag)
 
 
 def parity_operator(basis: DickeBasis) -> HermitianOperator:

@@ -24,7 +24,7 @@ def random_density(rng, dim, basis_tag="test", rank=None):
 
 def random_family(rng, dim, size, basis_tag="test"):
     ops = [random_hermitian(rng, dim, label=f"H{k}") for k in range(size)]
-    return OperatorFamily(ops, basis_tag)
+    return OperatorFamily.from_operators(ops, basis_tag)
 
 
 def angle_between(u, v):

@@ -62,7 +62,7 @@ class TestCovarianceAndCommutator:
         x, p = build_quadratures(basis)
         from nlsqueeze import OperatorFamily
 
-        fam = OperatorFamily([x, p], basis.tag)
+        fam = OperatorFamily.from_operators([x, p], basis.tag)
         vac = fock_state(basis, 0)
         gamma = covariance_matrix(vac, fam)
         c = commutator_matrix(vac, fam)
@@ -203,7 +203,7 @@ class TestOptimalMeasurement:
         x, p = build_quadratures(basis)
         from nlsqueeze import OperatorFamily
 
-        fam = OperatorFamily([x, p], basis.tag)
+        fam = OperatorFamily.from_operators([x, p], basis.tag)
         md = moment_data(fock_state(basis, 0), fam)
         m = optimal_measurement(md, [1.0, 0.0])
         assert angle_between(m, [0.0, 1.0]) < 1e-12
@@ -461,6 +461,8 @@ class TestSpinSqueezingOrders:
                 n_full[:3] = res.n_coeffs
                 signal = None if res.m_coeffs is None else _signal(
                     res.m_coeffs @ rows[:cnt], n_full @ rows[:cnt])
+                # a result without signal carries no measurement
+                assert (res.chi2_inv == 0.0) == (res.m_coeffs is None)
                 if signal is None:
                     no_signal += 1
                     assert res.chi2_inv == 0.0

@@ -1,3 +1,6 @@
+import functools
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -77,13 +80,13 @@ def test_family_rejects_mixed_dimensions(rng):
     a = random_hermitian(rng, 3, "a")
     b = random_hermitian(rng, 4, "b")
     with pytest.raises(ValueError):
-        OperatorFamily([a, b], "test")
+        OperatorFamily.from_operators([a, b], "test")
 
 
 def test_family_combine_and_slots():
     basis = DickeBasis(2)
     jx, jy, jz = build_spin_operators(basis)
-    fam = OperatorFamily([jx, jy, jz], basis.tag)
+    fam = OperatorFamily.from_operators([jx, jy, jz], basis.tag)
     assert fam.linear_slots() == [0, 1, 2]
     combo = combine(fam.operators, [0.0, 0.0, 2.0])
     assert np.abs(combo.matrix - 2.0 * jz.matrix).max() < 1e-14
@@ -101,30 +104,99 @@ def _dense_from_bands(fam):
     return mats
 
 
-def _band_families():
+def _dense_spin(n):
+    """Jx, Jy, Jz of n spins from the ladder operator, written out densely."""
+    j = n / 2
+    m = j - np.arange(n + 1)
+    jp = np.diag(np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)), 1)
+    return [(jp + jp.T) / 2, (jp - jp.T) / 2j, np.diag(m)]
+
+
+def _dense_quadratures(cutoff):
+    a = np.diag(np.sqrt(np.arange(1, cutoff)), 1)
+    return [(a + a.T) / np.sqrt(2), 1j * (a.T - a) / np.sqrt(2)]
+
+
+def _ordering_average(mats, degree):
+    """Average of the products of mats[j] (degree[j] times each) over all
+    distinct orderings."""
+    words = set(permutations([j for j, n in enumerate(degree) for _ in range(n)]))
+    return sum(functools.reduce(np.matmul, [mats[j] for j in w]) for w in words) / len(words)
+
+
+def _monomial_case(fam, elementary, width):
+    degree_of = {k: d for d, k in fam.monomial_index.items()}
+    return fam, [_ordering_average(elementary, degree_of[k]) for k in range(len(fam))], width
+
+
+def _spin_case(n, k):
+    return _monomial_case(build_spin_family(DickeBasis(n), k), _dense_spin(n), k)
+
+
+def _cv_case(order, cutoff):
+    build = {2: build_cv_second_order_family, 3: build_cv_third_order_family}[order]
+    return _monomial_case(build(FockBasis(cutoff)), _dense_quadratures(cutoff), order)
+
+
+def _adhoc_case(ops, width):
+    return OperatorFamily.from_operators(ops, "test"), [op.matrix for op in ops], width
+
+
+def _dense_case():
     rng = np.random.default_rng(11)
-    diag = [HermitianOperator(np.diag(rng.normal(size=6)), f"d{k}") for k in range(3)]
-    return {
-        "spin N=16 K=5": (build_spin_family(DickeBasis(16), 5), 5),
-        "spin N=7 K=6": (build_spin_family(DickeBasis(7), 6), 6),
-        "cv order 2": (build_cv_second_order_family(FockBasis(20)), 2),
-        "cv order 3": (build_cv_third_order_family(FockBasis(20)), 3),
-        "dense": (OperatorFamily([random_hermitian(rng, 9, f"H{k}") for k in range(4)],
-                                 "test"), 8),
-        "diagonal": (OperatorFamily(diag, "test"), 0),
-    }
+    return _adhoc_case([random_hermitian(rng, 9, f"H{k}") for k in range(4)], 8)
 
 
-@pytest.mark.parametrize("name", list(_band_families()))
+def _diagonal_case():
+    rng = np.random.default_rng(11)
+    return _adhoc_case([HermitianOperator(np.diag(rng.normal(size=6)), f"d{k}") for k in range(3)], 0)
+
+
+_MEMBER_CASES = {
+    "spin N=1 K=5": lambda: _spin_case(1, 5),
+    "spin N=2 K=5": lambda: _spin_case(2, 5),
+    "spin N=16 K=5": lambda: _spin_case(16, 5),
+    "spin N=7 K=6": lambda: _spin_case(7, 6),
+    "cv order 2": lambda: _cv_case(2, 20),
+    "cv order 3": lambda: _cv_case(3, 20),
+    "cv order 2 cutoff 4": lambda: _cv_case(2, 4),
+    "cv order 3 cutoff 4": lambda: _cv_case(3, 4),
+    "cv order 2 cutoff 72": lambda: _cv_case(2, 72),
+    "cv order 3 cutoff 72": lambda: _cv_case(3, 72),
+    "dense": _dense_case,
+    "diagonal": _diagonal_case,
+}
+
+
+@pytest.mark.parametrize("name", list(_MEMBER_CASES))
 def test_family_bands_rebuild_every_member(name):
-    fam, width = _band_families()[name]
+    # the reference is the dense average over all orderings; members that
+    # vanish exactly (S[Jx Jy] for one spin) are measured against the largest
+    # entry among the references of their degree
+    fam, refs, width = _MEMBER_CASES[name]()
     dim = fam.dim
     assert fam.bands.shape == (dim, len(fam), 2 * width + 1)
     assert fam.band_cols.shape == (dim, 2 * width + 1)
     assert fam.band_cols.min() >= 0 and fam.band_cols.max() <= dim - 1
     rebuilt = _dense_from_bands(fam)
+    degrees = np.array(fam.degrees)
     for k, op in enumerate(fam):
-        assert np.array_equal(rebuilt[k], op.matrix), op.label
+        assert np.array_equal(op.matrix, rebuilt[k]), op.label
+        scale = max(np.abs(refs[i]).max() for i in np.flatnonzero(degrees == degrees[k]))
+        assert np.abs(op.matrix - refs[k]).max() <= 1e-14 * scale, op.label
+
+
+def test_family_labels_and_monomial_index():
+    spin = build_spin_family(DickeBasis(3), 2)
+    assert spin.labels == ["Jx", "Jy", "Jz", "Jx^2", "S[Jx Jy]", "S[Jx Jz]",
+                           "Jy^2", "S[Jy Jz]", "Jz^2"]
+    assert spin.monomial_index == {
+        (1, 0, 0): 0, (0, 1, 0): 1, (0, 0, 1): 2, (2, 0, 0): 3, (1, 1, 0): 4,
+        (1, 0, 1): 5, (0, 2, 0): 6, (0, 1, 1): 7, (0, 0, 2): 8,
+    }
+    cv = build_cv_third_order_family(FockBasis(8))
+    assert cv.labels == ["x", "p", "x^3", "S[p x^2]", "S[p^2 x]", "p^3"]
+    assert cv.monomial_index == {(1, 0): 0, (0, 1): 1, (3, 0): 2, (2, 1): 3, (1, 2): 4, (0, 3): 5}
 
 
 def test_family_bands_are_read_only():

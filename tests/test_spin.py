@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -112,3 +114,26 @@ def test_parity_trace_two_ways():
     # eigenvalues (-1)^(J-m) for m = 1, 0, -1
     by_eigenvalues = sum((-1.0) ** round(basis.j - m) for m in basis.m_values)
     assert abs(np.trace(p.matrix).real - by_eigenvalues) < 1e-12
+
+
+def test_large_family_casimir_from_bands():
+    # D = 1024 at degree 6: the bands take 17.7 MB where dense members would
+    # take 1.4 GB
+    basis = DickeBasis(1023)
+    fam = build_spin_family(basis, 6)
+    width = fam.bands.shape[2] // 2
+    casimir = sum(fam.bands[:, fam.monomial_index[d]] for d in [(2, 0, 0), (0, 2, 0), (0, 0, 2)])
+    want = np.zeros_like(casimir)
+    want[:, width] = basis.j * (basis.j + 1)
+    assert np.abs(casimir - want).max() <= 1e-14 * basis.j * (basis.j + 1)
+
+
+def test_family_build_allocates_no_dense_matrix():
+    # one dense 401 x 401 member alone takes 2.6 MB; the 19 members' bands 0.9 MB
+    tracemalloc.start()
+    try:
+        build_spin_family(DickeBasis(400), 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6

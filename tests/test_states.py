@@ -104,5 +104,5 @@ def test_moments_match_trace_formulas(rng):
         assert abs(state.expectation(a) - mean) < 1e-12
         assert abs(state.variance(a) - var) < 1e-12
         # c_01 = -i <[A, B]>, from the family's centered rows
-        c = commutator_matrix(state, OperatorFamily([a_op, b_op], "test"))
+        c = commutator_matrix(state, OperatorFamily.from_operators([a_op, b_op], "test"))
         assert abs(1j * c[0, 1] - comm) < 1e-12
