@@ -9,8 +9,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BasisMismatchError
-from .operators import HermitianOperator
-from .spin import DickeBasis, build_spin_operators, parse_dicke_tag
+from .operators import HermitianOperator, dense_matrix, symmetrized_bands
+# build_spin_operators: unused, kept for perfbench's trace targets
+from .spin import DickeBasis, _spin_bands, build_spin_operators, parse_dicke_tag
 from .states import QuantumState
 
 MODELS = ("OAT", "TAT")
@@ -33,43 +34,76 @@ class EvolutionSpec:
 class HermitianPropagator:
     """Applies exp(-i theta H) for a fixed Hermitian generator H.
 
-    The generator is diagonalized once; each application costs two dense
-    products with the state's factor S (one column for a pure state).
-    Instances are immutable and safe to share.
+    H is diagonalized once: in real arithmetic when its entries are real,
+    and per index-parity block (rows 0, 2, 4, ... and rows 1, 3, 5, ...)
+    when no entry couples an even row to an odd one, as for the twisting
+    generators.  Each application rotates the matching rows of the state's
+    factor S (one column for a pure state) into each block's eigenbasis and
+    back; a real eigenbasis acts on the float view of S, so it is never cast
+    to complex.  Instances are immutable and safe to share.
     """
 
     def __init__(self, generator: HermitianOperator):
-        self.generator = generator
-        evals, evecs = np.linalg.eigh(generator.matrix)
-        self._evals = evals
-        self._evecs = evecs
+        self._decompose(generator.matrix)
+
+    @classmethod
+    def _from_matrix(cls, h: np.ndarray) -> "HermitianPropagator":
+        """Propagator of a Hermitian matrix held as a real or complex array."""
+        prop = cls.__new__(cls)
+        prop._decompose(h)
+        return prop
+
+    def _decompose(self, h: np.ndarray) -> None:
+        if h.dtype == complex and not h.imag.any():
+            h = h.real
+        if h[::2, 1::2].any():  # an even row couples to an odd one: one block
+            mats = h[None]
+        else:  # rows 0, 2, ... and rows 1, 3, ..., the shorter padded with zeros
+            mats = np.zeros((2, (len(h) + 1) // 2, (len(h) + 1) // 2), h.dtype)
+            mats[0] = h[::2, ::2]
+            mats[1, :len(h) // 2, :len(h) // 2] = h[1::2, 1::2]
+        self.dim = len(h)
+        self._evals, self._evecs = np.linalg.eigh(mats)
 
     def apply(self, state: QuantumState, theta: float) -> QuantumState:
-        if state.dim != self.generator.dim:
+        if state.dim != self.dim:
             raise BasisMismatchError("state dimension does not match the generator")
-        # rotate the factor S of rho = S S^dagger into the eigenbasis and back;
-        # E^dagger S is formed as (S^dagger E)^dagger so that no D x D copy is made
-        coeffs = (state.factor.conj().T @ self._evecs).conj().T
-        s = self._evecs @ (np.exp(-1j * theta * self._evals)[:, None] * coeffs)
+        blocks, size = self._evals.shape
+        s = np.zeros((size * blocks, state.factor.shape[1]), dtype=complex)
+        s[:self.dim] = state.factor
+        s = s.reshape(size, blocks, -1).transpose(1, 0, 2)  # s[p] = rows p, p + blocks, ...
+        phase, e = np.exp(-1j * theta * self._evals)[..., None], self._evecs
+        if e.dtype == complex:
+            # E^dagger S is formed as (S^dagger E)^dagger so that no D x D copy is made
+            s = e @ (phase * (s.conj().transpose(0, 2, 1) @ e).conj().transpose(0, 2, 1))
+        else:  # E (a + ib) = E a + i E b, so E is never cast to complex
+            coeffs = (e.transpose(0, 2, 1) @ s.view(float)).view(complex)
+            s = (e @ (phase * coeffs).view(float)).view(complex)
+        s = s.transpose(1, 0, 2).reshape(size * blocks, -1)[:self.dim]
         return QuantumState(state.basis_tag, s / np.linalg.norm(s))
 
 
-def twisting_generator(basis: DickeBasis, model: str) -> HermitianOperator:
-    """Jy^2 for OAT, Jy^2 - (N/2) Jz for twist-and-turn."""
-    _, jy, jz = build_spin_operators(basis)
-    jy2 = jy.matrix @ jy.matrix
+def _twisting_band(basis: DickeBasis, model: str) -> np.ndarray:
+    """Band (D, 5) of Jy^2 (OAT) or Jy^2 - (N/2) Jz (TAT), from the ladder
+    factors; both are real in the Dicke basis, so the band is held real."""
+    jy2, jz = symmetrized_bands(_spin_bands(basis), [(0, 2, 0), (0, 0, 1)]).real.transpose(1, 0, 2)
     if model == "OAT":
-        return HermitianOperator(jy2, "Jy^2", degree=2)
+        return jy2
     if model == "TAT":
-        return HermitianOperator(
-            jy2 - (basis.n_particles / 2) * jz.matrix, "Jy^2 - (N/2) Jz", degree=2
-        )
+        return jy2 - (basis.n_particles / 2) * jz
     raise ValueError(f"model must be one of {MODELS}")
+
+
+def twisting_generator(basis: DickeBasis, model: str) -> HermitianOperator:
+    """Jy^2 for OAT, Jy^2 - (N/2) Jz for twist-and-turn, densified from its
+    band; it is real and couples only levels m of equal parity."""
+    label = "Jy^2" if model == "OAT" else "Jy^2 - (N/2) Jz"
+    return HermitianOperator(dense_matrix(_twisting_band(basis, model)), label, degree=2)
 
 
 @functools.lru_cache(maxsize=32)
 def _cached_propagator(model: str, n_particles: int) -> HermitianPropagator:
-    return HermitianPropagator(twisting_generator(DickeBasis(n_particles), model))
+    return HermitianPropagator._from_matrix(dense_matrix(_twisting_band(DickeBasis(n_particles), model)))
 
 
 def coherent_spin_state_z(basis: DickeBasis) -> QuantumState:
@@ -82,8 +116,9 @@ def coherent_spin_state_z(basis: DickeBasis) -> QuantumState:
 def evolve(state: QuantumState, spec: EvolutionSpec) -> QuantumState:
     """Evolve a Dicke-basis state under the chosen twisting Hamiltonian.
 
-    The generator eigendecomposition is cached per (model, N) so that a tau
-    sweep costs two products with the state's factor per point.
+    The generator's real, per-parity eigendecomposition is cached per
+    (model, N), so a tau sweep costs two real rotations of each half of the
+    state's factor per point.
     """
     n = parse_dicke_tag(state.basis_tag)
     if n is None:

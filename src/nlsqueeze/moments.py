@@ -39,21 +39,26 @@ def _centered_rows(s: np.ndarray, family: OperatorFamily) -> np.ndarray:
     member is touched.
     """
     prod = family.bands @ s[family.band_cols]  # prod[i, k] = (H_k S)[i]
-    return _center(prod.transpose(1, 0, 2).reshape(len(family), -1), s.ravel())
+    return _center(prod, s)
 
 
 def _operator_rows(s: np.ndarray, *mats) -> np.ndarray:
     """Centered rows (A - <A>) S of dense matrices, as `_centered_rows`."""
-    return _center(np.stack([(a @ s).ravel() for a in mats]), s.ravel())
+    return _center(np.stack([a @ s for a in mats], axis=1), s)
 
 
-def _center(rows: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Subtract <H_k> S from the rows H_k S (in place), checking the means."""
-    mu_c = rows @ s.conj()
+def _center(prod: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Rows (H_k - <H_k>) S, flattened, from prod[:, k] = H_k S, checking the
+    means.  Means and norms are read from prod and its float view, and the
+    rows are written once, into the array returned: no other array of
+    prod's size is made."""
+    mu_c = np.einsum("ikc,ic->k", prod, s.conj())
+    f = prod.view(float)
     # Cauchy-Schwarz: |<H_k>| <= ||H_k S|| ||S||, the scale of the residue
-    _check_mean_residue(mu_c, np.linalg.norm(rows, axis=1) * np.linalg.norm(s))
-    rows -= mu_c.real[:, None] * s[None, :]
-    return rows
+    _check_mean_residue(mu_c, np.sqrt(np.einsum("ikc,ikc->k", f, f)) * math.sqrt(np.vdot(s, s).real))
+    rows = np.multiply(mu_c.real[:, None, None], s)  # rows[k] = <H_k> S
+    np.subtract(prod.transpose(1, 0, 2), rows, out=rows)
+    return rows.reshape(len(rows), -1)
 
 
 def _signal(x: np.ndarray, h: np.ndarray):

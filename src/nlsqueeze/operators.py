@@ -87,8 +87,8 @@ def _bands_of(mats) -> np.ndarray:
 
 
 def dense_matrix(band: np.ndarray) -> np.ndarray:
-    """The dense matrix of one band (dim, 2w+1)."""
-    mat = np.zeros((len(band), len(band)), dtype=complex)
+    """The dense matrix of one band (dim, 2w+1), in the band's dtype."""
+    mat = np.zeros((len(band), len(band)), dtype=band.dtype)
     # clipped positions hold zeros, so adding them leaves every entry exact
     np.add.at(mat, (np.arange(len(band))[:, None], _band_cols(len(band), band.shape[1] // 2)), band)
     return mat
