@@ -22,7 +22,6 @@ from .dynamics import MODELS, EvolutionSpec, coherent_spin_state_z, evolve
 from .errors import ZeroSignalError
 from .fisher import f_max_density
 from .moments import (
-    KERNEL_LEAK_TOL,
     chi2_error_propagation,
     chi2_inverse_opt,
     entanglement_bound,
@@ -38,11 +37,6 @@ EXIT_INTEGRITY = 2
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
-
-
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
 
 
 # accepted value types per field annotation; bool is an int subclass, so it
@@ -104,26 +98,32 @@ def _load_sweep_config(args: argparse.Namespace) -> SweepConfig:
     return cfg
 
 
-def _write_text(path: str | None, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
+def _csv_cells(record: dict):
+    """(column, value) pairs of a sweep record's CSV row: n_opt_by_k is left
+    out, and xi2_inv_by_k spreads over one xi2inv_k<k> column per order."""
+    for key, value in record.items():
+        if key == "xi2_inv_by_k":
+            yield from ((f"xi2inv_k{k}", v) for k, v in enumerate(value, 1))
+        elif key != "n_opt_by_k":
+            yield key.replace("xi2_inv", "xi2inv"), value
 
 
-def _sweep_records(cfg: SweepConfig) -> list[dict]:
-    """One record per tau point; "_leak" holds the point's kernel leakage."""
+def _run_sweep(args: argparse.Namespace) -> tuple[str | None, str, bool]:
+    cfg = _load_sweep_config(args)
+    if cfg.model == "OAT" and cfg.n_particles % 2 == 1:
+        print("warning: OAT revival and GHZ statements assume an even particle number",
+              file=sys.stderr)
     basis = DickeBasis(cfg.n_particles)
     n = cfg.n_particles
     psi0 = coherent_spin_state_z(basis)
     family = build_spin_family(basis, cfg.k_max)
-    jz = build_spin_operators(basis)[2]
-    parity = parity_operator(basis) if cfg.include_parity else None
-    records = []
+    if cfg.include_parity:
+        jz, parity = build_spin_operators(basis)[2], parity_operator(basis)
+    records, lines, flagged = [], [], False
     for tau in np.linspace(cfg.tau_start, cfg.tau_end, cfg.steps):
         state = evolve(psi0, EvolutionSpec(cfg.model, float(tau)))
         results = spin_squeezing_profile(state, basis, cfg.k_max, family=family)
+        flagged = flagged or any(r.robertson_violated for r in results)
         xi2_inv_by_k = [r.chi2_inv / n for r in results]
         record = {
             "tau": float(tau),
@@ -131,7 +131,7 @@ def _sweep_records(cfg: SweepConfig) -> list[dict]:
             "n_opt_by_k": [[float(v) for v in r.n_coeffs] for r in results],
         }
         candidates = list(xi2_inv_by_k)
-        if parity is not None:
+        if cfg.include_parity:
             try:
                 xi2_inv_parity = 1.0 / chi2_error_propagation(state, jz, parity) / n
             except ZeroSignalError:
@@ -141,59 +141,16 @@ def _sweep_records(cfg: SweepConfig) -> list[dict]:
         if cfg.include_qfi:
             record["f_max"] = f_max_density(state, basis)[0]
         record["ent_bound"] = entanglement_bound(max(candidates))
-        record["_leak"] = max(r.kernel_leakage for r in results)
         records.append(record)
-    return records
-
-
-def _run_sweep(args: argparse.Namespace) -> int:
-    try:
-        cfg = _load_sweep_config(args)
-    except (ValueError, OSError) as exc:
-        return _fail(str(exc))
-
-    if cfg.model == "OAT" and cfg.n_particles % 2 == 1:
-        print(
-            "warning: OAT revival and GHZ statements assume an even particle "
-            "number", file=sys.stderr,
-        )
-
-    try:
-        records = _sweep_records(cfg)
-    except ValueError as exc:
-        return _fail(str(exc))
-    flagged = any(rec.pop("_leak") > KERNEL_LEAK_TOL for rec in records)
-
+        cells = list(_csv_cells(record))
+        if not lines:
+            lines.append(",".join(column for column, _ in cells))
+        lines.append(",".join(_fmt(value) for _, value in cells))
     if cfg.format == "csv":
-        header = ["tau"] + [f"xi2inv_k{k}" for k in range(1, cfg.k_max + 1)]
-        if cfg.include_parity:
-            header.append("xi2inv_parity")
-        if cfg.include_qfi:
-            header.append("f_max")
-        header.append("ent_bound")
-        lines = [",".join(header)]
-        for rec in records:
-            cells = [_fmt(rec["tau"])]
-            cells += [_fmt(v) for v in rec["xi2_inv_by_k"]]
-            if cfg.include_parity:
-                cells.append(_fmt(rec["xi2_inv_parity"]))
-            if cfg.include_qfi:
-                cells.append(_fmt(rec["f_max"]))
-            cells.append(str(rec["ent_bound"]))
-            lines.append(",".join(cells))
         text = "\n".join(lines) + "\n"
     else:
         text = json.dumps(records, indent=2, sort_keys=True) + "\n"
-
-    try:
-        _write_text(cfg.output_path, text)
-    except OSError as exc:
-        return _fail(f"cannot write output: {exc}")
-    if flagged:
-        print("warning: covariance kernel carries commutator signal "
-              "(numerical integrity flag)", file=sys.stderr)
-        return EXIT_INTEGRITY
-    return EXIT_OK
+    return cfg.output_path, text, flagged
 
 
 def _fock_result(n: int, order: int, cutoff: int):
@@ -204,59 +161,50 @@ def _fock_result(n: int, order: int, cutoff: int):
     return chi2_inverse_opt(state, family, [1.0, 0.0]), family
 
 
-def _run_fock(args: argparse.Namespace) -> int:
+def _run_fock(args: argparse.Namespace) -> tuple[str | None, str, bool]:
     n = args.n
     if n is None or n < 0:
-        return _fail("fock needs --n >= 0")
-    order = args.order
+        raise ValueError("fock needs --n >= 0")
     cutoff = args.cutoff if args.cutoff is not None else default_cutoff(n)
     if cutoff < n + 4:
-        return _fail(
+        raise ValueError(
             f"cutoff {cutoff} too small: cubic observables on |{n}> reach "
             f"|{n + 3}>, need at least {n + 4}"
         )
     if cutoff + 4 > MAX_CUTOFF:
-        return _fail(
+        raise ValueError(
             f"cutoff {cutoff} too large: the convergence check at cutoff "
             f"{cutoff + 4} exceeds the dense limit {MAX_CUTOFF}"
         )
-    try:
-        result, family = _fock_result(n, order, cutoff)
-        check, _ = _fock_result(n, order, cutoff + 4)
-    except ValueError as exc:
-        return _fail(str(exc))
+    result, family = _fock_result(n, args.order, cutoff)
+    check, _ = _fock_result(n, args.order, cutoff + 4)
     drift = abs(check.chi2_inv - result.chi2_inv) / max(abs(check.chi2_inv), 1e-300)
     if drift > 1e-9:
-        return _fail(
+        raise ValueError(
             f"cutoff {cutoff} not converged: chi2_inv changes by {drift:.3e} "
             f"relative when the cutoff grows; increase --cutoff"
         )
-    print(f"fock state |{n}>, order-{order} family, cutoff {cutoff}")
-    print(f"chi2_inv = {_fmt(result.chi2_inv)}")
-    print(f"xi2      = {_fmt(result.xi2)}")
+    lines = [
+        f"fock state |{n}>, order-{args.order} family, cutoff {cutoff}",
+        f"chi2_inv = {_fmt(result.chi2_inv)}",
+        f"xi2      = {_fmt(result.xi2)}",
+    ]
     if result.m_coeffs is not None:
-        pairs = ", ".join(
-            f"{lbl}: {_fmt(v)}" for lbl, v in zip(family.labels, result.m_coeffs)
-        )
-        print(f"m_opt    = [{pairs}]")
-    print(f"cutoff convergence: relative drift {drift:.3e} at cutoff {cutoff + 4}")
-    if result.robertson_violated:
-        return EXIT_INTEGRITY
-    return EXIT_OK
+        pairs = ", ".join(f"{lbl}: {_fmt(v)}" for lbl, v in zip(family.labels, result.m_coeffs))
+        lines.append(f"m_opt    = [{pairs}]")
+    lines.append(f"cutoff convergence: relative drift {drift:.3e} at cutoff {cutoff + 4}")
+    return None, "\n".join(lines) + "\n", result.robertson_violated
 
 
-def _run_analyze(args: argparse.Namespace) -> int:
+def _run_analyze(args: argparse.Namespace) -> tuple[str | None, str, bool]:
     if args.n is None or args.n < 1:
-        return _fail("analyze needs --n >= 1")
+        raise ValueError("analyze needs --n >= 1")
     if not 1 <= args.kmax <= 6:
-        return _fail("kmax must be between 1 and 6")
-    try:
-        basis = DickeBasis(args.n)
-        state = evolve(coherent_spin_state_z(basis), EvolutionSpec(args.model, args.tau))
-        family = build_spin_family(basis, args.kmax)
-        result = spin_squeezing_profile(state, basis, args.kmax, family=family)[-1]
-    except ValueError as exc:
-        return _fail(str(exc))
+        raise ValueError("kmax must be between 1 and 6")
+    basis = DickeBasis(args.n)
+    state = evolve(coherent_spin_state_z(basis), EvolutionSpec(args.model, args.tau))
+    family = build_spin_family(basis, args.kmax)
+    result = spin_squeezing_profile(state, basis, args.kmax, family=family)[-1]
     md = result.moments
     payload = {
         "model": args.model,
@@ -274,14 +222,7 @@ def _run_analyze(args: argparse.Namespace) -> int:
         "retained_count": md.retained_count,
         "kernel_leakage": md.kernel_leakage,
     }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    try:
-        _write_text(args.out, text)
-    except OSError as exc:
-        return _fail(f"cannot write output: {exc}")
-    if result.robertson_violated:
-        return EXIT_INTEGRITY
-    return EXIT_OK
+    return args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n", result.robertson_violated
 
 
 _AXES = ("Jx", "Jy", "Jz")
@@ -293,31 +234,30 @@ def _spin_observable(basis: DickeBasis, name: str):
     return build_spin_operators(basis)[_AXES.index(name)]
 
 
-def _run_estimate(args: argparse.Namespace) -> int:
+def _run_estimate(args: argparse.Namespace) -> tuple[str | None, str, bool]:
     if args.n is None or args.n < 1:
-        return _fail("estimate needs --n >= 1")
+        raise ValueError("estimate needs --n >= 1")
     window = (args.theta - args.window, args.theta + args.window)
-    try:
-        basis = DickeBasis(args.n)
-        generator = _spin_observable(basis, args.generator)
-        observable = _spin_observable(basis, args.observable)
-        state = evolve(coherent_spin_state_z(basis), EvolutionSpec(args.model, args.tau))
-        report = simulate_moment_estimator(
-            state, generator, observable, args.theta,
-            mu=args.mu, trials=args.trials, seed=args.seed, window=window,
-        )
-    except ValueError as exc:  # CalibrationError and ZeroSignalError included
-        return _fail(str(exc))
-    print(f"model {args.model}, N={args.n}, tau={_fmt(args.tau)}; "
-          f"generator {args.generator}, observable {args.observable}")
-    print(f"theta = {_fmt(report.theta_true)}, mu = {report.mu}, "
-          f"trials = {report.trials}, seed = {report.seed}")
-    print(f"predicted variance = {_fmt(report.predicted_variance)}")
-    print(f"empirical variance = {_fmt(report.empirical_variance)}")
-    print(f"ratio = {_fmt(report.ratio)}")
+    basis = DickeBasis(args.n)
+    generator = _spin_observable(basis, args.generator)
+    observable = _spin_observable(basis, args.observable)
+    state = evolve(coherent_spin_state_z(basis), EvolutionSpec(args.model, args.tau))
+    report = simulate_moment_estimator(
+        state, generator, observable, args.theta,
+        mu=args.mu, trials=args.trials, seed=args.seed, window=window,
+    )
+    lines = [
+        f"model {args.model}, N={args.n}, tau={_fmt(args.tau)}; "
+        f"generator {args.generator}, observable {args.observable}",
+        f"theta = {_fmt(report.theta_true)}, mu = {report.mu}, "
+        f"trials = {report.trials}, seed = {report.seed}",
+        f"predicted variance = {_fmt(report.predicted_variance)}",
+        f"empirical variance = {_fmt(report.empirical_variance)}",
+        f"ratio = {_fmt(report.ratio)}",
+    ]
     if report.n_clamped:
-        print(f"clamped sample means: {report.n_clamped}/{report.trials}")
-    return EXIT_OK
+        lines.append(f"clamped sample means: {report.n_clamped}/{report.trials}")
+    return None, "\n".join(lines) + "\n", False
 
 
 class _Parser(argparse.ArgumentParser):
@@ -390,12 +330,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand, which returns (output path or None for stdout, text,
+    integrity flag); errors, output and exit codes are handled here alone."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    return args.func(args)
+    try:
+        path, text, flagged = args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        if path is None:
+            sys.stdout.write(text)
+        else:
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if flagged:
+        print("warning: covariance kernel carries commutator signal "
+              "(numerical integrity flag)", file=sys.stderr)
+        return EXIT_INTEGRITY
+    return EXIT_OK
 
 
 if __name__ == "__main__":

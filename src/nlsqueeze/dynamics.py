@@ -80,7 +80,7 @@ class HermitianPropagator:
             coeffs = (e.transpose(0, 2, 1) @ s.view(float)).view(complex)
             s = (e @ (phase * coeffs).view(float)).view(complex)
         s = s.transpose(1, 0, 2).reshape(size * blocks, -1)[:self.dim]
-        return QuantumState(state.basis_tag, s / np.linalg.norm(s))
+        return QuantumState(state.basis_tag, s)  # unitary: QuantumState checks the norm
 
 
 def _twisting_band(basis: DickeBasis, model: str) -> np.ndarray:

@@ -177,17 +177,11 @@ def moment_matrix(gamma: np.ndarray, c: np.ndarray) -> MomentData:
     lam_top = evals[-1]
     if evals[0] < -1e-10 * max(1.0, lam_top):
         raise ValueError("gamma has a negative eigenvalue beyond tolerance")
-    if lam_top > 0:
-        keep = evals > GAMMA_EPS_REL * lam_top
-    else:
-        keep = np.zeros(k, dtype=bool)
+    keep = evals > GAMMA_EPS_REL * lam_top  # all False when lam_top <= 0
 
     retained = evecs[:, keep]
     proj = retained.T @ c_eq  # (r, k)
-    if retained.shape[1]:
-        m_eq = proj.T @ (proj / evals[keep][:, None])
-    else:
-        m_eq = np.zeros((k, k))
+    m_eq = proj.T @ (proj / evals[keep][:, None])  # k x k zeros when nothing is kept
     m = m_eq * dev[:, None] * dev[None, :]  # undo the equilibration
     m = (m + m.T) / 2
 

@@ -3,14 +3,25 @@ import json
 import numpy as np
 import pytest
 
-from nlsqueeze import cli
+from nlsqueeze import cli, moments
 from nlsqueeze.cli import EXIT_INTEGRITY, EXIT_OK, EXIT_USAGE, main
+
+INTEGRITY_WARNING = ("warning: covariance kernel carries commutator signal "
+                     "(numerical integrity flag)\n")
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def flag_every_result(monkeypatch):
+    """Make every result raise the integrity flag: any leakage, even 0,
+    exceeds a negative tolerance.  `cli.KERNEL_LEAK_TOL` is set as well, so
+    that a CLI comparing against its own copy of the tolerance flags too."""
+    monkeypatch.setattr(moments, "KERNEL_LEAK_TOL", -1.0)
+    monkeypatch.setattr(cli, "KERNEL_LEAK_TOL", -1.0, raising=False)
 
 
 class TestSweep:
@@ -65,6 +76,17 @@ class TestSweep:
         assert set(rec) == {"tau", "xi2_inv_by_k", "n_opt_by_k", "f_max", "ent_bound"}
         assert len(rec["xi2_inv_by_k"]) == 2
         assert len(rec["n_opt_by_k"][0]) == 3
+
+    def test_json_records_of_a_flagged_sweep(self, capsys, monkeypatch):
+        flag_every_result(monkeypatch)
+        code, out, _ = run(
+            capsys, "sweep", "--n", "6", "--kmax", "2", "--tau-start", "0",
+            "--tau-end", "1", "--steps", "4", "--format", "json", "--parity", "--qfi",
+        )
+        assert code == EXIT_INTEGRITY
+        for rec in json.loads(out):
+            assert set(rec) == {"tau", "xi2_inv_by_k", "n_opt_by_k", "xi2_inv_parity",
+                                "f_max", "ent_bound"}
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
@@ -125,6 +147,20 @@ class TestSweep:
         assert code == EXIT_USAGE
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("document, message", [
+        ({"model": "XYZ"}, "model must be one of ('OAT', 'TAT')"),
+        ({"n_particles": 0}, "n must be >= 1"),
+        ({"k_max": 7}, "kmax must be between 1 and 6"),
+        ({"format": "xml"}, "format must be csv or json"),
+    ], ids=["model", "n", "kmax", "format"])
+    def test_config_value_out_of_range_rejected(self, tmp_path, capsys, document, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(document))
+        code, out, err = run(capsys, "sweep", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     def test_odd_n_oat_warns(self, capsys):
         code, _, err = run(
@@ -248,6 +284,17 @@ class TestEstimate:
         assert code == EXIT_OK
         assert out1 == out2
 
+    def test_ghz_parity_reaches_heisenberg_variance(self, capsys):
+        code, out, _ = run(
+            capsys, "estimate", "--model", "OAT", "--n", "16", "--tau", "1.5707963267948966",
+            "--generator", "Jz", "--observable", "parity", "--theta", "0.05", "--window", "0.04",
+        )
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        assert "predicted variance = 3.90625e-07" in lines  # 1 / (N^2 mu), N = 16, mu = 10^4
+        ratio = float(next(l for l in lines if l.startswith("ratio")).split("=")[1])
+        assert 0.7 < ratio < 1.3
+
     def test_small_mu_warns(self, capsys):
         with pytest.warns(UserWarning) as record:
             code, _, _ = run(
@@ -295,3 +342,18 @@ def test_library_value_error_is_usage_error(capsys, monkeypatch, command):
     assert code == EXIT_USAGE
     assert out == ""
     assert err == "error: planted failure\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--n", "6", "--kmax", "2", "--tau-start", "0", "--tau-end", "1", "--steps", "3"),
+    ("analyze", "--n", "4", "--tau", "0.3", "--kmax", "2"),
+    ("fock", "--n", "2"),
+], ids=["sweep", "analyze", "fock"])
+def test_integrity_flag_exits_2_with_a_warning(capsys, monkeypatch, argv):
+    code, clean_out, clean_err = run(capsys, *argv)
+    assert (code, clean_err) == (EXIT_OK, "")
+    flag_every_result(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_INTEGRITY
+    assert out == clean_out  # the flag changes no output byte
+    assert err == INTEGRITY_WARNING

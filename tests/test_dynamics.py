@@ -68,6 +68,19 @@ def test_unitarity_over_grid():
             assert abs(np.linalg.norm(out.vector) - 1.0) < 1e-10
 
 
+# the propagator does not renormalize: its rotation alone keeps ||S|| = 1,
+# far inside the 1e-12 that QuantumState checks, up to N = 1023 and tau = 1e6
+@pytest.mark.parametrize("model", ["OAT", "TAT"])
+@pytest.mark.parametrize("n, kind", [(16, "pure"), (60, "pure"), (401, "pure"), (1023, "pure"),
+                                     (16, "mixed"), (60, "mixed"), (401, "mixed")])
+def test_evolution_preserves_the_norm(model, n, kind, rng):
+    basis = DickeBasis(n)
+    state = coherent_spin_state_z(basis) if kind == "pure" else _test_state(basis, kind, rng)
+    for tau in [*np.linspace(0.0, np.pi, 41), 1e3, 1e6]:
+        out = evolve(state, EvolutionSpec(model, float(tau)))
+        assert abs(np.linalg.norm(out.factor) - 1.0) <= 1e-13, tau
+
+
 def test_composition():
     css = coherent_spin_state_z(DickeBasis(10))
     for model in ("OAT", "TAT"):

@@ -8,6 +8,7 @@ from nlsqueeze import (
     DickeBasis,
     FockBasis,
     MomentData,
+    OperatorFamily,
     QuantumState,
     ZeroSignalError,
     build_cv_third_order_family,
@@ -170,6 +171,19 @@ class TestMomentMatrix:
         md = moment_matrix(gamma, c)
         assert md.robertson_violated
         assert md.kernel_leakage > 0.1
+
+    def test_zero_covariance_keeps_nothing(self):
+        # Jz has no spread on |j, j>: every direction is dropped, and there is
+        # no signal, so no measurement
+        basis, css, _ = css_and_linear_family(8)
+        fam = OperatorFamily.from_operators([build_spin_operators(basis)[2]], basis.tag)
+        md = moment_data(css, fam)
+        assert md.retained_count == 0
+        assert np.array_equal(md.m_matrix, np.zeros((1, 1)))
+        assert md.kernel_leakage == 0.0
+        result = chi2_inverse_opt(css, fam, [1.0])
+        assert result.chi2_inv == 0.0
+        assert result.m_coeffs is None
 
     def test_rejects_asymmetric_gamma(self):
         with pytest.raises(ValueError, match="symmetric"):
