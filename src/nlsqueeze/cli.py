@@ -28,7 +28,7 @@ from .moments import (
     simulate_moment_estimator,
     spin_squeezing_profile,
 )
-from .spin import DickeBasis, build_spin_family, build_spin_operators, parity_operator
+from .spin import DickeBasis, build_spin_family, parity_operator
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -118,7 +118,7 @@ def _run_sweep(args: argparse.Namespace) -> tuple[str | None, str, bool]:
     psi0 = coherent_spin_state_z(basis)
     family = build_spin_family(basis, cfg.k_max)
     if cfg.include_parity:
-        jz, parity = build_spin_operators(basis)[2], parity_operator(basis)
+        jz, parity = family[2], parity_operator(basis)  # members 0-2 are Jx, Jy, Jz
     records, lines, flagged = [], [], False
     for tau in np.linspace(cfg.tau_start, cfg.tau_end, cfg.steps):
         state = evolve(psi0, EvolutionSpec(cfg.model, float(tau)))
@@ -231,7 +231,7 @@ _AXES = ("Jx", "Jy", "Jz")
 def _spin_observable(basis: DickeBasis, name: str):
     if name == "parity":
         return parity_operator(basis)
-    return build_spin_operators(basis)[_AXES.index(name)]
+    return build_spin_family(basis, 1)[_AXES.index(name)]
 
 
 def _run_estimate(args: argparse.Namespace) -> tuple[str | None, str, bool]:

@@ -4,7 +4,6 @@ chi^-2 <= F <= F_Q."""
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,7 @@ from .states import QuantumState
 QFI_MODE_EPS = 1e-12
 EIG_CLUSTER_TOL = 1e-9
 PROB_FLOOR = 1e-12
-RICHARDSON_REL = 1e-4
+CHAIN_SLACK = 1e-8
 
 
 def _qfi_matrix(s: np.ndarray, rows_of) -> np.ndarray:
@@ -74,54 +73,25 @@ def f_max_density(state: QuantumState, basis: DickeBasis):
     return lam / basis.n_particles, direction
 
 
-def _clustered_projectors(observable: HermitianOperator, tol: float = EIG_CLUSTER_TOL):
-    """Eigenvector index groups of the observable, merging degenerate values."""
-    evals, evecs = np.linalg.eigh(observable.matrix)
-    groups = []
-    start = 0
-    for i in range(1, len(evals) + 1):
-        if i == len(evals) or evals[i] - evals[i - 1] > tol:
-            groups.append(slice(start, i))
-            start = i
-    return evals, evecs, groups
-
-
 def classical_fisher(state: QuantumState, generator: HermitianOperator,
-                     observable: HermitianOperator, theta: float,
-                     dtheta: float = 1e-5) -> float:
+                     observable: HermitianOperator, theta: float) -> float:
     """Fisher information of the observable's counting statistics at theta.
 
-    Probabilities come from the eigendecomposition of the observable with
-    degenerate eigenvalues merged at tolerance 1e-9; the theta derivative
-    is a central finite difference with step dtheta.  Outcomes with
-    probability below 1e-12 are excluded.  A halved-step re-evaluation
-    must agree to 1e-4 relative, otherwise a warning is emitted.
+    With S = exp(-i theta H) S_0 and each outcome g an eigenspace of the
+    observable (eigenvalues closer than 1e-9 merged, projector Pi_g),
+    p_g = ||Pi_g S||^2 and dp_g/dtheta = -i tr(Pi_g [H, rho]) =
+    2 Im tr(S^dagger Pi_g H S) exactly, both summed over the rows of g in
+    the observable's eigenbasis.  Outcomes with p_g <= 1e-12 are excluded.
     """
-    if dtheta <= 0:
-        raise ValueError("dtheta must be positive")
-    _, evecs, groups = _clustered_projectors(observable)
-    prop = HermitianPropagator(generator)
-
-    def probs(th: float) -> np.ndarray:
-        amps = np.sum(np.abs(evecs.conj().T @ prop.apply(state, th).factor) ** 2, axis=1)
-        return np.array([amps[g].sum() for g in groups])
-
-    p0 = probs(theta)
-
-    def fisher_for(h: float) -> float:
-        dp = (probs(theta + h) - probs(theta - h)) / (2.0 * h)
-        mask = p0 > PROB_FLOOR
-        return float(np.sum(dp[mask] ** 2 / p0[mask]))
-
-    f = fisher_for(dtheta)
-    f_half = fisher_for(dtheta / 2)
-    scale = max(abs(f), abs(f_half))
-    if scale > 1e-12 and abs(f_half - f) > RICHARDSON_REL * scale:
-        warnings.warn(
-            f"classical Fisher estimate changes by {abs(f_half - f):.3e} when the "
-            f"step is halved (step {dtheta:g}); reduce dtheta", stacklevel=2,
-        )
-    return f
+    evals, evecs = np.linalg.eigh(state._matrix_of(observable))
+    s = HermitianPropagator(generator).apply(state, theta).factor
+    a = evecs.conj().T @ s
+    b = evecs.conj().T @ (generator.matrix @ s)
+    starts = np.flatnonzero(np.r_[True, np.diff(evals) > EIG_CLUSTER_TOL])
+    p = np.add.reduceat(np.sum(np.abs(a) ** 2, axis=1), starts)
+    dp = 2.0 * np.add.reduceat(np.sum(a.conj() * b, axis=1).imag, starts)
+    keep = p > PROB_FLOOR
+    return float(np.sum(dp[keep] ** 2 / p[keep]))
 
 
 @dataclass(frozen=True)
@@ -132,14 +102,14 @@ class FisherReport:
     classical_fisher: float
     qfi: float
 
-    def validate_chain(self, slack: float = 1e-8) -> None:
-        """Raise unless chi^-2 <= F <= F_Q within the given relative slack."""
-        if self.chi2_inv > self.classical_fisher + slack * self.qfi:
+    def validate_chain(self) -> None:
+        """Raise unless chi^-2 <= F <= F_Q within the relative slack 1e-8."""
+        if self.chi2_inv > self.classical_fisher + CHAIN_SLACK * self.qfi:
             raise ValueError(
                 f"chain violated: chi2_inv {self.chi2_inv} > classical Fisher "
                 f"{self.classical_fisher}"
             )
-        if self.classical_fisher > self.qfi * (1.0 + slack):
+        if self.classical_fisher > self.qfi * (1.0 + CHAIN_SLACK):
             raise ValueError(
                 f"chain violated: classical Fisher {self.classical_fisher} > "
                 f"QFI {self.qfi}"

@@ -205,7 +205,8 @@ def principal_eigenpair(matrix: np.ndarray):
 
     Degenerate top eigenvalues are broken by preferring the eigenvector
     whose largest-magnitude coefficient sits at the smallest index; the
-    sign is fixed so the first nonzero coefficient is positive.
+    sign is fixed so the largest-magnitude coefficient (the first one on a
+    tie) is positive.
     """
     matrix = np.asarray(matrix, dtype=float)
     evals, evecs = np.linalg.eigh((matrix + matrix.T) / 2)
@@ -213,8 +214,7 @@ def principal_eigenpair(matrix: np.ndarray):
     tol = 1e-12 * max(1.0, abs(lam))
     candidates = [evecs[:, i] for i in range(len(evals)) if evals[i] >= lam - tol]
     best = min(candidates, key=lambda v: int(np.argmax(np.abs(v))))
-    nz = np.flatnonzero(np.abs(best) > 1e-12)
-    if nz.size and best[nz[0]] < 0:
+    if best[np.argmax(np.abs(best))] < 0:
         best = -best
     return best.copy(), float(lam)
 

@@ -34,8 +34,9 @@ class HermitianOperator:
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"operator {self.label!r} must be a square matrix")
+        # bound HERMITICITY_ATOL * max(1, largest entry), as in `moment_matrix`
         resid = np.abs(mat - mat.conj().T).max()
-        if resid > HERMITICITY_ATOL:
+        if resid > HERMITICITY_ATOL and resid > HERMITICITY_ATOL * np.abs(mat).max():
             raise ValueError(
                 f"operator {self.label!r} is not Hermitian (max residue {resid:.2e})"
             )

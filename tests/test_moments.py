@@ -301,11 +301,16 @@ class TestGeneratorOptimization:
         assert np.abs(vec - [1.0, 0.0, 0.0, 0.0]).max() < 1e-14
 
     def test_sign_convention(self):
-        # top eigenvector forced to start with a positive coefficient
+        # top eigenvector forced to have a positive largest-magnitude coefficient
         u = np.array([-0.8, 0.6])
         mat = 5.0 * np.outer(u, u) + np.eye(2)
         vec, _ = principal_eigenpair(mat)
         assert vec[0] > 0
+        assert angle_between(vec, u) < 1e-12
+        # a tiny leading coefficient does not decide the sign
+        u = np.array([1e-6, 0.0, -1.0]) / np.hypot(1e-6, 1.0)
+        vec, _ = principal_eigenpair(5.0 * np.outer(u, u) + np.eye(3))
+        assert vec[2] > 0
         assert angle_between(vec, u) < 1e-12
 
 
@@ -477,6 +482,8 @@ class TestSpinSqueezingOrders:
                     res.m_coeffs @ rows[:cnt], n_full @ rows[:cnt])
                 # a result without signal carries no measurement
                 assert (res.chi2_inv == 0.0) == (res.m_coeffs is None)
+                # the generator's largest-magnitude coefficient is positive
+                assert res.n_coeffs[np.argmax(np.abs(res.n_coeffs))] > 0
                 if signal is None:
                     no_signal += 1
                     assert res.chi2_inv == 0.0

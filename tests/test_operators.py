@@ -23,6 +23,22 @@ from conftest import random_hermitian
 def test_hermitian_operator_rejects_non_hermitian():
     with pytest.raises(ValueError, match="not Hermitian"):
         HermitianOperator(np.array([[0.0, 1.0], [0.0, 0.0]]), "bad")
+    # large entries: the bound scales with them, but a residue of 1e-9 times
+    # the largest entry stays far above it
+    with pytest.raises(ValueError, match="not Hermitian"):
+        HermitianOperator(1e6 * np.array([[1.0, 2.0], [2.0 + 3e-9, 3.0]]), "bad")
+
+
+@pytest.mark.parametrize("axis", [0, 1], ids=["Jx", "Jy"])
+def test_hermitian_operator_accepts_dense_spin_powers(axis):
+    # Jx^k and Jy^k at N = 60 carry rounding residues far above 1e-12 in
+    # absolute terms (1.8e-12 for k = 3, 3e-8 for k = 6), but about 2e-16
+    # relative to their largest entry
+    j = build_spin_operators(DickeBasis(60))[axis].matrix
+    power = j
+    for k in range(2, 7):
+        power = power @ j
+        assert HermitianOperator(power, f"J^{k}").matrix.shape == (61, 61)
 
 
 def test_hermitian_operator_rejects_non_square():
