@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import MAX_DIMENSION as MAX_CUTOFF
-from .operators import HermitianOperator, OperatorFamily, dense_matrix, ladder_bands
+from .operators import HermitianOperator, OperatorFamily, ladder_bands
 # symmetric_product: unused, kept for perfbench's trace targets
 from .operators import symmetric_product
 from .states import QuantumState
@@ -76,9 +76,7 @@ def _quadrature_bands(basis: FockBasis) -> np.ndarray:
 
 def build_quadratures(basis: FockBasis):
     """Quadratures x = (a + a^dag)/sqrt(2), p = i(a^dag - a)/sqrt(2)."""
-    bands = _quadrature_bands(basis)
-    return tuple(HermitianOperator(dense_matrix(bands[:, a]), label, degree=1)
-                 for a, label in enumerate(_QUADRATURES))
+    return tuple(OperatorFamily(_quadrature_bands(basis), list(_QUADRATURES), (1, 1), basis.tag))
 
 
 def quadrature_generator(basis: FockBasis, direction: QuadratureDirection) -> HermitianOperator:
@@ -129,15 +127,10 @@ def coherent_state(basis: FockBasis, alpha: complex) -> QuantumState:
         raise ValueError(
             f"|alpha|^2 = {abs(alpha) ** 2:.3g} exceeds cutoff/4 = {basis.cutoff / 4:.3g}"
         )
-    n = np.arange(basis.cutoff)
-    log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, basis.cutoff)))))
-    if alpha == 0:
-        amps = np.zeros(basis.cutoff, dtype=complex)
-        amps[0] = 1.0
-    else:
-        amps = np.exp(
-            n * np.log(complex(alpha)) - abs(alpha) ** 2 / 2 - log_fact / 2
-        )
+    # <n|alpha> = exp(-|alpha|^2 / 2) alpha^n / sqrt(n!), each amplitude
+    # alpha / sqrt(n) times the one before
+    ratios = np.concatenate(([1.0], complex(alpha) / np.sqrt(np.arange(1, basis.cutoff))))
+    amps = math.exp(-abs(alpha) ** 2 / 2) * np.cumprod(ratios)
     norm = np.linalg.norm(amps)
     correction = abs(1.0 - norm)
     if correction > RENORM_WARN_TOL:

@@ -78,16 +78,21 @@ def classical_fisher(state: QuantumState, generator: HermitianOperator,
     """Fisher information of the observable's counting statistics at theta.
 
     With S = exp(-i theta H) S_0 and each outcome g an eigenspace of the
-    observable (eigenvalues closer than 1e-9 merged, projector Pi_g),
-    p_g = ||Pi_g S||^2 and dp_g/dtheta = -i tr(Pi_g [H, rho]) =
-    2 Im tr(S^dagger Pi_g H S) exactly, both summed over the rows of g in
-    the observable's eigenbasis.  Outcomes with p_g <= 1e-12 are excluded.
+    observable (projector Pi_g), p_g = ||Pi_g S||^2 and dp_g/dtheta =
+    -i tr(Pi_g [H, rho]) = 2 Im tr(S^dagger Pi_g H S) exactly, both summed
+    over the rows of g in the observable's eigenbasis.  Outcomes with
+    p_g <= 1e-12 are excluded.  Eigenvalues closer than
+    max(1e-9, D eps max|lambda|), the rounding of `eigh` on a D x D matrix,
+    are merged, so an exactly degenerate pair is one outcome at any norm.
+    Distinct eigenvalues that close cannot be told apart in float64 and are
+    merged too: Jx^6 at N >= 400 exceeds float64 resolution in this way.
     """
     evals, evecs = np.linalg.eigh(state._matrix_of(observable))
     s = HermitianPropagator(generator).apply(state, theta).factor
     a = evecs.conj().T @ s
     b = evecs.conj().T @ (generator.matrix @ s)
-    starts = np.flatnonzero(np.r_[True, np.diff(evals) > EIG_CLUSTER_TOL])
+    tol = max(EIG_CLUSTER_TOL, len(evals) * np.finfo(float).eps * np.abs(evals).max())
+    starts = np.flatnonzero(np.r_[True, np.diff(evals) > tol])
     p = np.add.reduceat(np.sum(np.abs(a) ** 2, axis=1), starts)
     dp = 2.0 * np.add.reduceat(np.sum(a.conj() * b, axis=1).imag, starts)
     keep = p > PROB_FLOOR

@@ -161,10 +161,11 @@ def moment_matrix(gamma: np.ndarray, c: np.ndarray) -> MomentData:
     k = gamma.shape[0]
     if gamma.shape != (k, k) or c.shape != (k, k):
         raise ValueError("gamma and c must be square matrices of equal size")
-    if np.abs(gamma - gamma.T).max() > 1e-10 * max(1.0, np.abs(gamma).max()):
-        raise ValueError("gamma is not symmetric")
-    if np.abs(c + c.T).max() > 1e-10 * max(1.0, np.abs(c).max()):
-        raise ValueError("c is not skew-symmetric")
+    # written `not x <= tol`: a NaN or infinite entry leaves a NaN residue
+    if not np.abs(gamma - gamma.T).max() <= 1e-10 * max(1.0, np.abs(gamma).max()):
+        raise ValueError("gamma is not a finite symmetric matrix")
+    if not np.abs(c + c.T).max() <= 1e-10 * max(1.0, np.abs(c).max()):
+        raise ValueError("c is not a finite skew-symmetric matrix")
     gamma = (gamma + gamma.T) / 2
     c = (c - c.T) / 2
 

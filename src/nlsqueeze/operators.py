@@ -6,7 +6,7 @@ import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -34,9 +34,10 @@ class HermitianOperator:
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"operator {self.label!r} must be a square matrix")
-        # bound HERMITICITY_ATOL * max(1, largest entry), as in `moment_matrix`
+        # bound HERMITICITY_ATOL * max(1, largest entry), as in `moment_matrix`;
+        # a NaN or infinite entry leaves a NaN residue, which fails both tests
         resid = np.abs(mat - mat.conj().T).max()
-        if resid > HERMITICITY_ATOL and resid > HERMITICITY_ATOL * np.abs(mat).max():
+        if not (resid <= HERMITICITY_ATOL or resid <= HERMITICITY_ATOL * np.abs(mat).max()):
             raise ValueError(
                 f"operator {self.label!r} is not Hermitian (max residue {resid:.2e})"
             )
@@ -203,28 +204,20 @@ class OperatorFamily:
     clipped into the matrix, every H_k S is in bands @ S[band_cols], at
     O(L (2w+1) D r) cost (w = K for spin monomials up to degree K).  labels
     and degrees (monomial degree, 0 if not polynomial) hold one entry per
-    member; monomial_index maps a multi-degree tuple to the position of its
-    symmetrized monomial (empty for ad-hoc families).  The dense members
-    (`operators`, iteration, indexing) are built on first use.
+    member.  A dense member is built on each access (`fam[k]`, iteration,
+    `tuple(fam)` for all of them) and kept only by the caller.
     """
 
     bands: np.ndarray
     labels: list
     degrees: tuple
     basis_tag: str
-    monomial_index: dict = field(default_factory=dict)
-    _members: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.bands.ndim != 3 or self.bands.shape[1] == 0:
             raise ValueError("family must contain at least one operator")
         if not len(self.labels) == len(self.degrees) == len(self):
             raise ValueError("family needs one label and one degree per member")
-        positions = list(self.monomial_index.values())
-        if len(positions) != len(set(positions)):
-            raise ValueError("duplicate positions in monomial_index")
-        if any(not 0 <= p < len(self) for p in positions):
-            raise ValueError("monomial_index positions out of range")
         self.bands.setflags(write=False)
 
     @classmethod
@@ -241,7 +234,7 @@ class OperatorFamily:
     def from_factors(cls, factors: np.ndarray, names, degrees, basis_tag: str) -> "OperatorFamily":
         """Symmetrized monomials of the named factors, one per multi-degree."""
         return cls(symmetrized_bands(factors, degrees), [_sym_label(zip(names, d)) for d in degrees],
-                   tuple(map(sum, degrees)), basis_tag, {d: k for k, d in enumerate(degrees)})
+                   tuple(map(sum, degrees)), basis_tag)
 
     def __len__(self) -> int:
         return self.bands.shape[1]
@@ -251,14 +244,7 @@ class OperatorFamily:
 
     def __getitem__(self, idx: int) -> HermitianOperator:
         k = range(len(self))[idx]
-        if k not in self._members:
-            self._members[k] = HermitianOperator(
-                dense_matrix(self.bands[:, k]), self.labels[k], self.degrees[k])
-        return self._members[k]
-
-    @property
-    def operators(self) -> tuple[HermitianOperator, ...]:
-        return tuple(self)
+        return HermitianOperator(dense_matrix(self.bands[:, k]), self.labels[k], self.degrees[k])
 
     @property
     def dim(self) -> int:

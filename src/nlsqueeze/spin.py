@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import MAX_DIMENSION, HermitianOperator, OperatorFamily, dense_matrix, ladder_bands
+from .operators import MAX_DIMENSION, HermitianOperator, OperatorFamily, ladder_bands
 # symmetric_product: unused, kept for perfbench's trace targets
 from .operators import symmetric_product
 
@@ -73,9 +73,7 @@ def _spin_bands(basis: DickeBasis) -> np.ndarray:
 
 def build_spin_operators(basis: DickeBasis):
     """Dense collective Jx, Jy, Jz for total spin j = n_particles / 2."""
-    bands = _spin_bands(basis)
-    return tuple(HermitianOperator(dense_matrix(bands[:, a]), label, degree=1)
-                 for a, label in enumerate(_AXES))
+    return tuple(OperatorFamily(_spin_bands(basis), list(_AXES), (1, 1, 1), basis.tag))
 
 
 def _monomial_degrees(k_max: int) -> list[tuple[int, int, int]]:

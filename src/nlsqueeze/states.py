@@ -34,8 +34,8 @@ class QuantumState:
         if s.ndim != 2 or s.shape[1] < 1:
             raise ValueError("state factor must be a matrix with at least one column")
         norm = np.linalg.norm(s)
-        if abs(norm - 1.0) > PURE_NORM_ATOL:
-            raise ValueError(f"state norm {norm!r} is not 1")
+        if not abs(norm - 1.0) <= PURE_NORM_ATOL:  # written so that NaN fails
+            raise ValueError(f"state norm {float(norm)!r} is not 1")
         s.setflags(write=False)
         object.__setattr__(self, "factor", s)
 
@@ -48,9 +48,9 @@ class QuantumState:
         rho = np.asarray(density, dtype=complex)
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
             raise ValueError("density must be a square matrix")
-        if np.abs(rho - rho.conj().T).max() > DENSITY_ATOL:
-            raise ValueError("density operator is not Hermitian")
-        if abs(np.trace(rho).real - 1.0) > DENSITY_ATOL:
+        if not np.abs(rho - rho.conj().T).max() <= DENSITY_ATOL:
+            raise ValueError("density operator is not a finite Hermitian matrix")
+        if not abs(np.trace(rho).real - 1.0) <= DENSITY_ATOL:
             raise ValueError("density operator trace is not 1")
         lam, vecs = np.linalg.eigh((rho + rho.conj().T) / 2)
         if lam[0] < DENSITY_EIG_FLOOR:

@@ -71,7 +71,7 @@ def test_criterion_1_fock_exactness():
                 # directions: compare within the retained subspace and
                 # check the closed-form vector saturates the bound itself
                 chi2 = chi2_error_propagation(
-                    state, combine(family.operators, [n1, n2, 0, 0, 0, 0]), combine(family.operators, paper_m)
+                    state, combine(tuple(family), [n1, n2, 0, 0, 0, 0]), combine(tuple(family), paper_m)
                 )
                 assert abs(1.0 / chi2 - 2.0) <= 1e-9 * 2.0
                 proj = _retained_projector(md.gamma)
@@ -100,7 +100,7 @@ def test_criterion_2_saturation_oracle():
         target = float(n_vec @ md.m_matrix @ n_vec)
 
         m_vec = optimal_measurement(md, n_vec)
-        chi2 = chi2_error_propagation(state, combine(family.operators, n_vec), combine(family.operators, m_vec))
+        chi2 = chi2_error_propagation(state, combine(tuple(family), n_vec), combine(tuple(family), m_vec))
         assert abs(1.0 / chi2 - target) <= 1e-8 * target
 
         draws = rng.normal(size=(10_000, 4))

@@ -228,6 +228,20 @@ class TestClassicalFisher:
             got = classical_fisher(state, jy, jz2, theta=theta)
             assert abs(got - want) <= 1e-12 * want
 
+    @pytest.mark.parametrize("n", [100, 200, 400])
+    def test_powers_with_equal_eigenspaces_agree(self, n):
+        # Jx^2 and Jx^4 share their eigenspaces (the +-m pairs), so they have
+        # one counting statistics; the degenerate pairs of Jx^4 split by far
+        # more than 1e-9 in rounding once its norm reaches (N/2)^4
+        basis = DickeBasis(n)
+        jx, jy, _ = build_spin_operators(basis)
+        jx2 = HermitianOperator(jx.matrix @ jx.matrix, "Jx^2", degree=2)
+        jx4 = HermitianOperator(jx2.matrix @ jx2.matrix, "Jx^4", degree=4)
+        state = evolve(coherent_spin_state_z(basis), EvolutionSpec("OAT", 0.3))
+        f2 = classical_fisher(state, jy, jx2, theta=0.2)
+        f4 = classical_fisher(state, jy, jx4, theta=0.2)
+        assert abs(f4 - f2) <= 1e-8 * f2
+
 
 class TestShotNoise:
     def test_values(self):
@@ -279,8 +293,8 @@ class TestFisherReport:
         for tau in (0.15, 0.6, 1.1):
             state = evolve(coherent_spin_state_z(basis), EvolutionSpec("OAT", tau))
             res = spin_squeezing_profile(state, basis, 3, family=family)[-1]
-            gen = combine(family.operators, list(res.n_coeffs) + [0.0] * (len(family) - 3))
-            obs = combine(family.operators, res.m_coeffs)
+            gen = combine(tuple(family), list(res.n_coeffs) + [0.0] * (len(family) - 3))
+            obs = combine(tuple(family), res.m_coeffs)
             report = FisherReport(
                 chi2_inv=res.chi2_inv,
                 classical_fisher=classical_fisher(state, gen, obs, theta=0.0),

@@ -189,6 +189,15 @@ class TestMomentMatrix:
         with pytest.raises(ValueError, match="symmetric"):
             moment_matrix(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("which", ["gamma", "c"])
+    def test_rejects_nan(self, which):
+        # unchecked, a NaN in gamma gives M = 0 and one in c gives
+        # M = NaN, both with leakage 0, so no integrity flag would fire
+        gamma, c = np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]])
+        {"gamma": gamma, "c": c}[which][0, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            moment_matrix(gamma, c)
+
     def test_rejects_negative_gamma(self):
         with pytest.raises(ValueError, match="negative"):
             moment_matrix(np.diag([1.0, -0.5]), np.zeros((2, 2)))
@@ -254,8 +263,8 @@ class TestOptimalMeasurement:
             n_vec /= np.linalg.norm(n_vec)
             target = n_vec @ md.m_matrix @ n_vec
             m = optimal_measurement(md, n_vec)
-            chi2 = chi2_error_propagation(state, combine(fam.operators, n_vec),
-                                          combine(fam.operators, m))
+            chi2 = chi2_error_propagation(state, combine(tuple(fam), n_vec),
+                                          combine(tuple(fam), m))
             assert abs(1.0 / chi2 - target) <= 1e-8 * target
 
     def test_random_measurements_never_beat_the_bound(self, rng):
@@ -367,8 +376,8 @@ class TestChi2:
         def reference(res, n_slots):
             chi2 = chi2_error_propagation(
                 state,
-                combine(family.operators, padded(res.n_coeffs, n_slots)),
-                combine(family.operators, padded(res.m_coeffs, list(range(len(res.m_coeffs))))),
+                combine(tuple(family), padded(res.n_coeffs, n_slots)),
+                combine(tuple(family), padded(res.m_coeffs, list(range(len(res.m_coeffs))))),
             )
             return 1.0 / chi2
 

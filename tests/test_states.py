@@ -25,6 +25,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="Hermitian"):
             QuantumState.mixed(rho, "test")
 
+    @pytest.mark.parametrize("make", [
+        lambda: QuantumState.pure([np.nan, 0.0], "test"),
+        lambda: QuantumState.mixed(np.diag([np.nan, 1.0]), "test"),
+        lambda: QuantumState("test", np.array([[np.nan], [0.0]])),
+    ], ids=["pure", "mixed", "factor"])
+    def test_rejects_nan(self, make):
+        # a NaN fails every `x > tol` test, so the checks must be written to reject it
+        with pytest.raises(ValueError):
+            make()
+
     def test_mixed_rejects_trace_not_one(self):
         with pytest.raises(ValueError, match="trace"):
             QuantumState.mixed(np.eye(2) / 3, "test")
