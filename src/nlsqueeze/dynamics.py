@@ -40,7 +40,8 @@ class HermitianPropagator:
     generators.  Each application rotates the matching rows of the state's
     factor S (one column for a pure state) into each block's eigenbasis and
     back; a real eigenbasis acts on the float view of S, so it is never cast
-    to complex.  Instances are immutable and safe to share.
+    to complex.  A theta whose phases theta * lambda leave float range is
+    refused.  Instances are immutable and safe to share.
     """
 
     def __init__(self, generator: HermitianOperator):
@@ -68,6 +69,9 @@ class HermitianPropagator:
     def apply(self, state: QuantumState, theta: float) -> QuantumState:
         if state.dim != self.dim:
             raise BasisMismatchError("state dimension does not match the generator")
+        theta = float(theta)  # a Python float product overflows to inf without a warning
+        if not math.isfinite(theta * float(np.abs(self._evals).max())):  # also NaN theta
+            raise ValueError(f"theta {theta!r} times the generator's largest |eigenvalue| is not finite")
         blocks, size = self._evals.shape
         s = np.zeros((size * blocks, state.factor.shape[1]), dtype=complex)
         s[:self.dim] = state.factor
@@ -80,7 +84,8 @@ class HermitianPropagator:
             coeffs = (e.transpose(0, 2, 1) @ s.view(float)).view(complex)
             s = (e @ (phase * coeffs).view(float)).view(complex)
         s = s.transpose(1, 0, 2).reshape(size * blocks, -1)[:self.dim]
-        return QuantumState(state.basis_tag, s)  # unitary: QuantumState checks the norm
+        # U S has the Gram matrix of S, so the factor stays in its eigenframe
+        return QuantumState._in_eigenframe(state.basis_tag, s)
 
 
 def _twisting_band(basis: DickeBasis, model: str) -> np.ndarray:

@@ -22,23 +22,21 @@ PROB_FLOOR = 1e-12
 CHAIN_SLACK = 1e-8
 
 
-def _qfi_matrix(s: np.ndarray, rows_of) -> np.ndarray:
-    """Quantum Fisher matrix of rho = S S^dagger from centered rows.
+def _qfi_matrix(s: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Quantum Fisher matrix of rho = S S^dagger from its centered rows
+    R_a = (A_a - <A_a>) S.
 
-    The factor is first turned into its eigenframe S W, where S^dagger S =
-    W diag(l) W^dagger: the same rho, with orthogonal columns S W / sqrt(l)
-    that are the eigenvectors of rho for its nonzero eigenvalues l.  With
-    the centered rows R_a = (A_a - <A_a>) S W that `rows_of(S W)` returns
-    and P^a = (S W)^dagger R_a,
+    A state's factor is kept in its eigenframe (see `QuantumState`):
+    S^dagger S = diag(l), so its columns are eigenvectors of rho scaled by
+    sqrt(l_i), and the eigenvalues l are their squared norms.  With
+    P^a = S^dagger R_a,
     Q_ab = 4 Re<R_a|R_b> - 8 sum_ij Re(P^a_ij conj(P^b_ij)) / (l_i + l_j),
     which is the spectral formula 2 sum_ij (l_i - l_j)^2 / (l_i + l_j)
     Re(A_ij B_ji); pairs with l_i + l_j below 1e-12 are dropped to avoid
     0/0.  For a pure state P vanishes and Q is four times the covariance
     matrix.
     """
-    lam, w = np.linalg.eigh(s.conj().T @ s)
-    s = s @ w
-    rows = rows_of(s)
+    lam = np.linalg.norm(s, axis=0) ** 2
     sums = (lam[:, None] + lam[None, :]).ravel()
     inv = np.divide(1.0, sums, out=np.zeros_like(sums), where=sums > QFI_MODE_EPS)
     p = (s.conj().T @ rows.reshape(len(rows), *s.shape)).reshape(len(rows), -1)
@@ -50,7 +48,7 @@ def _qfi_matrix(s: np.ndarray, rows_of) -> np.ndarray:
 def qfi(state: QuantumState, generator: HermitianOperator) -> float:
     """Quantum Fisher information of a pure or mixed state for a generator."""
     mat = state._matrix_of(generator)
-    return float(_qfi_matrix(state.factor, lambda s: _operator_rows(s, mat))[0, 0])
+    return float(_qfi_matrix(state.factor, _operator_rows(state.factor, mat))[0, 0])
 
 
 @functools.lru_cache(maxsize=8)
@@ -68,7 +66,7 @@ def f_max_density(state: QuantumState, basis: DickeBasis):
     """
     if state.basis_tag != basis.tag:
         raise BasisMismatchError("state does not live in the given Dicke basis")
-    q = _qfi_matrix(state.factor, lambda s: _centered_rows(s, _spin_axes(basis)))
+    q = _qfi_matrix(state.factor, _centered_rows(state.factor, _spin_axes(basis)))
     direction, lam = principal_eigenpair(q)
     return lam / basis.n_particles, direction
 

@@ -36,29 +36,30 @@ def _centered_rows(s: np.ndarray, family: OperatorFamily) -> np.ndarray:
     rows before the products avoids the cancellation that plagues
     high-degree monomials, whose raw second moments dwarf their covariances.
     The products H_k S come from the family's stored diagonals, so no dense
-    member is touched.
+    member is touched, and are written straight into the returned table.
     """
-    prod = family.bands @ s[family.band_cols]  # prod[i, k] = (H_k S)[i]
-    return _center(prod, s)
+    rows = np.empty((len(family), *s.shape), dtype=complex)
+    np.matmul(family.bands, s[family.band_cols], out=rows.transpose(1, 0, 2))  # rows[k] = H_k S
+    return _center(rows, s)
 
 
 def _operator_rows(s: np.ndarray, *mats) -> np.ndarray:
     """Centered rows (A - <A>) S of dense matrices, as `_centered_rows`."""
-    return _center(np.stack([a @ s for a in mats], axis=1), s)
+    return _center(np.stack([a @ s for a in mats]), s)
 
 
-def _center(prod: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Rows (H_k - <H_k>) S, flattened, from prod[:, k] = H_k S, checking the
-    means.  Means and norms are read from prod and its float view, and the
-    rows are written once, into the array returned: no other array of
-    prod's size is made."""
-    mu_c = np.einsum("ikc,ic->k", prod, s.conj())
-    f = prod.view(float)
+def _center(rows: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Center rows[k] = H_k S in place into (H_k - <H_k>) S, checking the
+    means, and return them flattened.  The means are one product of the
+    flattened rows with S*, and the bound on their residue is read from the
+    rows before centering."""
+    flat = rows.reshape(len(rows), -1)
+    mu_c = flat @ s.conj().ravel()
+    f = flat.view(float)
     # Cauchy-Schwarz: |<H_k>| <= ||H_k S|| ||S||, the scale of the residue
-    _check_mean_residue(mu_c, np.sqrt(np.einsum("ikc,ikc->k", f, f)) * math.sqrt(np.vdot(s, s).real))
-    rows = np.multiply(mu_c.real[:, None, None], s)  # rows[k] = <H_k> S
-    np.subtract(prod.transpose(1, 0, 2), rows, out=rows)
-    return rows.reshape(len(rows), -1)
+    _check_mean_residue(mu_c, np.sqrt(np.einsum("kj,kj->k", f, f)) * math.sqrt(np.vdot(s, s).real))
+    rows -= mu_c.real[:, None, None] * s
+    return flat
 
 
 def _signal(x: np.ndarray, h: np.ndarray):

@@ -22,6 +22,10 @@ class QuantumState:
     density operator and stores its positive part, S = V sqrt(lambda) over
     the eigenvalues lambda > eps * dim * lambda_max, renormalized to unit
     trace (||S||_F = 1).
+    The factor is kept in its eigenframe, S^dagger S = diag(l) with l the
+    eigenvalues of rho: a factor of several columns is rotated once on
+    construction, S <- S W with S^dagger S = W diag(l) W^dagger (the same
+    rho); `mixed()` and an evolved factor U S are in it already.
     Every expectation value is a product of S with operators, so pure and
     mixed states share one code path.
     """
@@ -30,12 +34,27 @@ class QuantumState:
     factor: np.ndarray
 
     def __post_init__(self):
+        self._settle(rotate=True)
+
+    @classmethod
+    def _in_eigenframe(cls, basis_tag: str, factor: np.ndarray) -> "QuantumState":
+        """State of a factor whose columns are already orthogonal (V sqrt(lambda),
+        or U S for a state's factor S and a unitary U): checked, not rotated."""
+        state = cls.__new__(cls)
+        object.__setattr__(state, "basis_tag", basis_tag)
+        object.__setattr__(state, "factor", factor)
+        state._settle(rotate=False)
+        return state
+
+    def _settle(self, rotate: bool) -> None:
         s = np.asarray(self.factor, dtype=complex)
         if s.ndim != 2 or s.shape[1] < 1:
             raise ValueError("state factor must be a matrix with at least one column")
         norm = np.linalg.norm(s)
         if not abs(norm - 1.0) <= PURE_NORM_ATOL:  # written so that NaN fails
             raise ValueError(f"state norm {float(norm)!r} is not 1")
+        if rotate and s.shape[1] > 1:
+            s = s @ np.linalg.eigh(s.conj().T @ s)[1]
         s.setflags(write=False)
         object.__setattr__(self, "factor", s)
 
@@ -59,7 +78,7 @@ class QuantumState:
         # noise, so a pure density keeps one column
         keep = lam > np.finfo(float).eps * rho.shape[0] * lam[-1]
         s = vecs[:, keep] * np.sqrt(lam[keep])
-        return cls(basis_tag, s / np.linalg.norm(s))
+        return cls._in_eigenframe(basis_tag, s / np.linalg.norm(s))
 
     @property
     def is_pure(self) -> bool:

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -248,6 +249,15 @@ class TestAnalyze:
         assert code == EXIT_OK
         payload = json.loads(out)
         assert abs(payload["lambda_max"] - 6.0) < 1e-9
+
+    def test_huge_tau_is_one_clean_error(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "analyze", "--n", "5", "--tau", "1e308")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")  # no RuntimeWarning lines
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "analysis.json"

@@ -145,6 +145,17 @@ def test_evolution_spec_validation():
         EvolutionSpec("OAT", float("inf"))
 
 
+def test_phase_beyond_float_range_is_refused():
+    basis = DickeBasis(5)
+    css = coherent_spin_state_z(basis)
+    prop = HermitianPropagator(twisting_generator(basis, "OAT"))
+    for theta in (1e308, float("nan")):
+        with pytest.raises(ValueError, match="not finite"):
+            prop.apply(css, theta)
+    with pytest.raises(ValueError, match="not finite"):
+        evolve(css, EvolutionSpec("TAT", 1e308))
+
+
 def test_generator_eigensystem_reused_across_sweep():
     from nlsqueeze.dynamics import _cached_propagator
 

@@ -12,9 +12,11 @@ from nlsqueeze import (
     build_spin_family,
     build_spin_operators,
     chi2_error_propagation,
+    chi2_inverse_opt,
     classical_fisher,
     coherent_spin_state_z,
     combine,
+    commutator_matrix,
     covariance_matrix,
     evolve,
     f_max_density,
@@ -27,7 +29,7 @@ from nlsqueeze import (
 from nlsqueeze.dynamics import EvolutionSpec
 from nlsqueeze.fisher import _spin_axes
 
-from conftest import random_hermitian, random_pure_state
+from conftest import random_density, random_hermitian, random_pure_state
 
 
 def standard_ghz(n):
@@ -54,6 +56,13 @@ def random_factor(rng, dim, rank, basis_tag="test"):
     """Unit-trace factor with non-orthogonal columns (rho = S S^dagger)."""
     s = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     return QuantumState(basis_tag, s / np.linalg.norm(s))
+
+
+def noisy_css(n=60, weight=0.1):
+    """The coherent state |j, j> mixed with white noise of the given weight."""
+    basis = DickeBasis(n)
+    rho = (1 - weight) * coherent_spin_state_z(basis).density_matrix() + weight * np.eye(n + 1) / (n + 1)
+    return basis, QuantumState.mixed(rho, basis.tag)
 
 
 def bures_qfi_oracle(rho, generator, dtheta=1e-4):
@@ -355,10 +364,8 @@ class TestQfiKernel:
         self.check(state, basis, random_hermitian(rng, 7))
 
     def test_evolved_noisy_tat_state(self):
-        basis = DickeBasis(60)
-        css = coherent_spin_state_z(basis)
-        rho = 0.9 * css.density_matrix() + 0.1 * np.eye(61) / 61
-        state = evolve(QuantumState.mixed(rho, basis.tag), EvolutionSpec("TAT", 1.0))
+        basis, state = noisy_css()
+        state = evolve(state, EvolutionSpec("TAT", 1.0))
         assert state.factor.shape == (61, 61)
         self.check(state, basis, build_spin_operators(basis)[0])
 
@@ -371,3 +378,78 @@ class TestQfiKernel:
         want = np.trace(rho @ centered @ centered).real / abs(np.trace(rho @ (x @ h - h @ x))) ** 2
         got = chi2_error_propagation(state, HermitianOperator(h, "H"), HermitianOperator(x, "X"))
         assert abs(got - want) <= 1e-12 * want
+
+
+def gram_off_diagonal(state):
+    """Largest off-diagonal entry of S^dagger S relative to its largest eigenvalue."""
+    gram = state.factor.conj().T @ state.factor
+    return np.abs(gram - np.diag(np.diag(gram))).max(initial=0.0) / np.diag(gram).real.max()
+
+
+def random_unitary(rng, r):
+    q, upper = np.linalg.qr(rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r)))
+    return q * (np.diag(upper) / np.abs(np.diag(upper)))
+
+
+class TestEigenframe:
+    """Every state's factor has orthogonal columns, and the QFI reads rho's
+    eigenvalues from their norms."""
+
+    TAUS = [*np.linspace(0.0, np.pi, 41), 1e3, 1e6]
+
+    def test_constructed_factors(self, rng):
+        basis = DickeBasis(6)
+        raw = random_factor(rng, 7, 3, basis.tag)
+        padded = QuantumState(basis.tag, np.column_stack([raw.factor[:, 0], np.zeros(7)])
+                              / np.linalg.norm(raw.factor[:, 0]))
+        states = [random_pure_state(rng, 7, basis.tag), random_density(rng, 7, basis.tag, rank=3),
+                  raw, padded]
+        for state in states:
+            assert gram_off_diagonal(state) <= 1e-15
+            TestQfiKernel.check(state, basis, random_hermitian(rng, 7))
+
+    @pytest.mark.parametrize("model", ["OAT", "TAT"])
+    def test_evolution_keeps_the_eigenframe(self, model):
+        basis, state = noisy_css()
+        assert gram_off_diagonal(state) <= 1e-15
+        jx = build_spin_operators(basis)[0]
+        for tau in self.TAUS:
+            out = evolve(state, EvolutionSpec(model, tau))
+            assert gram_off_diagonal(out) <= 1e-15
+            TestQfiKernel.check(out, basis, jx)
+
+    def test_sweep_point_diagonalizes_only_the_fisher_matrix(self, monkeypatch):
+        basis, state = noisy_css()
+        spec = EvolutionSpec("TAT", 0.7)
+        f_max_density(evolve(state, spec), basis)  # warm-up: propagator and spin axes cached
+        eigh, shapes = np.linalg.eigh, []
+
+        def counting_eigh(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        f_max_density(evolve(state, spec), basis)
+        assert shapes == [(3, 3)]  # the principal eigenpair of the 3 x 3 Fisher matrix
+
+    @staticmethod
+    def _quantities(state, basis, family, h):
+        direction = np.ones(3) / np.sqrt(3.0)
+        return [covariance_matrix(state, family), commutator_matrix(state, family),
+                qfi(state, h), f_max_density(state, basis)[0],
+                chi2_inverse_opt(state, family, direction).chi2_inv]
+
+    @pytest.mark.parametrize("rank", [3, 5, 61])
+    def test_frame_change_of_the_factor_changes_nothing(self, rng, rank):
+        if rank == 61:  # the noisy coherent state after twist-and-turn
+            basis, state = noisy_css()
+            state = evolve(state, EvolutionSpec("TAT", 0.7))
+        else:
+            basis = DickeBasis(6)
+            state = random_factor(rng, 7, rank, basis.tag)
+        family = build_spin_family(basis, 3)
+        h = random_hermitian(rng, basis.dimension)
+        turned = QuantumState(state.basis_tag, state.factor @ random_unitary(rng, rank))
+        for want, got in zip(self._quantities(state, basis, family, h),
+                             self._quantities(turned, basis, family, h)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
