@@ -109,24 +109,24 @@ class MomentData:
     """Covariance/commutator matrices and the regularized moment matrix.
 
     The pseudo-inversion runs on the variance-equilibrated covariance
-    (each member rescaled to unit variance via `scales`), which keeps the
-    spectrum well conditioned when the family mixes operator degrees; the
-    stored gamma, c and m_matrix refer to the original operators.
-    retained_dims holds the kept (trailing, ascending-eigenvalue)
-    eigenvector columns of the equilibrated covariance, gamma_eigs its
-    full spectrum and scales the member factors 1 / (Delta H_k) (1 for a
-    member without variance).  kernel_leakage is the largest norm of an
-    equilibrated commutator column along a dropped direction, relative to
-    the Frobenius norm of the equilibrated commutator matrix; values above
-    KERNEL_LEAK_TOL signal numerical corruption because exact states
-    cannot carry signal in a zero-variance direction.
+    Gamma_eq = diag(scales) Gamma diag(scales), where scales holds the
+    member factors 1 / (Delta H_k) (1 for a member without variance); this
+    keeps the spectrum well conditioned when the family mixes operator
+    degrees.  The stored gamma, c and m_matrix refer to the original
+    operators.  retained is the one factor of the pseudo-inverse,
+    W = V lambda^(-1/2) on the kept eigenpairs (lambda, V) of Gamma_eq:
+    Gamma_eq^+ = W W^T and Gamma^+ = diag(scales) W W^T diag(scales).
+    kernel_leakage is the largest norm of an equilibrated commutator column
+    along a dropped direction, relative to the Frobenius norm of the
+    equilibrated commutator matrix; values above KERNEL_LEAK_TOL signal
+    numerical corruption because exact states cannot carry signal in a
+    zero-variance direction.
     """
 
     gamma: np.ndarray
     c: np.ndarray
     m_matrix: np.ndarray
-    retained_dims: np.ndarray
-    gamma_eigs: np.ndarray
+    retained: np.ndarray
     kernel_leakage: float
     scales: np.ndarray
 
@@ -136,11 +136,7 @@ class MomentData:
 
     @property
     def retained_count(self) -> int:
-        return self.retained_dims.shape[1]
-
-    @property
-    def retained_eigs(self) -> np.ndarray:
-        return self.gamma_eigs[self.size - self.retained_count:]
+        return self.retained.shape[1]
 
     @property
     def robertson_violated(self) -> bool:
@@ -171,7 +167,7 @@ def moment_matrix(gamma: np.ndarray, c: np.ndarray) -> MomentData:
     c = (c - c.T) / 2
 
     dev = np.sqrt(np.clip(np.diag(gamma), 0.0, None))
-    scales = np.where(dev > 0.0, 1.0 / np.where(dev > 0.0, dev, 1.0), 1.0)
+    scales = np.divide(1.0, dev, out=np.ones_like(dev), where=dev > 0.0)
     gamma_eq = gamma * scales[:, None] * scales[None, :]
     c_eq = c * scales[:, None] * scales[None, :]
 
@@ -181,11 +177,9 @@ def moment_matrix(gamma: np.ndarray, c: np.ndarray) -> MomentData:
         raise ValueError("gamma has a negative eigenvalue beyond tolerance")
     keep = evals > GAMMA_EPS_REL * lam_top  # all False when lam_top <= 0
 
-    retained = evecs[:, keep]
-    proj = retained.T @ c_eq  # (r, k)
-    m_eq = proj.T @ (proj / evals[keep][:, None])  # k x k zeros when nothing is kept
-    m = m_eq * dev[:, None] * dev[None, :]  # undo the equilibration
-    m = (m + m.T) / 2
+    retained = evecs[:, keep] / np.sqrt(evals[keep])
+    proj = (retained.T @ c_eq) * dev  # (r, k); the factor dev undoes the equilibration
+    m = proj.T @ proj  # exactly symmetric (BLAS syrk); k x k zeros when nothing is kept
 
     c_norm = np.linalg.norm(c_eq)
     dropped = evecs[:, ~keep]
@@ -193,7 +187,7 @@ def moment_matrix(gamma: np.ndarray, c: np.ndarray) -> MomentData:
         leakage = float(np.linalg.norm(c_eq @ dropped, axis=0).max() / c_norm)
     else:
         leakage = 0.0
-    return MomentData(gamma, c, m, retained, evals, leakage, scales)
+    return MomentData(gamma, c, m, retained, leakage, scales)
 
 
 def moment_data(state: QuantumState, family: OperatorFamily) -> MomentData:
@@ -203,12 +197,13 @@ def moment_data(state: QuantumState, family: OperatorFamily) -> MomentData:
 
 
 def principal_eigenpair(matrix: np.ndarray):
-    """Top eigenpair of a symmetric matrix with deterministic conventions.
+    """Top eigenpair of a symmetric matrix, the largest-magnitude coefficient
+    (the first one on a tie) made positive.
 
-    Degenerate top eigenvalues are broken by preferring the eigenvector
-    whose largest-magnitude coefficient sits at the smallest index; the
-    sign is fixed so the largest-magnitude coefficient (the first one on a
-    tie) is positive.
+    A degenerate top eigenspace gets no canonical vector: of the vectors
+    `eigh` returns for it, the one whose largest-magnitude coefficient
+    sits at the smallest index wins, so rounding noise can turn the result
+    within that space (ROADMAP item 5).
     """
     matrix = np.asarray(matrix, dtype=float)
     evals, evecs = np.linalg.eigh((matrix + matrix.T) / 2)
@@ -224,22 +219,21 @@ def principal_eigenpair(matrix: np.ndarray):
 def optimal_measurement(md: MomentData, n_coeffs) -> np.ndarray:
     """Unit-norm measurement coefficients saturating the moment bound.
 
-    Implements the pseudo-inverse version of m ~ Gamma^{-1} C n.  When
+    Implements m ~ Gamma^+ C n with the stored factor W of Gamma^+.  When
     n_coeffs is shorter than the family, it sits on the leading members and
     is zero-padded elsewhere.  Raises ZeroSignalError when C n vanishes: no
     accessible observable responds to this generator.
     """
     n_coeffs = np.asarray(n_coeffs, dtype=float)
-    if len(n_coeffs) > md.size:
-        raise ValueError("n_coeffs is longer than the family")
+    if len(n_coeffs) > md.size or not np.isfinite(n_coeffs).all():
+        raise ValueError("n_coeffs must be finite and no longer than the family")
     n_full = np.zeros(md.size)
     n_full[:len(n_coeffs)] = n_coeffs
     scales = md.scales
     cn_eq = scales * (md.c @ n_full)  # equilibrated signal vector C' n'
     if np.linalg.norm(cn_eq) <= 1e-14 * max(1.0, np.linalg.norm(md.c * scales[:, None] * scales[None, :])):
         raise ZeroSignalError("C n vanishes: zero sensitivity for this generator")
-    weights = md.retained_dims.T @ cn_eq
-    m = scales * (md.retained_dims @ (weights / md.retained_eigs))
+    m = scales * (md.retained @ (md.retained.T @ cn_eq))
     norm = np.linalg.norm(m)
     if norm == 0.0:
         raise ZeroSignalError("C n lies outside the retained covariance subspace")
@@ -249,12 +243,13 @@ def optimal_measurement(md: MomentData, n_coeffs) -> np.ndarray:
 def optimize_generator(md: MomentData, generator_slots):
     """Best generator direction within the given slots.
 
-    Returns the top eigenvector and eigenvalue of the principal submatrix
-    of the moment matrix on generator_slots.
+    Returns the top eigenpair of the principal submatrix of the moment
+    matrix on generator_slots, which must be distinct member indices.
     """
     slots = list(generator_slots)
-    if not slots:
-        raise ValueError("generator_slots must be non-empty")
+    valid = all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) and 0 <= i < md.size for i in slots)
+    if not (slots and valid and len(set(slots)) == len(slots)):
+        raise ValueError(f"generator_slots must be distinct integers in 0..{md.size - 1}")
     return principal_eigenpair(md.m_matrix[np.ix_(slots, slots)])
 
 
@@ -349,7 +344,7 @@ def chi2_inverse_opt(state: QuantumState, family: OperatorFamily, n_coeffs,
     n_coeffs = np.asarray(n_coeffs, dtype=float)
     if len(n_coeffs) != len(slots):
         raise ValueError("n_coeffs length must match the generator slots")
-    if abs(np.linalg.norm(n_coeffs) - 1.0) > 1e-10:
+    if not abs(np.linalg.norm(n_coeffs) - 1.0) <= 1e-10:  # NaN fails too
         raise ValueError("generator direction must be a unit vector")
     check_same_basis(state, family)
     rows = _centered_rows(state.factor, family)

@@ -157,6 +157,49 @@ class TestMomentMatrix:
         md = moment_matrix(np.eye(5), c)
         assert np.abs(md.m_matrix - c.T @ c).max() < 1e-12
 
+    @pytest.mark.parametrize("case", ["pure", "mixed", "OAT", "TAT"])
+    def test_retained_factor_whitens_the_covariance(self, case, rng):
+        # W^T Gamma_eq W = I_r for the stored factor W = V lambda^(-1/2); the
+        # spin points are well conditioned, since elsewhere the identity holds
+        # only to about eps lambda_max / lambda_min (ROADMAP item 1)
+        if case in ("pure", "mixed"):
+            make = random_pure_state if case == "pure" else random_density
+            mds = [moment_data(make(rng, dim), random_family(rng, dim, size))
+                   for dim, size in ((5, 4), (9, 6), (12, 8))]
+        else:
+            basis = DickeBasis(16 if case == "OAT" else 10)
+            mds = [res.moments for tau in (0.2, 0.4, 1.0) for res in spin_squeezing_profile(
+                evolve(coherent_spin_state_z(basis), EvolutionSpec(case, tau)), basis,
+                3 if case == "OAT" else 2)]
+        for md in mds:
+            w, scales = md.retained, md.scales
+            gamma_eq = md.gamma * scales[:, None] * scales[None, :]
+            assert np.abs(w.T @ gamma_eq @ w - np.eye(md.retained_count)).max() <= 1e-10
+            assert np.array_equal(md.m_matrix, md.m_matrix.T)
+
+    def test_full_rank_matches_the_inverse(self, rng):
+        # full rank: M = C^T Gamma^-1 C and m ~ Gamma^-1 C n, from the factor
+        for make in (random_pure_state, random_density):
+            md = moment_data(make(rng, 9), random_family(rng, 9, 6))
+            assert md.retained_count == 6
+            want = md.c.T @ np.linalg.solve(md.gamma, md.c)
+            assert np.abs(md.m_matrix - want).max() <= 1e-9 * np.abs(want).max()
+            n_vec = rng.normal(size=6)
+            m_want = np.linalg.solve(md.gamma, md.c @ n_vec)
+            m_want /= np.linalg.norm(m_want)
+            assert np.abs(optimal_measurement(md, n_vec) - m_want).max() <= 1e-9
+
+    def test_members_without_variance_have_zero_rows(self):
+        # on |j, j> Jz and Jz^2 have no spread: their rows and columns of M
+        # are exact zeros, and the others are not
+        basis = DickeBasis(8)
+        fam = build_spin_family(basis, 2)
+        md = moment_data(coherent_spin_state_z(basis), fam)
+        dark = [fam.labels.index("Jz"), fam.labels.index("Jz^2")]
+        assert np.array_equal(md.scales[dark], [1.0, 1.0])
+        assert not md.m_matrix[dark].any() and not md.m_matrix[:, dark].any()
+        assert np.delete(np.delete(md.m_matrix, dark, 0), dark, 1).any(axis=0).all()
+
     def test_fock_third_order_block_is_isotropic(self):
         n = 3
         basis = FockBasis(n + 8)
@@ -211,6 +254,7 @@ class TestMomentMatrix:
                 state = evolve(coherent_spin_state_z(basis), EvolutionSpec(model, tau))
                 md = moment_data(state, fam)
                 assert md.kernel_leakage <= 1e-8
+                assert np.array_equal(md.m_matrix, md.m_matrix.T)
 
 
 class TestOptimalMeasurement:
@@ -237,6 +281,12 @@ class TestOptimalMeasurement:
         md = moment_data(css, fam)
         with pytest.raises(ZeroSignalError):
             optimal_measurement(md, [0.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_coefficients(self, bad):
+        _, css, fam = css_and_linear_family(8)
+        with pytest.raises(ValueError, match="finite"):
+            optimal_measurement(moment_data(css, fam), [bad, 0.0, 0.0])
 
     def test_fock_measurement_matches_closed_form(self):
         n = 4
@@ -295,14 +345,26 @@ class TestGeneratorOptimization:
             gamma=np.eye(3),
             c=np.zeros((3, 3)),
             m_matrix=np.diag([3.0, 1.0, 2.0]),
-            retained_dims=np.eye(3),
-            gamma_eigs=np.ones(3),
+            retained=np.eye(3),
             kernel_leakage=0.0,
             scales=np.ones(3),
         )
         n_opt, lam = optimize_generator(md, [0, 1, 2])
         assert lam == 3.0
         assert np.abs(n_opt - [1.0, 0.0, 0.0]).max() < 1e-14
+
+    @pytest.mark.parametrize("slots, n_vec", [([0, 0], [0.6, 0.8]), ([-1], [1.0]), ([9], [1.0])],
+                             ids=["repeated", "negative", "beyond"])
+    def test_rejects_invalid_slots(self, slots, n_vec):
+        # unchecked, [0, 0] reported the direction [0.6, 0.8] but measured
+        # 0.8 Jx alone, [-1] used Jz^2, and [9] raised an IndexError
+        basis = DickeBasis(8)
+        state = evolve(coherent_spin_state_z(basis), EvolutionSpec("OAT", 0.3))
+        fam = build_spin_family(basis, 2)
+        with pytest.raises(ValueError, match="distinct integers in 0..8"):
+            optimize_generator(moment_data(state, fam), slots)
+        with pytest.raises(ValueError, match="distinct integers"):
+            chi2_inverse_opt(state, fam, n_vec, generator_slots=slots)
 
     def test_degenerate_top_prefers_smallest_leading_index(self):
         vec, lam = principal_eigenpair(np.eye(4))
@@ -345,6 +407,9 @@ class TestChi2:
         _, css, fam = css_and_linear_family(n)
         with pytest.raises(ValueError, match="unit"):
             chi2_inverse_opt(css, fam, [2.0, 0.0, 0.0])
+        # a NaN direction is no unit vector, not a direction without signal
+        with pytest.raises(ValueError, match="unit"):
+            chi2_inverse_opt(css, fam, [np.nan, 0.0, 0.0])
 
     def test_fock_third_order_value(self):
         for n in (0, 2, 5):
