@@ -22,33 +22,35 @@ PROB_FLOOR = 1e-12
 CHAIN_SLACK = 1e-8
 
 
-def _qfi_matrix(s: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _qfi_matrix(s: np.ndarray, rows: np.ndarray, gram: np.ndarray) -> np.ndarray:
     """Quantum Fisher matrix of rho = S S^dagger from its centered rows
-    R_a = (A_a - <A_a>) S.
+    R_a = (A_a - <A_a>) S and their Gram matrix Z = R* R^T, as returned by
+    `moments._center`.
 
     A state's factor is kept in its eigenframe (see `QuantumState`):
     S^dagger S = diag(l), so its columns are eigenvectors of rho scaled by
     sqrt(l_i), and the eigenvalues l are their squared norms.  With
     P^a = S^dagger R_a,
-    Q_ab = 4 Re<R_a|R_b> - 8 sum_ij Re(P^a_ij conj(P^b_ij)) / (l_i + l_j),
+    Q_ab = 4 Re Z_ab - 8 sum_ij Re(P^a_ij conj(P^b_ij)) / (l_i + l_j),
     which is the spectral formula 2 sum_ij (l_i - l_j)^2 / (l_i + l_j)
     Re(A_ij B_ji); pairs with l_i + l_j below 1e-12 are dropped to avoid
     0/0.  For a pure state P vanishes and Q is four times the covariance
-    matrix.
+    matrix.  Re Z is read from the centering pass, so the rows are not
+    copied again here.
     """
     lam = np.linalg.norm(s, axis=0) ** 2
     sums = (lam[:, None] + lam[None, :]).ravel()
     inv = np.divide(1.0, sums, out=np.zeros_like(sums), where=sums > QFI_MODE_EPS)
-    p = (s.conj().T @ rows.reshape(len(rows), *s.shape)).reshape(len(rows), -1)
+    p = (s.conj().T @ rows.reshape(len(rows), *s.shape)).reshape(len(rows), -1).view(float)
     # Re(x conj(y)) summed is the real dot product of the float views
-    cross = (p * inv).view(float) @ p.view(float).T
-    return 4.0 * (rows.conj() @ rows.T).real - 8.0 * cross
+    cross = (p * np.repeat(inv, 2)) @ p.T
+    return 4.0 * gram.real - 8.0 * cross
 
 
 def qfi(state: QuantumState, generator: HermitianOperator) -> float:
     """Quantum Fisher information of a pure or mixed state for a generator."""
     mat = state._matrix_of(generator)
-    return float(_qfi_matrix(state.factor, _operator_rows(state.factor, mat))[0, 0])
+    return float(_qfi_matrix(state.factor, *_operator_rows(state.factor, mat))[0, 0])
 
 
 @functools.lru_cache(maxsize=8)
@@ -66,7 +68,7 @@ def f_max_density(state: QuantumState, basis: DickeBasis):
     """
     if state.basis_tag != basis.tag:
         raise BasisMismatchError("state does not live in the given Dicke basis")
-    q = _qfi_matrix(state.factor, _centered_rows(state.factor, _spin_axes(basis)))
+    q = _qfi_matrix(state.factor, *_centered_rows(state.factor, _spin_axes(basis)))
     direction, lam = principal_eigenpair(q)
     return lam / basis.n_particles, direction
 

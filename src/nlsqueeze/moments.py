@@ -24,42 +24,60 @@ from .states import QuantumState, check_same_basis
 GAMMA_EPS_REL = 1e-12
 KERNEL_LEAK_TOL = 1e-8
 IMAG_RESIDUE_TOL = 1e-10
+# entries (complex, 256 KB) in one column slice of the centered row table
+SLICE_ENTRIES = 16384
 
 
-def _centered_rows(s: np.ndarray, family: OperatorFamily) -> np.ndarray:
-    """Centered rows r_k = (H_k - <H_k>) S, flattened, where rho = S S^dagger.
+def _centered_rows(s: np.ndarray, family: OperatorFamily):
+    """Centered rows r_k = (H_k - <H_k>) S, flattened, and their Gram matrix
+    Z = R* R^T (see `_center`), where rho = S S^dagger.
 
     S is a state's factor (the state vector of a pure state).  Every
     second moment of the family is an inner product of these rows:
-    Z = R* R^T is the table Z_kl = <(H_k - <H_k>)(H_l - <H_l>)>, and a
-    combination sum_k a_k H_k has the centered row a^T R.  Centering the
-    rows before the products avoids the cancellation that plagues
-    high-degree monomials, whose raw second moments dwarf their covariances.
-    The products H_k S come from the family's stored diagonals, so no dense
-    member is touched, and are written straight into the returned table.
+    Z_kl = <(H_k - <H_k>)(H_l - <H_l>)>, and a combination sum_k a_k H_k
+    has the centered row a^T R.  Centering the rows before the products
+    avoids the cancellation that plagues high-degree monomials, whose raw
+    second moments dwarf their covariances.  The products H_k S come from
+    the family's stored diagonals, so no dense member is touched, and are
+    written straight into the returned table.
     """
     rows = np.empty((len(family), *s.shape), dtype=complex)
     np.matmul(family.bands, s[family.band_cols], out=rows.transpose(1, 0, 2))  # rows[k] = H_k S
     return _center(rows, s)
 
 
-def _operator_rows(s: np.ndarray, *mats) -> np.ndarray:
-    """Centered rows (A - <A>) S of dense matrices, as `_centered_rows`."""
+def _operator_rows(s: np.ndarray, *mats):
+    """Centered rows (A - <A>) S of dense matrices and their Gram matrix,
+    as `_centered_rows`."""
     return _center(np.stack([a @ s for a in mats]), s)
 
 
-def _center(rows: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Center rows[k] = H_k S in place into (H_k - <H_k>) S, checking the
-    means, and return them flattened.  The means are one product of the
-    flattened rows with S*, and the bound on their residue is read from the
-    rows before centering."""
+def _center(rows: np.ndarray, s: np.ndarray):
+    """Center rows[k] = H_k S in place into R_k = (H_k - <H_k>) S, checking
+    the means, and return the flattened rows R with Z = R* R^T.
+
+    The means are one product of the flattened rows with S*, and the bound
+    on their residue is read from the rows before centering.  The table is
+    then walked in column slices of SLICE_ENTRIES entries: each slice is
+    centered and its Gram block added while it is in cache, so no
+    temporary larger than a slice is made.  A table of one slice gets Z
+    bit for bit as the one-shot R* R^T; more slices sum their blocks.
+    """
     flat = rows.reshape(len(rows), -1)
-    mu_c = flat @ s.conj().ravel()
+    s_flat = s.ravel()
+    mu_c = flat @ s_flat.conj()
     f = flat.view(float)
     # Cauchy-Schwarz: |<H_k>| <= ||H_k S|| ||S||, the scale of the residue
     _check_mean_residue(mu_c, np.sqrt(np.einsum("kj,kj->k", f, f)) * math.sqrt(np.vdot(s, s).real))
-    rows -= mu_c.real[:, None, None] * s
-    return flat
+    mu = mu_c.real[:, None]
+    step = max(1, SLICE_ENTRIES // len(flat))
+    gram = None
+    for j in range(0, flat.shape[1], step):
+        part = flat[:, j:j + step]
+        part -= mu * s_flat[j:j + step]
+        block = part.conj() @ part.T
+        gram = block if gram is None else gram + block
+    return flat, gram
 
 
 def _signal(x: np.ndarray, h: np.ndarray):
@@ -75,14 +93,14 @@ def _signal(x: np.ndarray, h: np.ndarray):
     return None
 
 
-def _moment_table(rows: np.ndarray):
-    """Covariance and commutator matrices from the centered rows.
+def _moment_table(gram: np.ndarray):
+    """Covariance and commutator matrices from the Gram matrix Z = R* R^T of
+    the centered rows (see `_center`).
 
     Re(Z) is the symmetrized covariance and 2 Im(Z) equals -i<[H_k, H_l]>,
     so one table feeds both matrices.
     """
-    z = rows.conj() @ rows.T
-    return (z.real + z.real.T) / 2, z.imag - z.imag.T
+    return (gram.real + gram.real.T) / 2, gram.imag - gram.imag.T
 
 
 def _check_mean_residue(mu_c: np.ndarray, bound: np.ndarray) -> None:
@@ -95,13 +113,13 @@ def _check_mean_residue(mu_c: np.ndarray, bound: np.ndarray) -> None:
 def covariance_matrix(state: QuantumState, family: OperatorFamily) -> np.ndarray:
     """Symmetrized covariance matrix of the family in the given state."""
     check_same_basis(state, family)
-    return _moment_table(_centered_rows(state.factor, family))[0]
+    return _moment_table(_centered_rows(state.factor, family)[1])[0]
 
 
 def commutator_matrix(state: QuantumState, family: OperatorFamily) -> np.ndarray:
     """Real skew-symmetric matrix of -i times commutator expectations."""
     check_same_basis(state, family)
-    return _moment_table(_centered_rows(state.factor, family))[1]
+    return _moment_table(_centered_rows(state.factor, family)[1])[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,7 +211,7 @@ def moment_matrix(gamma: np.ndarray, c: np.ndarray) -> MomentData:
 def moment_data(state: QuantumState, family: OperatorFamily) -> MomentData:
     """Covariance, commutator and moment matrices for one state and family."""
     check_same_basis(state, family)
-    return moment_matrix(*_moment_table(_centered_rows(state.factor, family)))
+    return moment_matrix(*_moment_table(_centered_rows(state.factor, family)[1]))
 
 
 def principal_eigenpair(matrix: np.ndarray):
@@ -347,15 +365,15 @@ def chi2_inverse_opt(state: QuantumState, family: OperatorFamily, n_coeffs,
     if not abs(np.linalg.norm(n_coeffs) - 1.0) <= 1e-10:  # NaN fails too
         raise ValueError("generator direction must be a unit vector")
     check_same_basis(state, family)
-    rows = _centered_rows(state.factor, family)
-    return _squeeze(moment_matrix(*_moment_table(rows)), rows, slots,
+    rows, gram = _centered_rows(state.factor, family)
+    return _squeeze(moment_matrix(*_moment_table(gram)), rows, slots,
                     _shot_noise_from_tag(family.basis_tag), n_coeffs)
 
 
 def chi2_error_propagation(state: QuantumState, generator: HermitianOperator,
                            observable: HermitianOperator) -> float:
     """Error-propagation squeezing parameter (Delta X)^2 / |<[X, H]>|^2."""
-    rows = _operator_rows(state.factor, state._matrix_of(observable), state._matrix_of(generator))
+    rows, _ = _operator_rows(state.factor, state._matrix_of(observable), state._matrix_of(generator))
     signal = _signal(*rows)
     if signal is None:
         raise ZeroSignalError("observable carries no signal for this generator")
@@ -375,8 +393,8 @@ def spin_squeezing_profile(state: QuantumState, basis: DickeBasis, k_max: int,
     if len(family) != spin_family_size(k_max):
         raise ValueError("family does not match k_max")
     check_same_basis(state, family)
-    rows = _centered_rows(state.factor, family)
-    gamma, c = _moment_table(rows)
+    rows, gram = _centered_rows(state.factor, family)
+    gamma, c = _moment_table(gram)
     results = []
     for k in range(1, k_max + 1):
         cnt = spin_family_size(k)

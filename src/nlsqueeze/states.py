@@ -34,20 +34,20 @@ class QuantumState:
     factor: np.ndarray
 
     def __post_init__(self):
-        self._settle(rotate=True)
+        # a copy: the state neither aliases nor freezes the caller's array
+        self._settle(np.array(self.factor, dtype=complex), rotate=True)
 
     @classmethod
     def _in_eigenframe(cls, basis_tag: str, factor: np.ndarray) -> "QuantumState":
-        """State of a factor whose columns are already orthogonal (V sqrt(lambda),
-        or U S for a state's factor S and a unitary U): checked, not rotated."""
+        """State of a fresh factor, owned by no caller, whose columns are
+        already orthogonal (V sqrt(lambda), or U S for a state's factor S and
+        a unitary U): checked and kept as it is, neither copied nor rotated."""
         state = cls.__new__(cls)
         object.__setattr__(state, "basis_tag", basis_tag)
-        object.__setattr__(state, "factor", factor)
-        state._settle(rotate=False)
+        state._settle(np.asarray(factor, dtype=complex), rotate=False)
         return state
 
-    def _settle(self, rotate: bool) -> None:
-        s = np.asarray(self.factor, dtype=complex)
+    def _settle(self, s: np.ndarray, rotate: bool) -> None:
         if s.ndim != 2 or s.shape[1] < 1:
             raise ValueError("state factor must be a matrix with at least one column")
         norm = np.linalg.norm(s)

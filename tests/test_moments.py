@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +34,8 @@ from nlsqueeze import (
     spin_squeezing_profile,
 )
 from nlsqueeze.dynamics import EvolutionSpec
-from nlsqueeze.moments import _centered_rows, _signal
+from nlsqueeze.fisher import f_max_density
+from nlsqueeze.moments import SLICE_ENTRIES, _center, _centered_rows, _signal
 
 from conftest import angle_between, random_density, random_family, random_pure_state
 
@@ -136,10 +138,91 @@ class TestBandedRows:
         cases = self._cases(rng)
         assert [state.factor.shape[1] for state, _ in cases] == [1, 3] * 3
         for state, fam in cases:
-            got = _centered_rows(state.factor, fam)
+            got, _ = _centered_rows(state.factor, fam)
             want, scale = _dense_centered_rows(state, fam)
             assert got.shape == want.shape
             assert (np.abs(got - want).max(axis=1) <= 1e-13 * scale).all()
+
+
+def _noisy_tat_point(n, weight=0.1, tau=0.7):
+    """The coherent state with white-noise weight `weight`, TAT-evolved to tau."""
+    basis = DickeBasis(n)
+    dim = basis.dimension
+    rho = (1.0 - weight) * coherent_spin_state_z(basis).density_matrix() + weight * np.eye(dim) / dim
+    return basis, evolve(QuantumState.mixed(rho, basis.tag), EvolutionSpec("TAT", tau))
+
+
+class TestSlicedKernel:
+    """`_center` walks the row table in column slices of SLICE_ENTRIES entries
+    in all; it must agree with the broadcast centering and the one-shot Gram
+    product R* R^T."""
+
+    def _cases(self, rng):
+        """(state, family, slices, remainder) for each kind of table."""
+        spin16, spin20, spin64 = DickeBasis(16), DickeBasis(20), DickeBasis(64)
+        fock = FockBasis(91)
+        cv3 = build_cv_third_order_family(fock)
+        dense128, dense100 = random_family(rng, 128, 4), random_family(rng, 100, 4)
+        tat_basis, tat_state = _noisy_tat_point(60)
+        return [
+            # one slice
+            (random_density(rng, 17, spin16.tag, rank=3), build_spin_family(spin16, 5), 1, 51),
+            (fock_state(fock, 6), cv3, 1, 91),
+            (random_pure_state(rng, 128), dense128, 1, 128),
+            # exactly several slices
+            (random_density(rng, 65, spin64.tag, rank=56), build_spin_family(spin64, 2), 2, 0),
+            (random_density(rng, 91, fock.tag, rank=60), cv3, 2, 0),
+            (random_density(rng, 128, rank=64), dense128, 2, 0),
+            # several slices and a remainder
+            (random_density(rng, 21, spin20.tag, rank=21), build_spin_family(spin20, 5), 2, 144),
+            (tat_state, build_spin_family(tat_basis, 3), 5, 273),
+            (random_density(rng, 91, fock.tag, rank=61), cv3, 3, 91),
+            (random_density(rng, 100, rank=50), dense100, 2, 904),
+        ]
+
+    def test_slices_match_one_shot_reference(self, rng):
+        for state, family, slices, remainder in self._cases(rng):
+            s = state.factor
+            raw = np.stack([op.matrix for op in family]) @ s
+            mu = raw.reshape(len(raw), -1) @ s.ravel().conj()
+            want = (raw - mu.real[:, None, None] * s).reshape(len(raw), -1)
+            want_gram = want.conj() @ want.T
+            rows, gram = _center(raw.copy(), s)
+            step = SLICE_ENTRIES // len(family)
+            assert (math.ceil(rows.shape[1] / step), rows.shape[1] % step) == (slices, remainder)
+            # centering is elementwise, so slicing it changes no bit
+            assert np.array_equal(rows, want)
+            if slices == 1:
+                assert np.array_equal(gram, want_gram)
+            else:
+                norms = np.linalg.norm(want, axis=1)
+                assert (np.abs(gram - want_gram) <= 1e-13 * np.outer(norms, norms)).all()
+
+    def test_kernel_makes_no_copy_of_the_row_table(self):
+        # at N=60, K=3 the mixed TAT point's row table is 19 x 61 x 61 complex
+        # (1.13 MB); the band product's gathered operand (0.42 MB), or the
+        # temporaries of one column slice (about 0.5 MB), come on top of it;
+        # one full-size copy (a broadcast centering, a conjugate table) would
+        # take the peak to 2.2x
+        basis, state = _noisy_tat_point(60)
+        family = build_spin_family(basis, 3)
+        table = len(family) * state.factor.size * 16
+        spin_squeezing_profile(state, basis, 3, family=family)
+        f_max_density(state, basis)  # fills the basis's cache of Jx, Jy, Jz
+        tracemalloc.start()
+        try:
+            spin_squeezing_profile(state, basis, 3, family=family)
+            profile_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            f_max_density(state, basis)
+            f_max_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert profile_peak <= 1.6 * table
+        # 3 rows take 0.18 MB and peak at 0.66 MB with their products
+        # P = S^dagger R; a conjugate copy of the rows, or numpy's buffer for
+        # the complex-times-real product of P and its weights, add 0.18 MB each
+        assert f_max_peak <= 0.72e6
 
 
 class TestMomentMatrix:
@@ -546,7 +629,7 @@ class TestSpinSqueezingOrders:
         no_signal = 0
         for tau in np.linspace(0.0, np.pi, 101):
             state = evolve(css, EvolutionSpec("OAT", float(tau)))
-            rows = _centered_rows(state.factor, family)
+            rows, _ = _centered_rows(state.factor, family)
             for res in spin_squeezing_profile(state, basis, k_max, family=family):
                 cnt = res.moments.size
                 assert res.kernel_leakage == res.moments.kernel_leakage

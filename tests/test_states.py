@@ -35,6 +35,20 @@ class TestValidation:
         with pytest.raises(ValueError):
             make()
 
+    @pytest.mark.parametrize("make", [
+        lambda v: QuantumState.pure(v, "test"),
+        lambda v: QuantumState("test", v.reshape(-1, 1)),
+    ], ids=["pure", "factor"])
+    def test_copies_the_callers_array(self, make):
+        # the norm is checked once, so a state sharing the caller's memory
+        # could be changed afterwards into one that is not normalized
+        v = np.array([1.0, 0.0, 0.0], dtype=complex)
+        state = make(v)
+        assert v.flags.writeable
+        v[0] = 5.0
+        assert np.linalg.norm(state.factor) == 1.0
+        assert not state.factor.flags.writeable
+
     def test_mixed_rejects_trace_not_one(self):
         with pytest.raises(ValueError, match="trace"):
             QuantumState.mixed(np.eye(2) / 3, "test")
