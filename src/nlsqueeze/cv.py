@@ -25,8 +25,8 @@ class FockBasis:
     cutoff: int
 
     def __post_init__(self):
-        if self.cutoff < 2:
-            raise ValueError("cutoff must be >= 2")
+        if isinstance(self.cutoff, bool) or not isinstance(self.cutoff, (int, np.integer)) or self.cutoff < 2:
+            raise ValueError(f"cutoff must be an integer >= 2, got {self.cutoff!r}")
         if self.cutoff > MAX_CUTOFF:
             raise ValueError(f"cutoff {self.cutoff} exceeds the dense limit {MAX_CUTOFF}")
 
@@ -52,7 +52,7 @@ class QuadratureDirection:
     n2: float
 
     def __post_init__(self):
-        if abs(self.n1 ** 2 + self.n2 ** 2 - 1.0) > 1e-12:
+        if not abs(self.n1 ** 2 + self.n2 ** 2 - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError("quadrature direction must be a unit vector")
 
     @classmethod

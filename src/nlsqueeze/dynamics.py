@@ -9,9 +9,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BasisMismatchError
-from .operators import HermitianOperator, dense_matrix, symmetrized_bands
+from .operators import HermitianOperator, OperatorFamily, dense_matrix
 # build_spin_operators: unused, kept for perfbench's trace targets
-from .spin import DickeBasis, _spin_bands, build_spin_operators, parse_dicke_tag
+from .spin import _AXES, DickeBasis, _spin_bands, build_spin_operators, parse_dicke_tag
 from .states import QuantumState
 
 MODELS = ("OAT", "TAT")
@@ -91,7 +91,8 @@ class HermitianPropagator:
 def _twisting_band(basis: DickeBasis, model: str) -> np.ndarray:
     """Band (D, 5) of Jy^2 (OAT) or Jy^2 - (N/2) Jz (TAT), from the ladder
     factors; both are real in the Dicke basis, so the band is held real."""
-    jy2, jz = symmetrized_bands(_spin_bands(basis), [(0, 2, 0), (0, 0, 1)]).real.transpose(1, 0, 2)
+    family = OperatorFamily.from_factors(_spin_bands(basis), _AXES, [(0, 2, 0), (0, 0, 1)], basis.tag)
+    jy2, jz = family.bands.real.transpose(1, 0, 2)
     if model == "OAT":
         return jy2
     if model == "TAT":

@@ -49,8 +49,7 @@ def _qfi_matrix(s: np.ndarray, rows: np.ndarray, gram: np.ndarray) -> np.ndarray
 
 def qfi(state: QuantumState, generator: HermitianOperator) -> float:
     """Quantum Fisher information of a pure or mixed state for a generator."""
-    mat = state._matrix_of(generator)
-    return float(_qfi_matrix(state.factor, *_operator_rows(state.factor, mat))[0, 0])
+    return float(_qfi_matrix(state.factor, *_operator_rows(state.factor, state._matrix_of(generator)))[0, 0])
 
 
 @functools.lru_cache(maxsize=8)
@@ -87,10 +86,11 @@ def classical_fisher(state: QuantumState, generator: HermitianOperator,
     Distinct eigenvalues that close cannot be told apart in float64 and are
     merged too: Jx^6 at N >= 400 exceeds float64 resolution in this way.
     """
+    h = state._matrix_of(generator)
     evals, evecs = np.linalg.eigh(state._matrix_of(observable))
-    s = HermitianPropagator(generator).apply(state, theta).factor
+    s = HermitianPropagator._from_matrix(h).apply(state, theta).factor
     a = evecs.conj().T @ s
-    b = evecs.conj().T @ (generator.matrix @ s)
+    b = evecs.conj().T @ (h @ s)
     tol = max(EIG_CLUSTER_TOL, len(evals) * np.finfo(float).eps * np.abs(evals).max())
     starts = np.flatnonzero(np.r_[True, np.diff(evals) > tol])
     p = np.add.reduceat(np.sum(np.abs(a) ** 2, axis=1), starts)

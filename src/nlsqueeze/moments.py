@@ -23,7 +23,6 @@ from .states import QuantumState, check_same_basis
 # their sensitivity
 GAMMA_EPS_REL = 1e-12
 KERNEL_LEAK_TOL = 1e-8
-IMAG_RESIDUE_TOL = 1e-10
 # entries (complex, 256 KB) in one column slice of the centered row table
 SLICE_ENTRIES = 16384
 
@@ -53,11 +52,11 @@ def _operator_rows(s: np.ndarray, *mats):
 
 
 def _center(rows: np.ndarray, s: np.ndarray):
-    """Center rows[k] = H_k S in place into R_k = (H_k - <H_k>) S, checking
-    the means, and return the flattened rows R with Z = R* R^T.
+    """Center rows[k] = H_k S in place into R_k = (H_k - <H_k>) S and
+    return the flattened rows R with Z = R* R^T.
 
-    The means are one product of the flattened rows with S*, and the bound
-    on their residue is read from the rows before centering.  The table is
+    The means are the real part of one product of the flattened rows with
+    S*; every H_k was checked Hermitian when it was made.  The table is
     then walked in column slices of SLICE_ENTRIES entries: each slice is
     centered and its Gram block added while it is in cache, so no
     temporary larger than a slice is made.  A table of one slice gets Z
@@ -65,11 +64,7 @@ def _center(rows: np.ndarray, s: np.ndarray):
     """
     flat = rows.reshape(len(rows), -1)
     s_flat = s.ravel()
-    mu_c = flat @ s_flat.conj()
-    f = flat.view(float)
-    # Cauchy-Schwarz: |<H_k>| <= ||H_k S|| ||S||, the scale of the residue
-    _check_mean_residue(mu_c, np.sqrt(np.einsum("kj,kj->k", f, f)) * math.sqrt(np.vdot(s, s).real))
-    mu = mu_c.real[:, None]
+    mu = (flat @ s_flat.conj()).real[:, None]
     step = max(1, SLICE_ENTRIES // len(flat))
     gram = None
     for j in range(0, flat.shape[1], step):
@@ -101,13 +96,6 @@ def _moment_table(gram: np.ndarray):
     so one table feeds both matrices.
     """
     return (gram.real + gram.real.T) / 2, gram.imag - gram.imag.T
-
-
-def _check_mean_residue(mu_c: np.ndarray, bound: np.ndarray) -> None:
-    over = np.abs(mu_c.imag) > IMAG_RESIDUE_TOL * bound
-    if over.any():
-        resid = np.abs(mu_c.imag[over]).max()
-        raise ValueError(f"imaginary residue {resid:.2e} in operator means exceeds tolerance")
 
 
 def covariance_matrix(state: QuantumState, family: OperatorFamily) -> np.ndarray:
@@ -462,7 +450,7 @@ def simulate_moment_estimator(state: QuantumState, generator: HermitianOperator,
     if not lo < theta_true < hi:
         raise ValueError("theta_true must lie strictly inside the window")
 
-    prop = HermitianPropagator(generator)
+    prop = HermitianPropagator._from_matrix(state._matrix_of(generator))
     grid = np.linspace(lo, hi, 1001)
     curve = np.array([prop.apply(state, t).expectation(observable) for t in grid])
     diffs = np.diff(curve)
@@ -474,7 +462,7 @@ def simulate_moment_estimator(state: QuantumState, generator: HermitianOperator,
         curve_asc, grid_asc = curve, grid
 
     probe = prop.apply(state, theta_true)
-    xvals, xvecs = np.linalg.eigh(observable.matrix)
+    xvals, xvecs = np.linalg.eigh(state._matrix_of(observable))
     p = np.sum(np.abs(xvecs.conj().T @ probe.factor) ** 2, axis=1)
     p = np.clip(p, 0.0, None)
     p /= p.sum()

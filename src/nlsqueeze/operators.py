@@ -139,7 +139,7 @@ def symmetrized_bands(factors: np.ndarray, degrees) -> np.ndarray:
     The sum W(d) of all words of multi-degree d obeys W(d) = sum_j F_j
     W(d - e_j) with W(0) = 1, so all W of one total degree come from one
     banded product of every factor with every W one degree lower.  Monomial
-    d is W(d) over its number of words, made exactly Hermitian.
+    d is W(d) over its number of words, Hermitian up to rounding.
     """
     dim, _, span = factors.shape
     degrees = [tuple(d) for d in degrees]
@@ -156,10 +156,7 @@ def symmetrized_bands(factors: np.ndarray, degrees) -> np.ndarray:
         pad = width - level.shape[1] // 2
         bands[:, ks, pad:2 * width + 1 - pad] = (level[:, :, [here[degrees[k]] for k in ks]]
                                                  .transpose(0, 2, 1) / np.reshape(words, (-1, 1)))
-    adjoint = np.zeros_like(bands)  # (H + H^dagger) / 2 has exactly conjugate entries
-    for o, r in _diagonals(dim, width):
-        adjoint[r, :, width + o] = bands[r.start + o:r.stop + o, :, width - o].conj()
-    return (bands + adjoint) / 2
+    return bands
 
 
 def symmetric_product(ops: Sequence[HermitianOperator]) -> HermitianOperator:
@@ -205,7 +202,9 @@ class OperatorFamily:
     O(L (2w+1) D r) cost (w = K for spin monomials up to degree K).  labels
     and degrees (monomial degree, 0 if not polynomial) hold one entry per
     member.  A dense member is built on each access (`fam[k]`, iteration,
-    `tuple(fam)` for all of them) and kept only by the caller.
+    `tuple(fam)` for all of them) and kept only by the caller.  Each member
+    must pass the Hermiticity rule of `HermitianOperator` against its band
+    adjoint; the family keeps the exact (H_k + H_k^dagger) / 2 in its own array.
     """
 
     bands: np.ndarray
@@ -214,11 +213,26 @@ class OperatorFamily:
     basis_tag: str
 
     def __post_init__(self):
-        if self.bands.ndim != 3 or self.bands.shape[1] == 0:
+        bands = np.asarray(self.bands, dtype=complex)
+        if bands.ndim != 3 or bands.shape[1] == 0:
             raise ValueError("family must contain at least one operator")
-        if not len(self.labels) == len(self.degrees) == len(self):
+        if not len(self.labels) == len(self.degrees) == bands.shape[1]:
             raise ValueError("family needs one label and one degree per member")
-        self.bands.setflags(write=False)
+        w = bands.shape[2] // 2
+        herm = np.zeros_like(bands)  # the adjoints H_k^dagger, zero outside the matrix
+        for o, r in _diagonals(len(bands), w):
+            herm[r, :, w + o] = bands[r.start + o:r.stop + o, :, w - o].conj()
+        # per member, rows reduced first: a two-axis max over the short band axis is slow
+        resid = np.abs(bands - herm).max(axis=0).max(axis=1)
+        scale = np.maximum(1.0, np.abs(bands).max(axis=0).max(axis=1))
+        bad = np.flatnonzero(~(resid <= HERMITICITY_ATOL * scale))  # a NaN residue fails too
+        if len(bad):
+            raise ValueError(f"family member {bad[0]} ({self.labels[bad[0]]!r}) is not Hermitian "
+                             f"(max residue {resid[bad[0]]:.2e})")
+        herm += bands  # (H + H^dagger) / 2 has exactly conjugate entries
+        herm /= 2
+        herm.setflags(write=False)
+        object.__setattr__(self, "bands", herm)
 
     @classmethod
     def from_operators(cls, ops: Sequence[HermitianOperator], basis_tag: str) -> "OperatorFamily":

@@ -26,11 +26,11 @@ class DickeBasis:
     n_particles: int
 
     def __post_init__(self):
-        if self.n_particles < 1:
-            raise ValueError("n_particles must be >= 1 (one-dimensional space is trivial)")
-        if self.n_particles + 1 > MAX_DIMENSION:
-            raise ValueError(f"n_particles {self.n_particles} exceeds the dense limit: "
-                             f"dimension {self.n_particles + 1} > {MAX_DIMENSION}")
+        n = self.n_particles  # bool is an int subclass, but no particle number
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"n_particles must be an integer >= 1 (one level is trivial), got {n!r}")
+        if n + 1 > MAX_DIMENSION:
+            raise ValueError(f"n_particles {n} exceeds the dense limit: dimension {n + 1} > {MAX_DIMENSION}")
 
     @property
     def dimension(self) -> int:

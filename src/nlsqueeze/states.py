@@ -64,14 +64,10 @@ class QuantumState:
 
     @classmethod
     def mixed(cls, density, basis_tag: str) -> "QuantumState":
-        rho = np.asarray(density, dtype=complex)
-        if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-            raise ValueError("density must be a square matrix")
-        if not np.abs(rho - rho.conj().T).max() <= DENSITY_ATOL:
-            raise ValueError("density operator is not a finite Hermitian matrix")
+        rho = HermitianOperator(density, "density").matrix  # square, Hermitian, finite
         if not abs(np.trace(rho).real - 1.0) <= DENSITY_ATOL:
             raise ValueError("density operator trace is not 1")
-        lam, vecs = np.linalg.eigh((rho + rho.conj().T) / 2)
+        lam, vecs = np.linalg.eigh(rho)
         if lam[0] < DENSITY_EIG_FLOOR:
             raise ValueError("density operator has a negative eigenvalue")
         # eigenvalues within rounding of zero (relative to the largest) are
@@ -98,19 +94,18 @@ class QuantumState:
     def density_matrix(self) -> np.ndarray:
         return self.factor @ self.factor.conj().T
 
-    def _matrix_of(self, op) -> np.ndarray:
-        mat = op.matrix if isinstance(op, HermitianOperator) else np.asarray(op)
-        if mat.shape != (self.dim, self.dim):
-            raise BasisMismatchError(
-                f"operator dimension {mat.shape} does not match state dimension {self.dim}"
-            )
-        return mat
+    def _matrix_of(self, op: HermitianOperator) -> np.ndarray:
+        if not isinstance(op, HermitianOperator):  # only it checks Hermiticity
+            raise TypeError(f"operator must be a HermitianOperator, not {type(op).__name__}")
+        if op.dim != self.dim:
+            raise BasisMismatchError(f"operator dimension {op.dim} does not match state dimension {self.dim}")
+        return op.matrix
 
-    def expectation(self, op) -> float:
+    def expectation(self, op: HermitianOperator) -> float:
         """Real expectation value tr(A rho) = <S, A S> of a Hermitian operator."""
         return np.vdot(self.factor, self._matrix_of(op) @ self.factor).real
 
-    def variance(self, op) -> float:
+    def variance(self, op: HermitianOperator) -> float:
         # centered evaluation ||(A - <A>) S||^2: no catastrophic cancellation
         # for small variances
         phi = self._matrix_of(op) @ self.factor

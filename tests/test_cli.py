@@ -367,3 +367,16 @@ def test_integrity_flag_exits_2_with_a_warning(capsys, monkeypatch, argv):
     assert code == EXIT_INTEGRITY
     assert out == clean_out  # the flag changes no output byte
     assert err == INTEGRITY_WARNING
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (["analyze", "--model", "OAT"], "analyze needs --n >= 1"),
+    (["estimate", "--generator", "Jx"], "estimate needs --n >= 1"),
+    (["sweep", "--n", "4", "--kmax", "1", "--steps", "2", "--out", "{tmp}/missing/out.csv"],
+     "cannot write output"),
+], ids=["analyze without n", "estimate without n", "unwritable out"])
+def test_refusals_exit_one(capsys, tmp_path, argv, fragment):
+    code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and fragment in err

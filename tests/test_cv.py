@@ -133,3 +133,24 @@ def test_cutoff_doubling_convergence(n):
         res = chi2_inverse_opt(fock_state(basis, n), fam, [1.0, 0.0])
         values.append(res.chi2_inv)
     assert abs(values[1] - values[0]) / values[1] < 1e-9
+
+
+def test_accepts_numpy_integer_cutoffs():
+    assert fock_state(FockBasis(np.int32(6)), 2).dim == 6
+
+
+# a non-integer cutoff would otherwise fail only inside numpy, at the first
+# state; a NaN direction fails every `x > tol` test
+@pytest.mark.parametrize("make, exc, fragment", [
+    (lambda: FockBasis(1), ValueError, "cutoff must be an integer >= 2"),
+    (lambda: FockBasis(10.5), ValueError, "must be an integer"),
+    (lambda: FockBasis(16.0), ValueError, "must be an integer"),
+    (lambda: FockBasis(False), ValueError, "must be an integer"),
+    (lambda: build_cv_third_order_family(FockBasis(3)), ValueError, "cutoff must be >= 4"),
+    (lambda: QuadratureDirection(np.nan, 0.0), ValueError, "unit vector"),
+    (lambda: QuadratureDirection.from_phase(np.nan), ValueError, "unit vector"),
+], ids=["cutoff 1", "fractional cutoff", "float cutoff", "bool cutoff", "cubic at cutoff 3",
+        "NaN direction", "NaN phase"])
+def test_refusals(make, exc, fragment):
+    with pytest.raises(exc, match=fragment):
+        make()

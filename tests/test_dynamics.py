@@ -19,7 +19,8 @@ from nlsqueeze import (
     symmetric_product,
     twisting_generator,
 )
-from nlsqueeze.dynamics import _cached_propagator
+from nlsqueeze.dynamics import _cached_propagator, _twisting_band
+from nlsqueeze.operators import dense_matrix
 
 EPS = np.finfo(float).eps
 
@@ -236,3 +237,25 @@ def test_oat_propagator_build_allocates_no_complex_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 4e6
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 16, 400])
+@pytest.mark.parametrize("model", ["OAT", "TAT"])
+def test_twisting_bands_are_exactly_hermitian(model, n):
+    # the band comes from a gated family, which keeps the exact Hermitian part
+    band = _twisting_band(DickeBasis(n), model)
+    assert band.dtype == float
+    mat = dense_matrix(band)
+    assert np.array_equal(mat, mat.T)
+
+
+@pytest.mark.parametrize("make, exc, fragment", [
+    (lambda: HermitianPropagator(twisting_generator(DickeBasis(4), "OAT")).apply(
+        coherent_spin_state_z(DickeBasis(5)), 0.1), BasisMismatchError, "does not match the generator"),
+    (lambda: twisting_generator(DickeBasis(4), "XYZ"), ValueError, "model must be one of"),
+    (lambda: evolve(QuantumState.pure([1.0, 0.0, 0.0], "dicke-N4"), EvolutionSpec("OAT", 0.1)),
+     BasisMismatchError, "does not match its Dicke tag"),
+], ids=["propagator dimension", "unknown model", "dimension against tag"])
+def test_refusals(make, exc, fragment):
+    with pytest.raises(exc, match=fragment):
+        make()

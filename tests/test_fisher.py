@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nlsqueeze import (
+    BasisMismatchError,
     DickeBasis,
     FisherReport,
     FockBasis,
@@ -453,3 +454,12 @@ class TestEigenframe:
         for want, got in zip(self._quantities(state, basis, family, h),
                              self._quantities(turned, basis, family, h)):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("make, exc, fragment", [
+    (lambda: f_max_density(coherent_spin_state_z(DickeBasis(4)), DickeBasis(5)), BasisMismatchError,
+     "does not live in the given Dicke basis"),
+], ids=["other basis"])
+def test_refusals(make, exc, fragment):
+    with pytest.raises(exc, match=fragment):
+        make()

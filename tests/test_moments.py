@@ -771,3 +771,33 @@ class TestMomentEstimator:
         )
         assert abs(rep.predicted_variance - 1.0 / (n * n * 10_000)) < 1e-18
         assert 0.8 <= rep.ratio <= 1.25
+
+
+def _css_jx_jy():
+    basis = DickeBasis(4)
+    jx, jy, _ = build_spin_operators(basis)
+    return coherent_spin_state_z(basis), jx, jy
+
+
+@pytest.mark.parametrize("make, exc, fragment", [
+    (lambda: moment_matrix(np.zeros((2, 2)), np.zeros((3, 3))), ValueError,
+     "gamma and c must be square matrices of equal size"),
+    # no retained direction: C n is nonzero but W W^T C n vanishes
+    (lambda: optimal_measurement(moment_matrix(np.zeros((2, 2)), [[0.0, 1.0], [-1.0, 0.0]]), [1.0, 0.0]),
+     ZeroSignalError, "outside the retained covariance subspace"),
+    (lambda: chi2_inverse_opt(_css_jx_jy()[0], build_spin_family(DickeBasis(4), 1), [1.0]), ValueError,
+     "n_coeffs length must match the generator slots"),
+    (lambda: spin_squeezing_profile(_css_jx_jy()[0], DickeBasis(4), 3, build_spin_family(DickeBasis(4), 2)),
+     ValueError, "family does not match k_max"),
+    (lambda: entanglement_bound(math.inf), ValueError, "must be finite"),
+    (lambda: simulate_moment_estimator(*_css_jx_jy(), 0.0, mu=0, trials=2, seed=0), ValueError,
+     "mu must be >= 1"),
+    (lambda: simulate_moment_estimator(*_css_jx_jy(), 0.0, mu=100, trials=1, seed=0), ValueError,
+     "at least two trials"),
+    (lambda: simulate_moment_estimator(*_css_jx_jy(), 0.0, mu=100, trials=2, seed=0, window=(0.1, 0.5)),
+     ValueError, "strictly inside the window"),
+], ids=["shapes differ", "outside retained", "generator length", "family order", "infinite xi2",
+        "mu 0", "one trial", "theta outside window"])
+def test_refusals(make, exc, fragment):
+    with pytest.raises(exc, match=fragment):
+        make()

@@ -16,6 +16,7 @@ from nlsqueeze import (
     combine,
     symmetric_product,
 )
+from nlsqueeze.operators import dense_matrix
 from nlsqueeze.spin import _monomial_degrees
 
 from conftest import random_hermitian
@@ -223,3 +224,98 @@ def test_family_bands_are_read_only():
         fam.bands[0, 0, 0] = 1.0
     with pytest.raises(ValueError):
         fam.band_cols[0, 0] = 1
+
+
+def _upper_shift(dim):
+    """Bands (dim, 1, 3) of the strictly upper U with U[i, i + 1] = 1."""
+    bands = np.zeros((dim, 1, 3), dtype=complex)
+    bands[:-1, 0, 2] = 1.0
+    return bands
+
+
+def test_family_rejects_non_hermitian_member_by_name():
+    # the mean <U> = 1/2 on (|0> + |1>)/sqrt(2) is real, so only the gate at
+    # construction can tell that U is no observable
+    jz = np.zeros((3, 1, 3), dtype=complex)
+    jz[:, 0, 1] = [1.0, 0.0, -1.0]
+    bands = np.concatenate([jz, _upper_shift(3)], axis=1)
+    with pytest.raises(ValueError, match=r"member 1 \('U'\) is not Hermitian"):
+        OperatorFamily(bands, ["Jz", "U"], (1, 1), "test")
+
+
+def test_family_gate_scales_with_the_entries_and_rejects_nan():
+    bands = 1e6 * build_spin_family(DickeBasis(4), 2).bands
+    labels, degrees = [f"H{k}" for k in range(9)], (1,) * 9
+    noisy = bands.copy()
+    noisy[0, 3, 3] += 1e-7  # 1e-13 of the largest entry of member 3
+    _assert_exactly_hermitian(OperatorFamily(noisy, labels, degrees, "test"))
+    noisy[0, 3, 3] += 1e-2
+    with pytest.raises(ValueError, match="member 3"):
+        OperatorFamily(noisy, labels, degrees, "test")
+    bands = bands.copy()
+    bands[2, 5, 2] = np.nan
+    with pytest.raises(ValueError, match="member 5"):
+        OperatorFamily(bands, labels, degrees, "test")
+
+
+def test_family_rejects_entries_outside_the_matrix():
+    bands = np.zeros((3, 1, 3), dtype=complex)
+    bands[2, 0, 2] = 1.0  # H[2, 3] does not exist
+    with pytest.raises(ValueError, match="not Hermitian"):
+        OperatorFamily(bands, ["H"], (1,), "test")
+
+
+def test_family_neither_freezes_nor_aliases_the_callers_bands():
+    bands = build_spin_family(DickeBasis(3), 1).bands.copy()
+    view = bands[:, 0]
+    fam = OperatorFamily(bands, ["Jx", "Jy", "Jz"], (1, 1, 1), "test")
+    assert bands.flags.writeable
+    view[:] = 5.0
+    assert np.array_equal(fam.bands[:, 1:], bands[:, 1:])
+    assert np.abs(fam.bands[:, 0]).max() < 5.0
+    assert not fam.bands.flags.writeable
+
+
+def _assert_exactly_hermitian(fam):
+    for op_band, label in zip(fam.bands.transpose(1, 0, 2), fam.labels):
+        mat = dense_matrix(op_band)
+        assert np.array_equal(mat, mat.conj().T), label
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 16])
+@pytest.mark.parametrize("k", range(1, 7))
+def test_spin_families_are_exactly_hermitian(n, k):
+    _assert_exactly_hermitian(build_spin_family(DickeBasis(n), k))
+
+
+@pytest.mark.parametrize("cutoff", [4, 20, 72])
+@pytest.mark.parametrize("build", [build_cv_second_order_family, build_cv_third_order_family],
+                         ids=["order2", "order3"])
+def test_cv_families_are_exactly_hermitian(build, cutoff):
+    _assert_exactly_hermitian(build(FockBasis(cutoff)))
+
+
+def test_from_operators_and_symmetric_product_are_exactly_hermitian(rng):
+    ops = [random_hermitian(rng, 6, f"H{k}") for k in range(3)]
+    _assert_exactly_hermitian(OperatorFamily.from_operators(ops, "test"))
+    jx, jy, jz = build_spin_operators(DickeBasis(9))
+    for factors in ([jx, jy], [jx, jy, jz, jz], ops):
+        mat = symmetric_product(factors).matrix
+        assert np.array_equal(mat, mat.conj().T)
+
+
+@pytest.mark.parametrize("make, exc, fragment", [
+    (lambda: HermitianOperator(np.eye(2), "H", degree=-1), ValueError, "degree must be non-negative"),
+    (lambda: symmetric_product([]), ValueError, "at least one operator"),
+    (lambda: combine(build_spin_operators(DickeBasis(2)), [1.0, 2.0]), ValueError,
+     "coefficient vector length"),
+    (lambda: OperatorFamily(np.zeros((3, 3)), ["H"], (1,), "test"), ValueError, "at least one operator"),
+    (lambda: OperatorFamily(np.zeros((3, 0, 3)), [], (), "test"), ValueError, "at least one operator"),
+    (lambda: OperatorFamily(np.zeros((3, 2, 3)), ["H"], (1, 1), "test"), ValueError,
+     "one label and one degree per member"),
+    (lambda: OperatorFamily.from_operators([], "test"), ValueError, "at least one operator"),
+], ids=["negative degree", "empty product", "combine length", "bands not 3-d", "no member",
+        "label count", "no operator"])
+def test_refusals(make, exc, fragment):
+    with pytest.raises(exc, match=fragment):
+        make()

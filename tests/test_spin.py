@@ -149,3 +149,22 @@ def test_family_keeps_no_dense_member():
     finally:
         tracemalloc.stop()
     assert held < 1e6
+
+
+def test_accepts_numpy_integers():
+    basis = DickeBasis(np.int64(4))
+    assert basis.dimension == 5
+    assert build_spin_family(basis, 2).dim == 5
+
+
+# a non-integer size would otherwise fail only inside numpy, at the first state
+@pytest.mark.parametrize("make, exc, fragment", [
+    (lambda: DickeBasis(16.0), ValueError, "must be an integer"),
+    (lambda: DickeBasis(2.5), ValueError, "must be an integer"),
+    (lambda: DickeBasis(True), ValueError, "must be an integer"),
+    (lambda: DickeBasis("4"), ValueError, "must be an integer"),
+    (lambda: build_spin_family(DickeBasis(3), 0), ValueError, "family order must be >= 1"),
+], ids=["float", "fraction", "bool", "str", "order 0"])
+def test_refusals(make, exc, fragment):
+    with pytest.raises(exc, match=fragment):
+        make()

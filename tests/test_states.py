@@ -3,13 +3,19 @@ import pytest
 from conftest import random_hermitian
 
 from nlsqueeze import (
+    BasisMismatchError,
     DickeBasis,
     EvolutionSpec,
     OperatorFamily,
     QuantumState,
+    build_spin_operators,
+    chi2_error_propagation,
+    classical_fisher,
     coherent_spin_state_z,
     commutator_matrix,
     evolve,
+    qfi,
+    simulate_moment_estimator,
 )
 from nlsqueeze.dynamics import twisting_generator
 from nlsqueeze.states import DENSITY_EIG_FLOOR
@@ -125,8 +131,56 @@ def test_moments_match_trace_formulas(rng):
         centered = a - mean * np.eye(dim)
         var = np.trace(centered @ centered @ rho).real
         comm = np.trace((a @ b - b @ a) @ rho)
-        assert abs(state.expectation(a) - mean) < 1e-12
-        assert abs(state.variance(a) - var) < 1e-12
+        assert abs(state.expectation(a_op) - mean) < 1e-12
+        assert abs(state.variance(a_op) - var) < 1e-12
         # c_01 = -i <[A, B]>, from the family's centered rows
         c = commutator_matrix(state, OperatorFamily.from_operators([a_op, b_op], "test"))
         assert abs(1j * c[0, 1] - comm) < 1e-12
+
+
+def _css_jx_jy(n=4):
+    basis = DickeBasis(n)
+    jx, jy, _ = build_spin_operators(basis)
+    return coherent_spin_state_z(basis), jx, jy
+
+
+_ESTIMATE = {"theta_true": 0.0, "mu": 100, "trials": 2, "seed": 0}
+
+
+@pytest.mark.parametrize("call", [
+    lambda css, u, jx, jy: css.expectation(u),
+    lambda css, u, jx, jy: css.variance(u),
+    lambda css, u, jx, jy: qfi(css, u),
+    lambda css, u, jx, jy: chi2_error_propagation(css, u, jy),
+    lambda css, u, jx, jy: chi2_error_propagation(css, jx, u),
+    lambda css, u, jx, jy: classical_fisher(css, u, jy, 0.1),
+    lambda css, u, jx, jy: classical_fisher(css, jx, u, 0.1),
+    lambda css, u, jx, jy: simulate_moment_estimator(css, u, jy, **_ESTIMATE),
+    lambda css, u, jx, jy: simulate_moment_estimator(css, jx, u, **_ESTIMATE),
+], ids=["expectation", "variance", "qfi", "chi2 generator", "chi2 observable",
+        "classical_fisher generator", "classical_fisher observable",
+        "estimator generator", "estimator observable"])
+def test_raw_arrays_are_refused_as_operators(call):
+    # only `HermitianOperator` checks Hermiticity, so a bare matrix is no
+    # operator: the strictly upper U would give qfi 0 and a real mean
+    css, jx, jy = _css_jx_jy()
+    with pytest.raises(TypeError, match="must be a HermitianOperator"):
+        call(css, np.triu(np.ones((5, 5)), 1), jx, jy)
+
+
+@pytest.mark.parametrize("make, exc, fragment", [
+    (lambda: QuantumState("test", np.array([1.0, 0.0])), ValueError, "must be a matrix"),
+    (lambda: QuantumState("test", np.zeros((3, 0))), ValueError, "at least one column"),
+    (lambda: QuantumState.mixed(np.ones(4) / 4, "test"), ValueError, "square matrix"),
+    (lambda: _css_jx_jy(4)[0].expectation(build_spin_operators(DickeBasis(5))[0]), BasisMismatchError,
+     "does not match state dimension"),
+    (lambda: commutator_matrix(_css_jx_jy(4)[0], OperatorFamily.from_operators(_css_jx_jy(4)[1:], "other")),
+     BasisMismatchError, "does not match family basis"),
+    (lambda: commutator_matrix(QuantumState.pure([1.0, 0.0], "test"),
+                               OperatorFamily.from_operators([_css_jx_jy(2)[1]], "test")),
+     BasisMismatchError, "dimensions differ"),
+], ids=["vector factor", "no column", "density not square", "operator dimension", "basis tag",
+        "family dimension"])
+def test_refusals(make, exc, fragment):
+    with pytest.raises(exc, match=fragment):
+        make()
