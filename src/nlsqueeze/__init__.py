@@ -6,7 +6,6 @@ from .cv import (
     QuadratureDirection,
     build_cv_second_order_family,
     build_cv_third_order_family,
-    build_quadratures,
     coherent_state,
     default_cutoff,
     fock_state,
@@ -32,14 +31,12 @@ from .moments import (
     SqueezingResult,
     chi2_error_propagation,
     chi2_inverse_opt,
-    commutator_matrix,
     covariance_matrix,
     entanglement_bound,
     moment_data,
     moment_matrix,
     optimal_measurement,
     optimize_generator,
-    principal_eigenpair,
     shot_noise_limit,
     simulate_moment_estimator,
     spin_squeezing_profile,
@@ -74,7 +71,6 @@ __all__ = [
     "ZeroSignalError",
     "build_cv_second_order_family",
     "build_cv_third_order_family",
-    "build_quadratures",
     "build_spin_family",
     "build_spin_operators",
     "chi2_error_propagation",
@@ -83,7 +79,6 @@ __all__ = [
     "coherent_spin_state_z",
     "coherent_state",
     "combine",
-    "commutator_matrix",
     "covariance_matrix",
     "default_cutoff",
     "entanglement_bound",
@@ -95,7 +90,6 @@ __all__ = [
     "optimal_measurement",
     "optimize_generator",
     "parity_operator",
-    "principal_eigenpair",
     "qfi",
     "quadrature_generator",
     "shot_noise_limit",

@@ -28,7 +28,7 @@ from .moments import (
     simulate_moment_estimator,
     spin_squeezing_profile,
 )
-from .spin import DickeBasis, build_spin_family, parity_operator
+from .spin import _AXES, DickeBasis, build_spin_family, build_spin_operators, parity_operator
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -225,13 +225,10 @@ def _run_analyze(args: argparse.Namespace) -> tuple[str | None, str, bool]:
     return args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n", result.robertson_violated
 
 
-_AXES = ("Jx", "Jy", "Jz")
-
-
 def _spin_observable(basis: DickeBasis, name: str):
     if name == "parity":
         return parity_operator(basis)
-    return build_spin_family(basis, 1)[_AXES.index(name)]
+    return build_spin_operators(basis)[_AXES.index(name)]
 
 
 def _run_estimate(args: argparse.Namespace) -> tuple[str | None, str, bool]:

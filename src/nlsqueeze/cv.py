@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import MAX_DIMENSION as MAX_CUTOFF
-from .operators import HermitianOperator, OperatorFamily, ladder_bands
+from .operators import HermitianOperator, OperatorFamily, dense_matrix, ladder_bands
 # symmetric_product: unused, kept for perfbench's trace targets
 from .operators import symmetric_product
 from .states import QuantumState
@@ -33,15 +33,6 @@ class FockBasis:
     @property
     def tag(self) -> str:
         return f"fock-D{self.cutoff}"
-
-
-def parse_fock_tag(tag: str) -> int | None:
-    if tag.startswith("fock-D"):
-        try:
-            return int(tag[len("fock-D"):])
-        except ValueError:
-            return None
-    return None
 
 
 @dataclass(frozen=True)
@@ -74,16 +65,10 @@ def _quadrature_bands(basis: FockBasis) -> np.ndarray:
     return ladder_bands(upper, np.sqrt(2))
 
 
-def build_quadratures(basis: FockBasis):
-    """Quadratures x = (a + a^dag)/sqrt(2), p = i(a^dag - a)/sqrt(2)."""
-    return tuple(OperatorFamily(_quadrature_bands(basis), list(_QUADRATURES), (1, 1), basis.tag))
-
-
 def quadrature_generator(basis: FockBasis, direction: QuadratureDirection) -> HermitianOperator:
-    x, p = build_quadratures(basis)
-    return HermitianOperator(
-        direction.n1 * x.matrix + direction.n2 * p.matrix, "q_n", degree=1
-    )
+    """The quadrature n1*x + n2*p, densified from the bands of x and p."""
+    x, p = _quadrature_bands(basis).transpose(1, 0, 2)
+    return HermitianOperator(dense_matrix(direction.n1 * x + direction.n2 * p), "q_n", degree=1)
 
 
 def build_cv_second_order_family(basis: FockBasis) -> OperatorFamily:

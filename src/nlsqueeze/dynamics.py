@@ -9,9 +9,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BasisMismatchError
-from .operators import HermitianOperator, OperatorFamily, dense_matrix
+from .operators import MAX_DIMENSION, HermitianOperator, OperatorFamily, dense_matrix
 # build_spin_operators: unused, kept for perfbench's trace targets
-from .spin import _AXES, DickeBasis, _spin_bands, build_spin_operators, parse_dicke_tag
+from .spin import _AXES, DickeBasis, _spin_bands, build_spin_operators
 from .states import QuantumState
 
 MODELS = ("OAT", "TAT")
@@ -45,6 +45,8 @@ class HermitianPropagator:
     """
 
     def __init__(self, generator: HermitianOperator):
+        if not isinstance(generator, HermitianOperator):  # only it checks Hermiticity
+            raise TypeError(f"operator must be a HermitianOperator, not {type(generator).__name__}")
         self._decompose(generator.matrix)
 
     @classmethod
@@ -126,11 +128,8 @@ def evolve(state: QuantumState, spec: EvolutionSpec) -> QuantumState:
     (model, N), so a tau sweep costs two real rotations of each half of the
     state's factor per point.
     """
-    n = parse_dicke_tag(state.basis_tag)
-    if n is None:
-        raise BasisMismatchError(
-            f"twisting evolution needs a Dicke-basis state, got {state.basis_tag!r}"
-        )
-    if state.dim != n + 1:
-        raise BasisMismatchError("state dimension does not match its Dicke tag")
+    n = state.dim - 1
+    if not (2 <= state.dim <= MAX_DIMENSION and state.basis_tag == DickeBasis(n).tag):
+        raise BasisMismatchError(f"twisting evolution needs a Dicke-basis state: basis "
+                                 f"{state.basis_tag!r} of dimension {state.dim} does not match its Dicke tag")
     return _cached_propagator(spec.model, n).apply(state, spec.tau)

@@ -18,7 +18,6 @@ from .states import QuantumState
 
 QFI_MODE_EPS = 1e-12
 EIG_CLUSTER_TOL = 1e-9
-PROB_FLOOR = 1e-12
 CHAIN_SLACK = 1e-8
 
 
@@ -79,8 +78,10 @@ def classical_fisher(state: QuantumState, generator: HermitianOperator,
     With S = exp(-i theta H) S_0 and each outcome g an eigenspace of the
     observable (projector Pi_g), p_g = ||Pi_g S||^2 and dp_g/dtheta =
     -i tr(Pi_g [H, rho]) = 2 Im tr(S^dagger Pi_g H S) exactly, both summed
-    over the rows of g in the observable's eigenbasis.  Outcomes with
-    p_g <= 1e-12 are excluded.  Eigenvalues closer than
+    over the rows of g in the observable's eigenbasis.  Every outcome with
+    p_g > 0 counts, however small: by Cauchy-Schwarz each term dp_g^2 / p_g
+    is at most 4 ||Pi_g H S||^2, so a rare outcome cannot blow up, and at
+    small theta the rare outcomes carry all of F.  Eigenvalues closer than
     max(1e-9, D eps max|lambda|), the rounding of `eigh` on a D x D matrix,
     are merged, so an exactly degenerate pair is one outcome at any norm.
     Distinct eigenvalues that close cannot be told apart in float64 and are
@@ -95,7 +96,7 @@ def classical_fisher(state: QuantumState, generator: HermitianOperator,
     starts = np.flatnonzero(np.r_[True, np.diff(evals) > tol])
     p = np.add.reduceat(np.sum(np.abs(a) ** 2, axis=1), starts)
     dp = 2.0 * np.add.reduceat(np.sum(a.conj() * b, axis=1).imag, starts)
-    keep = p > PROB_FLOOR
+    keep = p > 0.0
     return float(np.sum(dp[keep] ** 2 / p[keep]))
 
 

@@ -10,11 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cv import parse_fock_tag
+from .cv import FockBasis
 from .dynamics import HermitianPropagator
 from .errors import CalibrationError, ZeroSignalError
-from .operators import HermitianOperator, OperatorFamily
-from .spin import DickeBasis, build_spin_family, parse_dicke_tag, spin_family_size
+from .operators import MAX_DIMENSION, HermitianOperator, OperatorFamily
+from .spin import DickeBasis, build_spin_family, spin_family_size
 from .states import QuantumState, check_same_basis
 
 # retention threshold for the equilibrated covariance spectrum: sits well
@@ -88,26 +88,22 @@ def _signal(x: np.ndarray, h: np.ndarray):
     return None
 
 
-def _moment_table(gram: np.ndarray):
-    """Covariance and commutator matrices from the Gram matrix Z = R* R^T of
-    the centered rows (see `_center`).
+def _family_moments(state: QuantumState, family: OperatorFamily):
+    """(rows, gamma, c): the centered rows of the family in the state (see
+    `_centered_rows`), its symmetrized covariance matrix and its real
+    skew-symmetric matrix of -i times commutator expectations.
 
     Re(Z) is the symmetrized covariance and 2 Im(Z) equals -i<[H_k, H_l]>,
-    so one table feeds both matrices.
+    so one Gram matrix Z feeds both matrices.
     """
-    return (gram.real + gram.real.T) / 2, gram.imag - gram.imag.T
+    check_same_basis(state, family)
+    rows, gram = _centered_rows(state.factor, family)
+    return rows, (gram.real + gram.real.T) / 2, gram.imag - gram.imag.T
 
 
 def covariance_matrix(state: QuantumState, family: OperatorFamily) -> np.ndarray:
     """Symmetrized covariance matrix of the family in the given state."""
-    check_same_basis(state, family)
-    return _moment_table(_centered_rows(state.factor, family)[1])[0]
-
-
-def commutator_matrix(state: QuantumState, family: OperatorFamily) -> np.ndarray:
-    """Real skew-symmetric matrix of -i times commutator expectations."""
-    check_same_basis(state, family)
-    return _moment_table(_centered_rows(state.factor, family)[1])[1]
+    return _family_moments(state, family)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,8 +194,7 @@ def moment_matrix(gamma: np.ndarray, c: np.ndarray) -> MomentData:
 
 def moment_data(state: QuantumState, family: OperatorFamily) -> MomentData:
     """Covariance, commutator and moment matrices for one state and family."""
-    check_same_basis(state, family)
-    return moment_matrix(*_moment_table(_centered_rows(state.factor, family)[1]))
+    return moment_matrix(*_family_moments(state, family)[1:])
 
 
 def principal_eigenpair(matrix: np.ndarray):
@@ -270,13 +265,15 @@ def shot_noise_limit(system: str, n_particles: int | None = None) -> float:
     raise ValueError("system must be 'spin' or 'cv'")
 
 
-def _shot_noise_from_tag(basis_tag: str) -> float:
-    """Shot-noise limit of the system behind a basis tag (NaN if unknown)."""
-    n = parse_dicke_tag(basis_tag)
-    if n is not None:
-        return shot_noise_limit("spin", n)
-    if parse_fock_tag(basis_tag) is not None:
-        return shot_noise_limit("cv")
+def _shot_noise(family: OperatorFamily) -> float:
+    """Shot-noise limit of the system whose basis of the family's dimension
+    carries the family's tag (NaN if none does)."""
+    dim = family.dim
+    if 2 <= dim <= MAX_DIMENSION:  # the sizes both bases accept
+        if family.basis_tag == FockBasis(dim).tag:
+            return shot_noise_limit("cv")
+        if family.basis_tag == DickeBasis(dim - 1).tag:
+            return shot_noise_limit("spin", dim - 1)
     return math.nan
 
 
@@ -352,10 +349,8 @@ def chi2_inverse_opt(state: QuantumState, family: OperatorFamily, n_coeffs,
         raise ValueError("n_coeffs length must match the generator slots")
     if not abs(np.linalg.norm(n_coeffs) - 1.0) <= 1e-10:  # NaN fails too
         raise ValueError("generator direction must be a unit vector")
-    check_same_basis(state, family)
-    rows, gram = _centered_rows(state.factor, family)
-    return _squeeze(moment_matrix(*_moment_table(gram)), rows, slots,
-                    _shot_noise_from_tag(family.basis_tag), n_coeffs)
+    rows, gamma, c = _family_moments(state, family)
+    return _squeeze(moment_matrix(gamma, c), rows, slots, _shot_noise(family), n_coeffs)
 
 
 def chi2_error_propagation(state: QuantumState, generator: HermitianOperator,
@@ -380,9 +375,7 @@ def spin_squeezing_profile(state: QuantumState, basis: DickeBasis, k_max: int,
         family = build_spin_family(basis, k_max)
     if len(family) != spin_family_size(k_max):
         raise ValueError("family does not match k_max")
-    check_same_basis(state, family)
-    rows, gram = _centered_rows(state.factor, family)
-    gamma, c = _moment_table(gram)
+    rows, gamma, c = _family_moments(state, family)
     results = []
     for k in range(1, k_max + 1):
         cnt = spin_family_size(k)

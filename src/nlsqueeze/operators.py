@@ -216,6 +216,9 @@ class OperatorFamily:
         bands = np.asarray(self.bands, dtype=complex)
         if bands.ndim != 3 or bands.shape[1] == 0:
             raise ValueError("family must contain at least one operator")
+        if bands.shape[0] == 0 or bands.shape[2] % 2 == 0:
+            raise ValueError(f"family bands must have the layout (dim, L, 2w+1) with dim >= 1, "
+                             f"got shape {bands.shape}")
         if not len(self.labels) == len(self.degrees) == bands.shape[1]:
             raise ValueError("family needs one label and one degree per member")
         w = bands.shape[2] // 2

@@ -49,16 +49,6 @@ class DickeBasis:
         return f"dicke-N{self.n_particles}"
 
 
-def parse_dicke_tag(tag: str) -> int | None:
-    """Particle number encoded in a Dicke basis tag, or None."""
-    if tag.startswith("dicke-N"):
-        try:
-            return int(tag[len("dicke-N"):])
-        except ValueError:
-            return None
-    return None
-
-
 def _spin_bands(basis: DickeBasis) -> np.ndarray:
     """Bands (D, 3, 3) of Jx, Jy, Jz (see `OperatorFamily`): Jz is diagonal,
     and <m+1|J+|m> = sqrt(j(j+1) - m(m+1)) sits above it as m descends."""

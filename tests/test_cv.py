@@ -6,7 +6,6 @@ from nlsqueeze import (
     QuadratureDirection,
     build_cv_second_order_family,
     build_cv_third_order_family,
-    build_quadratures,
     chi2_inverse_opt,
     coherent_state,
     default_cutoff,
@@ -17,8 +16,14 @@ from nlsqueeze import (
 from nlsqueeze.cv import MAX_CUTOFF
 
 
+def _quadratures(basis):
+    """x and p: members 0 and 1 of the second-order family."""
+    family = build_cv_second_order_family(basis)
+    return family[0], family[1]
+
+
 def test_two_level_x_matrix():
-    x, _ = build_quadratures(FockBasis(2))
+    x, _ = _quadratures(FockBasis(2))
     want = np.array([[0.0, 1.0], [1.0, 0.0]]) / np.sqrt(2)
     assert np.abs(x.matrix - want).max() < 1e-15
 
@@ -32,7 +37,7 @@ def test_cutoff_bounded_by_dense_limit():
 
 @pytest.mark.parametrize("d", [2, 5, 12])
 def test_canonical_commutator_below_cutoff(d):
-    x, p = build_quadratures(FockBasis(d))
+    x, p = _quadratures(FockBasis(d))
     comm = x.matrix @ p.matrix - p.matrix @ x.matrix
     block = comm[: d - 1, : d - 1]
     assert np.abs(block - 1j * np.eye(d - 1)).max() < 1e-12
@@ -40,7 +45,7 @@ def test_canonical_commutator_below_cutoff(d):
 
 def test_vacuum_quadrature_variance():
     basis = FockBasis(10)
-    x, _ = build_quadratures(basis)
+    x, _ = _quadratures(basis)
     vac = fock_state(basis, 0)
     assert abs(vac.variance(x) - 0.5) < 1e-14
 
@@ -71,7 +76,7 @@ def test_fock_state_basics():
     vac = fock_state(basis, 0)
     assert abs(vac.vector[0] - 1.0) < 1e-15
     three = fock_state(basis, 3)
-    x, p = build_quadratures(basis)
+    x, p = _quadratures(basis)
     assert abs(three.expectation(x)) < 1e-14
     assert abs(three.expectation(p)) < 1e-14
     x2 = x.matrix @ x.matrix
@@ -99,7 +104,7 @@ def test_coherent_state_zero_is_vacuum():
 def test_coherent_state_displacement_and_qfi():
     basis = FockBasis(32)
     state = coherent_state(basis, 1.0)
-    x, _ = build_quadratures(basis)
+    x, _ = _quadratures(basis)
     assert abs(state.expectation(x) - np.sqrt(2)) < 1e-10
     for phi in (0.3, 1.7):
         q = quadrature_generator(basis, QuadratureDirection.from_phase(phi))

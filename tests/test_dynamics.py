@@ -255,7 +255,13 @@ def test_twisting_bands_are_exactly_hermitian(model, n):
     (lambda: twisting_generator(DickeBasis(4), "XYZ"), ValueError, "model must be one of"),
     (lambda: evolve(QuantumState.pure([1.0, 0.0, 0.0], "dicke-N4"), EvolutionSpec("OAT", 0.1)),
      BasisMismatchError, "does not match its Dicke tag"),
-], ids=["propagator dimension", "unknown model", "dimension against tag"])
+    (lambda: evolve(fock_state(FockBasis(5), 0), EvolutionSpec("OAT", 0.1)),
+     BasisMismatchError, "needs a Dicke-basis state"),
+    (lambda: evolve(QuantumState.pure([1.0], "dicke-N0"), EvolutionSpec("OAT", 0.1)),
+     BasisMismatchError, "needs a Dicke-basis state"),
+    (lambda: HermitianPropagator(np.eye(2)), TypeError, "must be a HermitianOperator, not ndarray"),
+], ids=["propagator dimension", "unknown model", "dimension against tag", "fock state", "one level",
+        "raw array generator"])
 def test_refusals(make, exc, fragment):
     with pytest.raises(exc, match=fragment):
         make()

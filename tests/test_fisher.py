@@ -17,11 +17,11 @@ from nlsqueeze import (
     classical_fisher,
     coherent_spin_state_z,
     combine,
-    commutator_matrix,
     covariance_matrix,
     evolve,
     f_max_density,
     fock_state,
+    moment_data,
     parity_operator,
     qfi,
     quadrature_generator,
@@ -253,6 +253,21 @@ class TestClassicalFisher:
         assert abs(f4 - f2) <= 1e-8 * f2
 
 
+@pytest.mark.parametrize("n", [16, 400])
+def test_classical_fisher_keeps_rare_outcomes(n):
+    # a coherent state along z turned about x, counted in Jz: at small theta
+    # the outcomes off |j, j> are rare, yet they carry all of F = N
+    basis = DickeBasis(n)
+    css = coherent_spin_state_z(basis)
+    jx, _, jz = build_spin_operators(basis)
+    f_q = qfi(css, jx)
+    for theta in (1e-12, 1e-9, 1e-7, 1e-4, 0.1, 1.0):
+        f = classical_fisher(css, jx, jz, theta)
+        if theta >= 1e-9:
+            assert abs(f - n) <= 1e-9 * n, theta
+        FisherReport(n, f, f_q).validate_chain()
+
+
 class TestShotNoise:
     def test_values(self):
         assert shot_noise_limit("spin", 16) == 16.0
@@ -436,7 +451,7 @@ class TestEigenframe:
     @staticmethod
     def _quantities(state, basis, family, h):
         direction = np.ones(3) / np.sqrt(3.0)
-        return [covariance_matrix(state, family), commutator_matrix(state, family),
+        return [covariance_matrix(state, family), moment_data(state, family).c,
                 qfi(state, h), f_max_density(state, basis)[0],
                 chi2_inverse_opt(state, family, direction).chi2_inv]
 

@@ -12,15 +12,14 @@ from nlsqueeze import (
     OperatorFamily,
     QuantumState,
     ZeroSignalError,
+    build_cv_second_order_family,
     build_cv_third_order_family,
-    build_quadratures,
     build_spin_family,
     build_spin_operators,
     chi2_error_propagation,
     chi2_inverse_opt,
     coherent_spin_state_z,
     combine,
-    commutator_matrix,
     covariance_matrix,
     entanglement_bound,
     evolve,
@@ -29,13 +28,12 @@ from nlsqueeze import (
     moment_matrix,
     optimal_measurement,
     optimize_generator,
-    principal_eigenpair,
     simulate_moment_estimator,
     spin_squeezing_profile,
 )
 from nlsqueeze.dynamics import EvolutionSpec
 from nlsqueeze.fisher import f_max_density
-from nlsqueeze.moments import SLICE_ENTRIES, _center, _centered_rows, _signal
+from nlsqueeze.moments import SLICE_ENTRIES, _center, _centered_rows, _signal, principal_eigenpair
 
 from conftest import angle_between, random_density, random_family, random_pure_state
 
@@ -55,20 +53,18 @@ class TestCovarianceAndCommutator:
     def test_css_commutator(self):
         n = 16
         _, css, fam = css_and_linear_family(n)
-        c = commutator_matrix(css, fam)
+        c = moment_data(css, fam).c
         want = np.zeros((3, 3))
         want[0, 1], want[1, 0] = n / 2, -n / 2
         assert np.abs(c - want).max() < 1e-12
 
     def test_vacuum_quadrature_matrices(self):
         basis = FockBasis(8)
-        x, p = build_quadratures(basis)
-        from nlsqueeze import OperatorFamily
-
-        fam = OperatorFamily.from_operators([x, p], basis.tag)
+        second = build_cv_second_order_family(basis)
+        fam = OperatorFamily.from_operators([second[0], second[1]], basis.tag)
         vac = fock_state(basis, 0)
         gamma = covariance_matrix(vac, fam)
-        c = commutator_matrix(vac, fam)
+        c = moment_data(vac, fam).c
         assert np.abs(gamma - np.eye(2) / 2).max() < 1e-14
         assert abs(c[0, 1] - 1.0) < 1e-14
 
@@ -81,7 +77,7 @@ class TestCovarianceAndCommutator:
     def test_commutator_diagonal_vanishes(self, rng):
         state = random_pure_state(rng, 7)
         fam = random_family(rng, 7, 4)
-        c = commutator_matrix(state, fam)
+        c = moment_data(state, fam).c
         assert np.abs(np.diag(c)).max() < 1e-12
 
     def test_mixed_state_matrices_match_pure(self, rng):
@@ -95,7 +91,7 @@ class TestCovarianceAndCommutator:
                 covariance_matrix(state, fam) - covariance_matrix(as_mixed, fam)
             ).max() < 1e-10
             assert np.abs(
-                commutator_matrix(state, fam) - commutator_matrix(as_mixed, fam)
+                moment_data(state, fam).c - moment_data(as_mixed, fam).c
             ).max() < 1e-10
 
     def test_residue_properties_on_benchmarks(self):
@@ -106,7 +102,7 @@ class TestCovarianceAndCommutator:
         for tau in (0.0, 0.3, np.pi / 2):
             state = evolve(coherent_spin_state_z(basis), EvolutionSpec("OAT", tau))
             gamma = covariance_matrix(state, fam)
-            c = commutator_matrix(state, fam)
+            c = moment_data(state, fam).c
             assert np.abs(gamma - gamma.T).max() < 1e-10
             assert np.abs(c + c.T).max() < 1e-10
 
@@ -350,10 +346,8 @@ class TestOptimalMeasurement:
 
     def test_vacuum_measurement_direction(self):
         basis = FockBasis(6)
-        x, p = build_quadratures(basis)
-        from nlsqueeze import OperatorFamily
-
-        fam = OperatorFamily.from_operators([x, p], basis.tag)
+        second = build_cv_second_order_family(basis)
+        fam = OperatorFamily.from_operators([second[0], second[1]], basis.tag)
         md = moment_data(fock_state(basis, 0), fam)
         m = optimal_measurement(md, [1.0, 0.0])
         assert angle_between(m, [0.0, 1.0]) < 1e-12
@@ -493,6 +487,27 @@ class TestChi2:
         # a NaN direction is no unit vector, not a direction without signal
         with pytest.raises(ValueError, match="unit"):
             chi2_inverse_opt(css, fam, [np.nan, 0.0, 0.0])
+
+    @pytest.mark.parametrize("dim, tag, f_sn", [
+        (5, "dicke-N4", 4.0), (6, "fock-D6", 2.0), (5, "test", math.nan), (3, "dicke-N4", math.nan),
+        (5, "fock-D6", math.nan), (5, "dicke-N04", math.nan),
+    ], ids=["dicke", "fock", "other tag", "dicke tag, other dimension", "fock tag, other dimension",
+            "dicke tag, other spelling"])
+    def test_shot_noise_is_read_from_the_basis_of_the_dimension(self, rng, dim, tag, f_sn):
+        res = chi2_inverse_opt(random_pure_state(rng, dim, tag), random_family(rng, dim, 3, tag),
+                               [1.0, 0.0, 0.0])
+        assert res.chi2_inv > 0
+        if math.isnan(f_sn):
+            assert math.isnan(res.xi2)
+        else:
+            assert abs(res.xi2 * res.chi2_inv - f_sn) <= 1e-12 * f_sn
+
+    @pytest.mark.parametrize("tag", ["dicke-N0", "fock-D1", "test"])
+    def test_dimension_one_family_has_no_shot_noise_limit(self, tag):
+        # no basis accepts one level, so the lookup builds none and gives NaN
+        fam = OperatorFamily(np.ones((1, 1, 1)), ["1"], (1,), tag)
+        res = chi2_inverse_opt(QuantumState.pure([1.0], tag), fam, [1.0])
+        assert res.chi2_inv == 0.0 and math.isnan(res.xi2)
 
     def test_fock_third_order_value(self):
         for n in (0, 2, 5):
@@ -660,7 +675,7 @@ class TestSpinSqueezingOrders:
         for tau in (0.1, 0.7, 1.9):
             state = evolve(coherent_spin_state_z(basis), EvolutionSpec("OAT", tau))
             gamma = covariance_matrix(state, fam5)
-            c = commutator_matrix(state, fam5)
+            c = moment_data(state, fam5).c
             prev = None
             for k in range(1, 6):
                 cnt = spin_family_size(k)

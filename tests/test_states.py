@@ -12,8 +12,8 @@ from nlsqueeze import (
     chi2_error_propagation,
     classical_fisher,
     coherent_spin_state_z,
-    commutator_matrix,
     evolve,
+    moment_data,
     qfi,
     simulate_moment_estimator,
 )
@@ -134,7 +134,7 @@ def test_moments_match_trace_formulas(rng):
         assert abs(state.expectation(a_op) - mean) < 1e-12
         assert abs(state.variance(a_op) - var) < 1e-12
         # c_01 = -i <[A, B]>, from the family's centered rows
-        c = commutator_matrix(state, OperatorFamily.from_operators([a_op, b_op], "test"))
+        c = moment_data(state, OperatorFamily.from_operators([a_op, b_op], "test")).c
         assert abs(1j * c[0, 1] - comm) < 1e-12
 
 
@@ -174,10 +174,10 @@ def test_raw_arrays_are_refused_as_operators(call):
     (lambda: QuantumState.mixed(np.ones(4) / 4, "test"), ValueError, "square matrix"),
     (lambda: _css_jx_jy(4)[0].expectation(build_spin_operators(DickeBasis(5))[0]), BasisMismatchError,
      "does not match state dimension"),
-    (lambda: commutator_matrix(_css_jx_jy(4)[0], OperatorFamily.from_operators(_css_jx_jy(4)[1:], "other")),
+    (lambda: moment_data(_css_jx_jy(4)[0], OperatorFamily.from_operators(_css_jx_jy(4)[1:], "other")),
      BasisMismatchError, "does not match family basis"),
-    (lambda: commutator_matrix(QuantumState.pure([1.0, 0.0], "test"),
-                               OperatorFamily.from_operators([_css_jx_jy(2)[1]], "test")),
+    (lambda: moment_data(QuantumState.pure([1.0, 0.0], "test"),
+                         OperatorFamily.from_operators([_css_jx_jy(2)[1]], "test")),
      BasisMismatchError, "dimensions differ"),
 ], ids=["vector factor", "no column", "density not square", "operator dimension", "basis tag",
         "family dimension"])
