@@ -16,7 +16,6 @@ from .operators import HermitianOperator
 from .spin import DickeBasis, build_spin_family, build_spin_operators
 from .states import QuantumState
 
-QFI_MODE_EPS = 1e-12
 EIG_CLUSTER_TOL = 1e-9
 CHAIN_SLACK = 1e-8
 
@@ -32,14 +31,16 @@ def _qfi_matrix(s: np.ndarray, rows: np.ndarray, gram: np.ndarray) -> np.ndarray
     P^a = S^dagger R_a,
     Q_ab = 4 Re Z_ab - 8 sum_ij Re(P^a_ij conj(P^b_ij)) / (l_i + l_j),
     which is the spectral formula 2 sum_ij (l_i - l_j)^2 / (l_i + l_j)
-    Re(A_ij B_ji); pairs with l_i + l_j below 1e-12 are dropped to avoid
-    0/0.  For a pure state P vanishes and Q is four times the covariance
-    matrix.  Re Z is read from the centering pass, so the rows are not
-    copied again here.
+    Re(A_ij B_ji).  Every pair with l_i + l_j > 0 counts: P^a_ij is
+    sqrt(l_i l_j) times a matrix element of A - <A>, so a pair's quotient is
+    at most min(l_i, l_j) ||A - <A>|| ||B - <B>|| however small its weights,
+    and only l_i = l_j = 0 is 0/0.  For a pure state P vanishes and Q is
+    four times the covariance matrix.  Re Z is read from the centering
+    pass, so the rows are not copied again here.
     """
     lam = np.linalg.norm(s, axis=0) ** 2
     sums = (lam[:, None] + lam[None, :]).ravel()
-    inv = np.divide(1.0, sums, out=np.zeros_like(sums), where=sums > QFI_MODE_EPS)
+    inv = np.divide(1.0, sums, out=np.zeros_like(sums), where=sums > 0.0)
     p = (s.conj().T @ rows.reshape(len(rows), *s.shape)).reshape(len(rows), -1).view(float)
     # Re(x conj(y)) summed is the real dot product of the float views
     cross = (p * np.repeat(inv, 2)) @ p.T

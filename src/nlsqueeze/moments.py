@@ -75,15 +75,17 @@ def _center(rows: np.ndarray, s: np.ndarray):
     return flat, gram
 
 
-def _signal(x: np.ndarray, h: np.ndarray):
+def _signal(x: np.ndarray, h: np.ndarray, floor: float = 0.0):
     """((Delta X)^2, |<[X, H]>|) from the centered rows x, h of X and H.
 
     Returns None when the commutator is no signal: zero, or below 1e-12 of
-    its Robertson bound 2 sqrt(Var X Var H).
+    its Robertson bound 2 sqrt(Var X Var H), or when ||x|| is within
+    `floor`, the rounding error of the row x, so that both quotient terms
+    are noise.
     """
     var_x = np.vdot(x, x).real
     comm = 2.0 * abs(np.vdot(x, h).imag)
-    if comm > 1e-12 * 2.0 * math.sqrt(var_x * np.vdot(h, h).real):
+    if var_x > floor * floor and comm > 1e-12 * 2.0 * math.sqrt(var_x * np.vdot(h, h).real):
         return var_x, comm
     return None
 
@@ -119,10 +121,11 @@ class MomentData:
     W = V lambda^(-1/2) on the kept eigenpairs (lambda, V) of Gamma_eq:
     Gamma_eq^+ = W W^T and Gamma^+ = diag(scales) W W^T diag(scales).
     kernel_leakage is the largest norm of an equilibrated commutator column
-    along a dropped direction, relative to the Frobenius norm of the
-    equilibrated commutator matrix; values above KERNEL_LEAK_TOL signal
-    numerical corruption because exact states cannot carry signal in a
-    zero-variance direction.
+    along a dropped direction, relative to c_norm, the Frobenius norm of the
+    equilibrated commutator matrix diag(scales) C diag(scales); values above
+    KERNEL_LEAK_TOL signal numerical corruption because exact states cannot
+    carry signal in a zero-variance direction.  c_norm is also the scale of
+    the zero-signal test of `optimal_measurement`.
     """
 
     gamma: np.ndarray
@@ -131,6 +134,7 @@ class MomentData:
     retained: np.ndarray
     kernel_leakage: float
     scales: np.ndarray
+    c_norm: float
 
     @property
     def size(self) -> int:
@@ -183,13 +187,13 @@ def moment_matrix(gamma: np.ndarray, c: np.ndarray) -> MomentData:
     proj = (retained.T @ c_eq) * dev  # (r, k); the factor dev undoes the equilibration
     m = proj.T @ proj  # exactly symmetric (BLAS syrk); k x k zeros when nothing is kept
 
-    c_norm = np.linalg.norm(c_eq)
+    c_norm = float(np.linalg.norm(c_eq))
     dropped = evecs[:, ~keep]
     if dropped.shape[1] and c_norm > 0:
         leakage = float(np.linalg.norm(c_eq @ dropped, axis=0).max() / c_norm)
     else:
         leakage = 0.0
-    return MomentData(gamma, c, m, retained, leakage, scales)
+    return MomentData(gamma, c, m, retained, leakage, scales, c_norm)
 
 
 def moment_data(state: QuantumState, family: OperatorFamily) -> MomentData:
@@ -199,22 +203,44 @@ def moment_data(state: QuantumState, family: OperatorFamily) -> MomentData:
 
 def principal_eigenpair(matrix: np.ndarray):
     """Top eigenpair of a symmetric matrix, the largest-magnitude coefficient
-    (the first one on a tie) made positive.
+    (the first one on a tie) made positive; for a stack (K, n, n), the top
+    eigenpairs (K, n) and (K,) of its matrices from one batched `eigh`.
 
-    A degenerate top eigenspace gets no canonical vector: of the vectors
-    `eigh` returns for it, the one whose largest-magnitude coefficient
-    sits at the smallest index wins, so rounding noise can turn the result
-    within that space (ROADMAP item 5).
+    A single matrix gives (vector, float).  A degenerate top eigenspace gets
+    no canonical vector: of the vectors `eigh` returns within
+    1e-12 max(1, |lambda|) of the top, the one whose largest-magnitude
+    coefficient sits at the smallest index wins (the lowest-ranked one on a
+    tie), so rounding noise can turn the result within that space (ROADMAP
+    item 5).
     """
     matrix = np.asarray(matrix, dtype=float)
-    evals, evecs = np.linalg.eigh((matrix + matrix.T) / 2)
-    lam = evals[-1]
-    tol = 1e-12 * max(1.0, abs(lam))
-    candidates = [evecs[:, i] for i in range(len(evals)) if evals[i] >= lam - tol]
-    best = min(candidates, key=lambda v: int(np.argmax(np.abs(v))))
-    if best[np.argmax(np.abs(best))] < 0:
-        best = -best
-    return best.copy(), float(lam)
+    evals, evecs = np.linalg.eigh((matrix + matrix.swapaxes(-1, -2)) / 2)
+    lam = evals[..., -1:]
+    cols = evecs.swapaxes(-1, -2)  # cols[..., j, :] is eigenvector j
+    lead = np.abs(cols).argmax(axis=-1)  # index of each eigenvector's largest |coefficient|
+    candidate = evals >= lam - 1e-12 * np.maximum(1.0, np.abs(lam))
+    best = np.where(candidate, lead, lead.shape[-1]).argmin(axis=-1)  # first minimum: lowest rank
+    if matrix.ndim == 2:  # basic indexing: no index arrays for a single matrix
+        vec = cols[best]
+        return (-vec if vec[lead[best]] < 0 else vec.copy()), float(lam[0])
+    k = np.arange(len(best))
+    vec = cols[k, best]
+    vec *= np.sign(vec[k, lead[k, best]])[:, None]  # +-1: a unit vector's largest entry is nonzero
+    return vec, lam[:, 0]
+
+
+def _measurement(md: MomentData, n_full: np.ndarray) -> np.ndarray:
+    """Unit-norm m ~ Gamma^+ C n for a full-length generator n (see
+    `optimal_measurement`, which checks the input)."""
+    scales = md.scales
+    cn_eq = scales * (md.c @ n_full)  # equilibrated signal vector C' n'
+    if np.linalg.norm(cn_eq) <= 1e-14 * max(1.0, md.c_norm):
+        raise ZeroSignalError("C n vanishes: zero sensitivity for this generator")
+    m = scales * (md.retained @ (md.retained.T @ cn_eq))
+    norm = np.linalg.norm(m)
+    if norm == 0.0:
+        raise ZeroSignalError("C n lies outside the retained covariance subspace")
+    return m / norm
 
 
 def optimal_measurement(md: MomentData, n_coeffs) -> np.ndarray:
@@ -222,23 +248,16 @@ def optimal_measurement(md: MomentData, n_coeffs) -> np.ndarray:
 
     Implements m ~ Gamma^+ C n with the stored factor W of Gamma^+.  When
     n_coeffs is shorter than the family, it sits on the leading members and
-    is zero-padded elsewhere.  Raises ZeroSignalError when C n vanishes: no
-    accessible observable responds to this generator.
+    is zero-padded elsewhere.  Raises ZeroSignalError when C n vanishes
+    (below 1e-14 of max(1, md.c_norm)): no accessible observable responds to
+    this generator.
     """
     n_coeffs = np.asarray(n_coeffs, dtype=float)
     if len(n_coeffs) > md.size or not np.isfinite(n_coeffs).all():
         raise ValueError("n_coeffs must be finite and no longer than the family")
     n_full = np.zeros(md.size)
     n_full[:len(n_coeffs)] = n_coeffs
-    scales = md.scales
-    cn_eq = scales * (md.c @ n_full)  # equilibrated signal vector C' n'
-    if np.linalg.norm(cn_eq) <= 1e-14 * max(1.0, np.linalg.norm(md.c * scales[:, None] * scales[None, :])):
-        raise ZeroSignalError("C n vanishes: zero sensitivity for this generator")
-    m = scales * (md.retained @ (md.retained.T @ cn_eq))
-    norm = np.linalg.norm(m)
-    if norm == 0.0:
-        raise ZeroSignalError("C n lies outside the retained covariance subspace")
-    return m / norm
+    return _measurement(md, n_full)
 
 
 def optimize_generator(md: MomentData, generator_slots):
@@ -251,7 +270,7 @@ def optimize_generator(md: MomentData, generator_slots):
     valid = all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) and 0 <= i < md.size for i in slots)
     if not (slots and valid and len(set(slots)) == len(slots)):
         raise ValueError(f"generator_slots must be distinct integers in 0..{md.size - 1}")
-    return principal_eigenpair(md.m_matrix[np.ix_(slots, slots)])
+    return principal_eigenpair(md.m_matrix[slots][:, slots])
 
 
 def shot_noise_limit(system: str, n_particles: int | None = None) -> float:
@@ -307,24 +326,24 @@ class SqueezingResult:
         return self.moments.robertson_violated
 
 
-def _squeeze(md: MomentData, rows: np.ndarray, slots, f_sn: float,
-             n_coeffs=None) -> SqueezingResult:
+def _squeeze(md: MomentData, rows: np.ndarray, slots, n_coeffs: np.ndarray, lam: float,
+             f_sn: float) -> SqueezingResult:
     """Squeezing result of the moment data `md` and the centered rows it came
-    from, for the generator n_coeffs on `slots` (default: the best one).
+    from, for the generator n_coeffs on `slots`; lam is the top eigenvalue
+    of M on the slots, which the caller has solved for.
 
-    lambda_max and the default generator are the top eigenpair of M on the
-    slots.  chi2_inv is the saturating quotient of the optimal measurement
-    m: with x = m^T R and h = n^T R it is (2 Im<x|h>)^2 / ||x||^2, which
-    stays stable where the quadratic form n^T M n overshoots bounds like F_Q
-    by the noise of the smallest retained covariance eigenvalues.  Without
-    signal (see `_signal`) chi2_inv is 0 and there is no measurement.
+    chi2_inv is the saturating quotient of the optimal measurement m (see
+    `_measurement`): with x = m^T R and h = n^T R it is
+    (2 Im<x|h>)^2 / ||x||^2, which stays stable where the quadratic form
+    n^T M n overshoots bounds like F_Q by the noise of the smallest retained
+    covariance eigenvalues.  Without signal (see `_signal`) chi2_inv is 0
+    and there is no measurement.  Nothing is validated here: the profile
+    builds its own input, and `chi2_inverse_opt` checks the user's.
     """
-    n_opt, lam = optimize_generator(md, slots)
-    n_coeffs = n_opt if n_coeffs is None else np.asarray(n_coeffs, dtype=float)
     n_full = np.zeros(md.size)
     n_full[slots] = n_coeffs
     try:
-        m = optimal_measurement(md, n_full)
+        m = _measurement(md, n_full)
     except ZeroSignalError:
         m = None
     signal = None if m is None else _signal(m @ rows, n_full @ rows)
@@ -350,14 +369,24 @@ def chi2_inverse_opt(state: QuantumState, family: OperatorFamily, n_coeffs,
     if not abs(np.linalg.norm(n_coeffs) - 1.0) <= 1e-10:  # NaN fails too
         raise ValueError("generator direction must be a unit vector")
     rows, gamma, c = _family_moments(state, family)
-    return _squeeze(moment_matrix(gamma, c), rows, slots, _shot_noise(family), n_coeffs)
+    md = moment_matrix(gamma, c)
+    lam = optimize_generator(md, slots)[1]  # also checks the slots
+    return _squeeze(md, rows, slots, n_coeffs, lam, _shot_noise(family))
 
 
 def chi2_error_propagation(state: QuantumState, generator: HermitianOperator,
                            observable: HermitianOperator) -> float:
-    """Error-propagation squeezing parameter (Delta X)^2 / |<[X, H]>|^2."""
-    rows, _ = _operator_rows(state.factor, state._matrix_of(observable), state._matrix_of(generator))
-    signal = _signal(*rows)
+    """Error-propagation squeezing parameter (Delta X)^2 / |<[X, H]>|^2.
+
+    The centered row (X - <X>) S of the observable is formed with an error
+    of at most about D eps || |X| |S| ||_F (entrywise absolute values, D
+    the dimension).  A row no longer than ten times that is rounding noise,
+    as for an eigenstate of X, and carries no signal: ZeroSignalError.
+    """
+    s, x_mat = state.factor, state._matrix_of(observable)
+    rows, _ = _operator_rows(s, x_mat, state._matrix_of(generator))
+    floor = 10.0 * np.finfo(float).eps * len(s) * np.linalg.norm(np.abs(x_mat) @ np.abs(s))
+    signal = _signal(*rows, floor=floor)
     if signal is None:
         raise ZeroSignalError("observable carries no signal for this generator")
     var_x, comm = signal
@@ -369,19 +398,24 @@ def spin_squeezing_profile(state: QuantumState, basis: DickeBasis, k_max: int,
     """Squeezing results for every order 1..k_max sharing one moment table.
 
     The order-k family is a prefix of the order-k_max family, so the
-    covariance and commutator matrices are computed once and sliced.
+    covariance and commutator matrices are computed once and sliced.  Each
+    order runs `moment_matrix` on its prefix; the generator slots Jx, Jy, Jz
+    of all orders are then solved at once, by `principal_eigenpair` on the
+    stack of the k_max blocks M[:3, :3].  The results are bit for bit those
+    of the public per-order path (`moment_matrix`, `optimize_generator`,
+    `optimal_measurement`), whose input checks the profile does not need.
     """
     if family is None:
         family = build_spin_family(basis, k_max)
     if len(family) != spin_family_size(k_max):
         raise ValueError("family does not match k_max")
     rows, gamma, c = _family_moments(state, family)
-    results = []
-    for k in range(1, k_max + 1):
-        cnt = spin_family_size(k)
-        md = moment_matrix(gamma[:cnt, :cnt], c[:cnt, :cnt])
-        results.append(_squeeze(md, rows[:cnt], [0, 1, 2], float(basis.n_particles)))
-    return results
+    mds = [moment_matrix(gamma[:cnt, :cnt], c[:cnt, :cnt])
+           for cnt in map(spin_family_size, range(1, k_max + 1))]
+    n_opts, lams = principal_eigenpair(np.stack([md.m_matrix[:3, :3] for md in mds]))
+    f_sn = float(basis.n_particles)
+    return [_squeeze(md, rows[:md.size], [0, 1, 2], n_opt, float(lam), f_sn)
+            for md, n_opt, lam in zip(mds, n_opts, lams)]
 
 
 ENT_BOUNDARY_TOL = 1e-9

@@ -10,6 +10,7 @@ from nlsqueeze import (
     HermitianPropagator,
     QuadratureDirection,
     QuantumState,
+    ZeroSignalError,
     build_spin_family,
     build_spin_operators,
     chi2_error_propagation,
@@ -268,6 +269,38 @@ def test_classical_fisher_keeps_rare_outcomes(n):
         FisherReport(n, f, f_q).validate_chain()
 
 
+def _chain_states():
+    basis = DickeBasis(16)
+    css = coherent_spin_state_z(basis)
+    dim = basis.dimension
+    noisy = QuantumState.mixed(0.9 * css.density_matrix() + 0.1 * np.eye(dim) / dim, basis.tag)
+    return basis, {"coherent": css, "OAT tau=0.3": evolve(css, EvolutionSpec("OAT", 0.3)),
+                   "GHZ": standard_ghz(16)[1], "10% noise": noisy}
+
+
+@pytest.mark.parametrize("name", ["coherent", "OAT tau=0.3", "GHZ", "10% noise"])
+@pytest.mark.parametrize("observable", ["Jz", "Jz^2", "parity"])
+def test_chain_holds_along_a_small_phase_walk(name, observable):
+    # chi^-2 <= F <= F_Q at every phase of the walk, chi^-2 taken as 0 where
+    # the observable carries no signal.  GHZ is a parity eigenstate at every
+    # theta (the parity commutes with Jx); its rounding-level Var P and
+    # <[P, Jx]> gave chi^-2 ~ 1e-3 against F ~ 1e-32 before the row floor of
+    # `chi2_error_propagation`
+    basis, states = _chain_states()
+    state = states[name]
+    jx, _, jz = build_spin_operators(basis)
+    obs = {"Jz": jz, "Jz^2": HermitianOperator(jz.matrix @ jz.matrix, "Jz^2", degree=2),
+           "parity": parity_operator(basis)}[observable]
+    f_q = qfi(state, jx)
+    propagator = HermitianPropagator(jx)
+    for theta in (1e-12, 1e-9, 1e-7, 1e-4, 0.1, 1.0):
+        try:
+            chi2_inv = 1.0 / chi2_error_propagation(propagator.apply(state, theta), jx, obs)
+        except ZeroSignalError:
+            chi2_inv = 0.0
+        FisherReport(chi2_inv, classical_fisher(state, jx, obs, theta), f_q).validate_chain()
+
+
 class TestShotNoise:
     def test_values(self):
         assert shot_noise_limit("spin", 16) == 16.0
@@ -378,6 +411,28 @@ class TestQfiKernel:
         s[:, 1] = 0.0
         state = QuantumState(basis.tag, s / np.linalg.norm(s))
         self.check(state, basis, random_hermitian(rng, 7))
+
+    def test_factor_with_a_tiny_weight_column(self, rng):
+        # rho = (1 - 3e-13) |v0><v0| + 1e-13 |v1><v1| + 2e-13 |v2><v2| with v0
+        # an eigenvector of A: v0 contributes nothing, so F_Q comes from the
+        # tiny weights alone.  The pairs among the small columns (l_i + l_j
+        # below 1e-12) carry all of it against the exact spectral sum over
+        # every pair with l_i + l_j > 0, from the known l and eigenbasis V.
+        dim = 7
+        v = random_unitary(rng, dim)
+        inner = random_hermitian(rng, dim).matrix.copy()
+        inner[0, 1:] = inner[1:, 0] = 0.0
+        a = HermitianOperator(v @ inner @ v.conj().T, "A")
+        lam = np.zeros(dim)
+        lam[:3] = [1.0 - 3e-13, 1e-13, 2e-13]
+        state = QuantumState(DickeBasis(6).tag, v[:, :3] * np.sqrt(lam[:3]))
+        sums = lam[:, None] + lam[None, :]
+        weights = np.divide((lam[:, None] - lam[None, :]) ** 2, sums, out=np.zeros_like(sums),
+                            where=sums > 0.0)
+        inner = v.conj().T @ a.matrix @ v
+        want = 2.0 * np.sum(weights * np.abs(inner) ** 2)
+        assert 1e-13 < want < 1e-11
+        assert abs(qfi(state, a) - want) <= 1e-9 * want
 
     def test_evolved_noisy_tat_state(self):
         basis, state = noisy_css()

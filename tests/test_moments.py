@@ -34,6 +34,7 @@ from nlsqueeze import (
 from nlsqueeze.dynamics import EvolutionSpec
 from nlsqueeze.fisher import f_max_density
 from nlsqueeze.moments import SLICE_ENTRIES, _center, _centered_rows, _signal, principal_eigenpair
+from nlsqueeze.spin import spin_family_size
 
 from conftest import angle_between, random_density, random_family, random_pure_state
 
@@ -425,6 +426,7 @@ class TestGeneratorOptimization:
             retained=np.eye(3),
             kernel_leakage=0.0,
             scales=np.ones(3),
+            c_norm=0.0,
         )
         n_opt, lam = optimize_generator(md, [0, 1, 2])
         assert lam == 3.0
@@ -460,6 +462,48 @@ class TestGeneratorOptimization:
         vec, _ = principal_eigenpair(5.0 * np.outer(u, u) + np.eye(3))
         assert vec[2] > 0
         assert angle_between(vec, u) < 1e-12
+
+    @staticmethod
+    def _rule(matrix):
+        """The tie-break written out one matrix at a time: of the eigenvectors
+        within 1e-12 max(1, |top|) of the top eigenvalue, the lowest-ranked
+        one whose largest |coefficient| has the smallest index, signed so
+        that this coefficient is positive."""
+        evals, evecs = np.linalg.eigh((matrix + matrix.T) / 2)
+        lam = evals[-1]
+        tol = 1e-12 * max(1.0, abs(lam))
+        candidates = [evecs[:, i] for i in range(len(evals)) if evals[i] >= lam - tol]
+        best = min(candidates, key=lambda v: int(np.argmax(np.abs(v))))
+        return (-best if best[np.argmax(np.abs(best))] < 0 else best), float(lam)
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_stack_matches_one_matrix_at_a_time(self, rng, dim):
+        # degenerate tops (identity, a doubled top, a tie within 1e-12), top
+        # eigenvectors whose largest entry is negative, negative definite
+        # and zero matrices, and random ones, solved as one stack
+        u = np.zeros(dim)
+        u[:2] = [-0.8, 0.6]
+        flat = np.ones(dim) / np.sqrt(dim)
+        near = np.eye(dim)
+        near[0, 0] += 1e-13
+        mats = [np.eye(dim), np.diag([1.0, 1.0] + [0.0] * (dim - 2)),
+                np.diag([0.0] * (dim - 2) + [1.0, 1.0]), near,
+                5.0 * np.outer(u, u) + np.eye(dim), -np.eye(dim) - 3.0 * np.outer(flat, flat),
+                -5.0 * np.outer(u, u), 2.0 * np.outer(flat, flat), np.zeros((dim, dim))]
+        for _ in range(4):
+            a = rng.normal(size=(dim, dim))
+            mats.append(a @ a.T - 2.0 * np.eye(dim))
+        stack = np.stack(mats)
+        vecs, lams = principal_eigenpair(stack)
+        assert vecs.shape == (len(mats), dim) and lams.shape == (len(mats),)
+        for mat, vec, lam in zip(mats, vecs, lams):
+            one_vec, one_lam = principal_eigenpair(mat)
+            rule_vec, rule_lam = self._rule(mat)
+            assert type(one_lam) is float and one_lam == rule_lam == lam
+            assert one_vec.tobytes() == rule_vec.tobytes() == vec.tobytes()
+        assert np.abs(vecs[0] - np.eye(dim)[0]).max() == 0.0  # identity: the first axis
+        assert np.abs(vecs[1] - np.eye(dim)[0]).max() == 0.0
+        assert vecs[4][0] > 0 and angle_between(vecs[4], u) < 1e-12
 
 
 class TestChi2:
@@ -577,6 +621,23 @@ class TestChi2:
         with pytest.raises(ZeroSignalError):
             chi2_error_propagation(css, jx, jz)
 
+    @pytest.mark.parametrize("theta", [0.1, 1.0])
+    def test_rounding_noise_of_an_eigenstate_is_no_signal(self, theta):
+        # GHZ turned about x stays an eigenstate of the parity (-1)^(J - Jx),
+        # so Var P is rounding noise (~1e-31) and so is <[P, Jx]>; their
+        # quotient passed the relative Robertson cut and gave chi^-2 ~ 1e-3
+        # against a classical Fisher information of ~1e-32
+        from nlsqueeze import HermitianPropagator, parity_operator
+
+        n = 16
+        basis = DickeBasis(n)
+        vec = np.zeros(n + 1, dtype=complex)
+        vec[0] = vec[-1] = 1 / np.sqrt(2)
+        jx = build_spin_operators(basis)[0]
+        probe = HermitianPropagator(jx).apply(QuantumState.pure(vec, basis.tag), theta)
+        with pytest.raises(ZeroSignalError):
+            chi2_error_propagation(probe, jx, parity_operator(basis))
+
     def test_ghz_parity_sensitivity(self):
         from nlsqueeze import parity_operator
 
@@ -632,6 +693,68 @@ class TestSpinSqueezingOrders:
             single = spin_squeezing_profile(state, basis, k)[-1]
             assert abs(res.chi2_inv - single.chi2_inv) < 1e-10
             assert angle_between(res.n_coeffs, single.n_coeffs) < 1e-8
+
+    @staticmethod
+    def _readme_point(index):
+        basis = DickeBasis(16)
+        tau = float(np.linspace(0.0, np.pi, 101)[index]) if index is not None else np.pi / 2
+        return basis, evolve(coherent_spin_state_z(basis), EvolutionSpec("OAT", tau))
+
+    @pytest.mark.parametrize("point", ["readme row 48", "readme row 52", "pi/2", "noisy TAT"])
+    def test_profile_is_the_public_per_order_path_bit_for_bit(self, point):
+        # rows 48 and 52 of the README grid raise the integrity flag at order
+        # 5; tau = pi/2 has a degenerate generator plane and orders without
+        # signal
+        if point == "noisy TAT":
+            basis, state = _noisy_tat_point(16, tau=0.4)
+        else:
+            basis, state = self._readme_point({"readme row 48": 48, "readme row 52": 52}.get(point))
+        k_max = 5
+        family = build_spin_family(basis, k_max)
+        gamma, c = covariance_matrix(state, family), moment_data(state, family).c
+        rows, _ = _centered_rows(state.factor, family)
+        profile = spin_squeezing_profile(state, basis, k_max, family=family)
+        for k, res in enumerate(profile, start=1):
+            cnt = spin_family_size(k)
+            md = moment_matrix(gamma[:cnt, :cnt], c[:cnt, :cnt])
+            n_opt, lam = optimize_generator(md, [0, 1, 2])
+            try:
+                m = optimal_measurement(md, n_opt)
+            except ZeroSignalError:
+                m = None
+            n_full = np.zeros(cnt)
+            n_full[:3] = n_opt
+            signal = None if m is None else _signal(m @ rows[:cnt], n_full @ rows[:cnt])
+            chi2_inv = 0.0 if signal is None else signal[1] ** 2 / signal[0]
+            assert res.chi2_inv == chi2_inv
+            assert res.lambda_max == lam and type(res.lambda_max) is float
+            assert res.n_coeffs.tobytes() == n_opt.tobytes()
+            assert (res.m_coeffs is None) == (signal is None)  # no measurement without signal
+            if signal is not None:
+                assert res.m_coeffs.tobytes() == m.tobytes()
+            got = res.moments
+            assert got.kernel_leakage == md.kernel_leakage and got.c_norm == md.c_norm
+            for name in ("gamma", "c", "m_matrix", "retained", "scales"):
+                assert getattr(got, name).tobytes() == getattr(md, name).tobytes(), name
+        if point.startswith("readme"):
+            assert profile[-1].robertson_violated  # the known flag, unchanged
+        if point == "pi/2":
+            assert profile[0].chi2_inv == 0.0
+
+    def test_profile_solves_every_order_with_one_stacked_eigh(self, monkeypatch):
+        # one `eigh` per order inside `moment_matrix`, then one for the k_max
+        # generator blocks M[:3, :3] together; none to re-validate
+        basis, state = self._readme_point(30)
+        family = build_spin_family(basis, 5)
+        eigh, shapes = np.linalg.eigh, []
+
+        def counting_eigh(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        spin_squeezing_profile(state, basis, 5, family=family)
+        assert shapes == [(3, 3), (9, 9), (19, 19), (34, 34), (55, 55), (5, 3, 3)]
 
     def test_no_signal_orders_report_zero_on_the_readme_grid(self):
         # chi2_inv has one formula: an order whose saturating quotient finds
