@@ -246,14 +246,14 @@ def _run_estimate(args: argparse.Namespace) -> tuple[str | None, str, bool]:
     lines = [
         f"model {args.model}, N={args.n}, tau={_fmt(args.tau)}; "
         f"generator {args.generator}, observable {args.observable}",
-        f"theta = {_fmt(report.theta_true)}, mu = {report.mu}, "
-        f"trials = {report.trials}, seed = {report.seed}",
+        f"theta = {_fmt(args.theta)}, mu = {args.mu}, "
+        f"trials = {args.trials}, seed = {args.seed}",
         f"predicted variance = {_fmt(report.predicted_variance)}",
         f"empirical variance = {_fmt(report.empirical_variance)}",
         f"ratio = {_fmt(report.ratio)}",
     ]
     if report.n_clamped:
-        lines.append(f"clamped sample means: {report.n_clamped}/{report.trials}")
+        lines.append(f"clamped sample means: {report.n_clamped}/{args.trials}")
     return None, "\n".join(lines) + "\n", False
 
 

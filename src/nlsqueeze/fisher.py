@@ -16,7 +16,6 @@ from .operators import HermitianOperator
 from .spin import DickeBasis, build_spin_family, build_spin_operators
 from .states import QuantumState
 
-EIG_CLUSTER_TOL = 1e-9
 CHAIN_SLACK = 1e-8
 
 
@@ -83,17 +82,18 @@ def classical_fisher(state: QuantumState, generator: HermitianOperator,
     p_g > 0 counts, however small: by Cauchy-Schwarz each term dp_g^2 / p_g
     is at most 4 ||Pi_g H S||^2, so a rare outcome cannot blow up, and at
     small theta the rare outcomes carry all of F.  Eigenvalues closer than
-    max(1e-9, D eps max|lambda|), the rounding of `eigh` on a D x D matrix,
-    are merged, so an exactly degenerate pair is one outcome at any norm.
-    Distinct eigenvalues that close cannot be told apart in float64 and are
-    merged too: Jx^6 at N >= 400 exceeds float64 resolution in this way.
+    D eps max|lambda|, the rounding of `eigh` on a D x D matrix, are merged,
+    so an exactly degenerate pair is one outcome, and F does not change when
+    the observable is rescaled.  Distinct eigenvalues that close cannot be
+    told apart in float64 and are merged too: Jx^6 at N >= 400 exceeds
+    float64 resolution in this way.
     """
     h = state._matrix_of(generator)
     evals, evecs = np.linalg.eigh(state._matrix_of(observable))
     s = HermitianPropagator._from_matrix(h).apply(state, theta).factor
     a = evecs.conj().T @ s
     b = evecs.conj().T @ (h @ s)
-    tol = max(EIG_CLUSTER_TOL, len(evals) * np.finfo(float).eps * np.abs(evals).max())
+    tol = len(evals) * np.finfo(float).eps * np.abs(evals).max()
     starts = np.flatnonzero(np.r_[True, np.diff(evals) > tol])
     p = np.add.reduceat(np.sum(np.abs(a) ** 2, axis=1), starts)
     dp = 2.0 * np.add.reduceat(np.sum(a.conj() * b, axis=1).imag, starts)

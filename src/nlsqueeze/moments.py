@@ -164,10 +164,11 @@ def moment_matrix(gamma: np.ndarray, c: np.ndarray) -> MomentData:
     k = gamma.shape[0]
     if gamma.shape != (k, k) or c.shape != (k, k):
         raise ValueError("gamma and c must be square matrices of equal size")
-    # written `not x <= tol`: a NaN or infinite entry leaves a NaN residue
-    if not np.abs(gamma - gamma.T).max() <= 1e-10 * max(1.0, np.abs(gamma).max()):
+    # written `not x <= tol < inf`: a NaN entry leaves a NaN residue and an
+    # infinite one an infinite tolerance
+    if not np.abs(gamma - gamma.T).max() <= 1e-10 * np.abs(gamma).max() < np.inf:
         raise ValueError("gamma is not a finite symmetric matrix")
-    if not np.abs(c + c.T).max() <= 1e-10 * max(1.0, np.abs(c).max()):
+    if not np.abs(c + c.T).max() <= 1e-10 * np.abs(c).max() < np.inf:
         raise ValueError("c is not a finite skew-symmetric matrix")
     gamma = (gamma + gamma.T) / 2
     c = (c - c.T) / 2
@@ -179,7 +180,7 @@ def moment_matrix(gamma: np.ndarray, c: np.ndarray) -> MomentData:
 
     evals, evecs = np.linalg.eigh((gamma_eq + gamma_eq.T) / 2)
     lam_top = evals[-1]
-    if evals[0] < -1e-10 * max(1.0, lam_top):
+    if evals[0] < -1e-10 * lam_top:
         raise ValueError("gamma has a negative eigenvalue beyond tolerance")
     keep = evals > GAMMA_EPS_REL * lam_top  # all False when lam_top <= 0
 
@@ -437,12 +438,9 @@ def entanglement_bound(xi2_inv: float) -> int:
 
 @dataclass(frozen=True)
 class EstimatorReport:
-    """Predicted vs empirical variance of the moment-based estimator."""
+    """Predicted vs empirical variance of the moment-based estimator; window
+    is the calibration window used, with the default resolved."""
 
-    theta_true: float
-    mu: int
-    trials: int
-    seed: int
     window: tuple
     predicted_variance: float
     empirical_variance: float
@@ -483,36 +481,29 @@ def simulate_moment_estimator(state: QuantumState, generator: HermitianOperator,
     diffs = np.diff(curve)
     if not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise CalibrationError("calibration curve is not monotonic on the window")
-    if curve[0] > curve[-1]:
-        curve_asc, grid_asc = curve[::-1], grid[::-1]
-    else:
-        curve_asc, grid_asc = curve, grid
+    if curve[0] > curve[-1]:  # np.interp needs an increasing curve
+        curve, grid = curve[::-1], grid[::-1]
 
     probe = prop.apply(state, theta_true)
     xvals, xvecs = np.linalg.eigh(state._matrix_of(observable))
     p = np.sum(np.abs(xvecs.conj().T @ probe.factor) ** 2, axis=1)
-    p = np.clip(p, 0.0, None)
     p /= p.sum()
 
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(mu, p, size=trials)
     xbars = counts @ xvals / mu
 
-    n_clamped = int(np.sum((xbars < curve_asc[0]) | (xbars > curve_asc[-1])))
+    n_clamped = int(np.sum((xbars < curve[0]) | (xbars > curve[-1])))
     if n_clamped:
         warnings.warn(
             f"{n_clamped}/{trials} sample means fell outside the calibration "
             "window and were clamped", stacklevel=2,
         )
-    theta_est = np.interp(xbars, curve_asc, grid_asc)
+    theta_est = np.interp(xbars, curve, grid)
 
     empirical = float(np.var(theta_est, ddof=1))
     predicted = chi2_error_propagation(probe, generator, observable) / mu
     return EstimatorReport(
-        theta_true=theta_true,
-        mu=mu,
-        trials=trials,
-        seed=seed,
         window=(lo, hi),
         predicted_variance=predicted,
         empirical_variance=empirical,

@@ -34,10 +34,11 @@ class HermitianOperator:
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"operator {self.label!r} must be a square matrix")
-        # bound HERMITICITY_ATOL * max(1, largest entry), as in `moment_matrix`;
-        # a NaN or infinite entry leaves a NaN residue, which fails both tests
+        # bound HERMITICITY_ATOL * largest entry, so the test does not depend on
+        # units; a NaN entry leaves a NaN residue and an infinite one an
+        # infinite bound, and both fail
         resid = np.abs(mat - mat.conj().T).max()
-        if not (resid <= HERMITICITY_ATOL or resid <= HERMITICITY_ATOL * np.abs(mat).max()):
+        if not resid <= HERMITICITY_ATOL * np.abs(mat).max() < np.inf:
             raise ValueError(
                 f"operator {self.label!r} is not Hermitian (max residue {resid:.2e})"
             )
@@ -227,8 +228,8 @@ class OperatorFamily:
             herm[r, :, w + o] = bands[r.start + o:r.stop + o, :, w - o].conj()
         # per member, rows reduced first: a two-axis max over the short band axis is slow
         resid = np.abs(bands - herm).max(axis=0).max(axis=1)
-        scale = np.maximum(1.0, np.abs(bands).max(axis=0).max(axis=1))
-        bad = np.flatnonzero(~(resid <= HERMITICITY_ATOL * scale))  # a NaN residue fails too
+        scale = np.abs(bands).max(axis=0).max(axis=1)
+        bad = np.flatnonzero(~((resid <= HERMITICITY_ATOL * scale) & (scale < np.inf)))  # NaN fails too
         if len(bad):
             raise ValueError(f"family member {bad[0]} ({self.labels[bad[0]]!r}) is not Hermitian "
                              f"(max residue {resid[bad[0]]:.2e})")

@@ -269,6 +269,30 @@ def test_classical_fisher_keeps_rare_outcomes(n):
         FisherReport(n, f, f_q).validate_chain()
 
 
+@pytest.mark.parametrize("name", ["coherent", "OAT tau=0.3"])
+@pytest.mark.parametrize("observable", ["Jz", "Jz^2"])
+def test_rungs_do_not_depend_on_units(name, observable):
+    # F and chi^2 are properties of a measurement's outcomes, so rescaling the
+    # observable by a changes neither, and rescaling the generator by b scales
+    # F_Q by b^2.  An absolute eigenvalue cluster width of 1e-9 merged every
+    # outcome of 1e-10 Jz into one and gave F = 1e-33 there
+    basis, states = _chain_states()
+    state = states[name]
+    jx, _, jz = build_spin_operators(basis)
+    obs = {"Jz": jz.matrix, "Jz^2": jz.matrix @ jz.matrix}[observable]
+    f_ref = classical_fisher(state, jx, HermitianOperator(obs, observable), 0.2)
+    turned = HermitianPropagator(jx).apply(state, 0.2)
+    chi2_ref = chi2_error_propagation(turned, jx, HermitianOperator(obs, observable))
+    f_q = qfi(state, jx)
+    assert f_ref > 1.0
+    for a in (1e-14, 1e-10, 1e-9, 1.0, 1e6):
+        scaled = HermitianOperator(a * obs, f"{a:g} {observable}")
+        assert abs(classical_fisher(state, jx, scaled, 0.2) - f_ref) <= 1e-12 * f_ref, a
+        assert abs(chi2_error_propagation(turned, jx, scaled) - chi2_ref) <= 1e-12 * chi2_ref, a
+        b_jx = HermitianOperator(a * jx.matrix, f"{a:g} Jx")
+        assert abs(qfi(state, b_jx) - a * a * f_q) <= 1e-12 * a * a * f_q, a
+
+
 def _chain_states():
     basis = DickeBasis(16)
     css = coherent_spin_state_z(basis)

@@ -311,15 +311,21 @@ class TestMomentMatrix:
     def test_rejects_asymmetric_gamma(self):
         with pytest.raises(ValueError, match="symmetric"):
             moment_matrix(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros((2, 2)))
+        # the tolerance is relative to the entries, with no unit floor
+        with pytest.raises(ValueError, match="symmetric"):
+            moment_matrix(1e-11 * np.array([[1.0, 1.0], [0.0, 1.0]]), np.zeros((2, 2)))
 
     @pytest.mark.parametrize("which", ["gamma", "c"])
     def test_rejects_nan(self, which):
         # unchecked, a NaN in gamma gives M = 0 and one in c gives
         # M = NaN, both with leakage 0, so no integrity flag would fire
-        gamma, c = np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]])
-        {"gamma": gamma, "c": c}[which][0, 1] = np.nan
-        with pytest.raises(ValueError, match="finite"):
-            moment_matrix(gamma, c)
+        # an infinite entry off the diagonal leaves an infinite residue, which
+        # passed a tolerance taken from the (infinite) largest entry
+        for bad in (np.nan, np.inf):
+            gamma, c = np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]])
+            {"gamma": gamma, "c": c}[which][0, 1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                moment_matrix(gamma, c)
 
     def test_rejects_negative_gamma(self):
         with pytest.raises(ValueError, match="negative"):

@@ -16,8 +16,9 @@ from nlsqueeze import (
     combine,
     symmetric_product,
 )
-from nlsqueeze.operators import dense_matrix
-from nlsqueeze.spin import _monomial_degrees
+from nlsqueeze.cv import _quadrature_bands
+from nlsqueeze.operators import HERMITICITY_ATOL, _bands_of, dense_matrix, symmetrized_bands
+from nlsqueeze.spin import _monomial_degrees, _spin_bands
 
 from conftest import random_hermitian
 
@@ -34,6 +35,19 @@ def test_hermitian_operator_rejects_non_hermitian():
 def test_hermitian_operator_rejects_nan():
     with pytest.raises(ValueError, match="not Hermitian"):
         HermitianOperator(np.array([[np.nan, 0.0], [0.0, 1.0]]), "bad")
+
+
+@pytest.mark.parametrize("mat", [1e-13 * np.array([[0.0, 1.0], [0.0, 0.0]]),
+                                 np.array([[0.0, np.inf], [1.0, 0.0]])],
+                         ids=["1e-13 shift", "infinite entry"])
+def test_both_gates_take_their_scale_from_the_operand(mat):
+    # a bound floored at 1e-12 passed any matrix with entries below it, and
+    # an infinite entry off the diagonal left an infinite residue within an
+    # infinite bound
+    with pytest.raises(ValueError, match="not Hermitian"):
+        HermitianOperator(mat, "bad")
+    with pytest.raises(ValueError, match="not Hermitian"):
+        OperatorFamily(_bands_of([mat]), ["bad"], (0,), "test")
 
 
 @pytest.mark.parametrize("axis", [0, 1], ids=["Jx", "Jy"])
@@ -286,6 +300,35 @@ def _assert_exactly_hermitian(fam):
 @pytest.mark.parametrize("k", range(1, 7))
 def test_spin_families_are_exactly_hermitian(n, k):
     _assert_exactly_hermitian(build_spin_family(DickeBasis(n), k))
+
+
+def _library_bands():
+    """Raw symmetrized bands (before the gate) of every family the library
+    builds: spin monomials, the twisting generators and both CV orders."""
+    out = {}
+    for n in (1, 2, 7, 16, 400):
+        spin = _spin_bands(DickeBasis(n))
+        out[f"spin N={n}"] = symmetrized_bands(spin, _monomial_degrees(3 if n == 400 else 6))
+        jy2, jz = symmetrized_bands(spin, [(0, 2, 0), (0, 0, 1)]).transpose(1, 0, 2)
+        out[f"OAT N={n}"] = jy2[:, None]
+        out[f"TAT N={n}"] = (jy2 - n / 2 * jz)[:, None]
+    for cutoff in (4, 8, 68):
+        quad = _quadrature_bands(FockBasis(cutoff))
+        out[f"cv order 2 cutoff {cutoff}"] = symmetrized_bands(quad, [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)])
+        out[f"cv order 3 cutoff {cutoff}"] = symmetrized_bands(
+            quad, [(1, 0), (0, 1), (3, 0), (2, 1), (1, 2), (0, 3)])
+    return out
+
+
+def test_library_bands_clear_the_relative_gate_by_a_wide_margin():
+    # the gate allows a residue of HERMITICITY_ATOL times a member's largest
+    # entry, with no absolute floor; the raw bands the library builds stay
+    # below 1/100 of that (at most 3.8e-16 of the largest entry here), so
+    # rounding cannot trip it
+    for name, bands in _library_bands().items():
+        for k, band in enumerate(bands.transpose(1, 0, 2)):
+            mat = dense_matrix(band)
+            assert np.abs(mat - mat.conj().T).max() <= HERMITICITY_ATOL / 100 * np.abs(mat).max(), (name, k)
 
 
 @pytest.mark.parametrize("cutoff", [4, 20, 72])
