@@ -1,0 +1,80 @@
+"""Compare the CLI output of two source trees byte for byte.
+
+Usage: python .github/cli_bytes.py BASE_TREE HEAD_TREE
+
+Runs every `nlsqueeze` command of HEAD_TREE's README plus the fixed MATRIX
+below as `python -m nlsqueeze`, once per tree, with PYTHONPATH=<tree>/src,
+one BLAS thread and a fresh working directory each.  Prints a Markdown
+report: "identical" when stdout, stderr, the exit code and every file the
+command writes agree, else their unified diffs.  It reports and never fails:
+a change of bytes may be intended.
+"""
+
+import difflib
+import os
+import re
+import shlex
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+MATRIX = [
+    "sweep --model TAT --n 20 --kmax 4 --steps 11 --format json --parity --qfi",
+    "sweep --n 2",
+    "sweep --n 400 --kmax 3 --steps 21 --qfi --format json",
+    "analyze --model TAT --n 30 --kmax 5 --tau 0.2",
+    *(f"fock --n {n} --order {order}" for n in (0, 5, 60) for order in (2, 3)),
+    "estimate --model OAT --n 16 --tau 0.1",
+]
+
+
+def readme_commands(tree: Path) -> list[str]:
+    """Every `nlsqueeze` command of the README's shell blocks, without the program name."""
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", (tree / "README.md").read_text(), re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["nlsqueeze"]:
+                commands.append(shlex.join(words[1:]))
+    return commands
+
+
+def run(tree: Path, command: str) -> dict[str, bytes]:
+    """stdout, stderr, exit code and the files written by one command."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    with tempfile.TemporaryDirectory() as cwd:
+        proc = subprocess.run([sys.executable, "-m", "nlsqueeze", *shlex.split(command)],
+                              cwd=cwd, env=env, capture_output=True)
+        out = {"stdout": proc.stdout, "stderr": proc.stderr, "exit code": b"%d\n" % proc.returncode}
+        for path in sorted(Path(cwd).iterdir()):
+            out[f"file {path.name}"] = path.read_bytes()
+    return out
+
+
+def main() -> None:
+    base, head = (Path(arg).resolve() for arg in sys.argv[1:3])
+    commands = readme_commands(head) + MATRIX
+    differing = 0
+    report = []
+    for command in commands:
+        old, new = run(base, command), run(head, command)
+        if old == new:
+            report.append(f"- `{command}`: identical")
+            continue
+        differing += 1
+        report.append(f"- `{command}`: differs")
+        report.append("```diff")
+        for part in sorted(old.keys() | new.keys()):
+            a = old.get(part, b"").decode(errors="replace").splitlines()
+            b = new.get(part, b"").decode(errors="replace").splitlines()
+            report.extend(difflib.unified_diff(a, b, f"base {part}", f"head {part}", lineterm=""))
+        report.append("```")
+    print("### CLI bytes against the base commit")
+    print(f"{len(commands) - differing} of {len(commands)} commands identical")
+    print("\n".join(report))
+
+
+if __name__ == "__main__":
+    main()

@@ -37,7 +37,6 @@ from .moments import (
     moment_matrix,
     optimal_measurement,
     optimize_generator,
-    shot_noise_limit,
     simulate_moment_estimator,
     spin_squeezing_profile,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "parity_operator",
     "qfi",
     "quadrature_generator",
-    "shot_noise_limit",
     "simulate_moment_estimator",
     "spin_family_size",
     "spin_squeezing_profile",

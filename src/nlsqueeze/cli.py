@@ -153,8 +153,7 @@ def _run_sweep(args: argparse.Namespace) -> tuple[str | None, str, bool]:
     return cfg.output_path, text, flagged
 
 
-def _fock_result(n: int, order: int, cutoff: int):
-    basis = FockBasis(cutoff)
+def _fock_result(basis: FockBasis, n: int, order: int):
     build = build_cv_second_order_family if order == 2 else build_cv_third_order_family
     family = build(basis)
     state = fock_state(basis, n)
@@ -176,18 +175,20 @@ def _run_fock(args: argparse.Namespace) -> tuple[str | None, str, bool]:
             f"cutoff {cutoff} too large: the convergence check at cutoff "
             f"{cutoff + 4} exceeds the dense limit {MAX_CUTOFF}"
         )
-    result, family = _fock_result(n, args.order, cutoff)
-    check, _ = _fock_result(n, args.order, cutoff + 4)
+    basis = FockBasis(cutoff)
+    result, family = _fock_result(basis, n, args.order)
+    check, _ = _fock_result(FockBasis(cutoff + 4), n, args.order)
     drift = abs(check.chi2_inv - result.chi2_inv) / max(abs(check.chi2_inv), 1e-300)
     if drift > 1e-9:
         raise ValueError(
             f"cutoff {cutoff} not converged: chi2_inv changes by {drift:.3e} "
             f"relative when the cutoff grows; increase --cutoff"
         )
+    xi2 = basis.shot_noise / result.chi2_inv if result.chi2_inv else float("inf")
     lines = [
         f"fock state |{n}>, order-{args.order} family, cutoff {cutoff}",
         f"chi2_inv = {_fmt(result.chi2_inv)}",
-        f"xi2      = {_fmt(result.xi2)}",
+        f"xi2      = {_fmt(xi2)}",
     ]
     if result.m_coeffs is not None:
         pairs = ", ".join(f"{lbl}: {_fmt(v)}" for lbl, v in zip(family.labels, result.m_coeffs))

@@ -34,6 +34,11 @@ class FockBasis:
     def tag(self) -> str:
         return f"fock-D{self.cutoff}"
 
+    @property
+    def shot_noise(self) -> float:
+        """Shot-noise limit F_SN = 2 of a single mode (a coherent state's)."""
+        return 2.0
+
 
 @dataclass(frozen=True)
 class QuadratureDirection:

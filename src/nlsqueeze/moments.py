@@ -10,10 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cv import FockBasis
 from .dynamics import HermitianPropagator
 from .errors import CalibrationError, ZeroSignalError
-from .operators import MAX_DIMENSION, HermitianOperator, OperatorFamily
+from .operators import HermitianOperator, OperatorFamily
 from .spin import DickeBasis, build_spin_family, spin_family_size
 from .states import QuantumState, check_same_basis
 
@@ -208,18 +207,18 @@ def principal_eigenpair(matrix: np.ndarray):
     eigenpairs (K, n) and (K,) of its matrices from one batched `eigh`.
 
     A single matrix gives (vector, float).  A degenerate top eigenspace gets
-    no canonical vector: of the vectors `eigh` returns within
-    1e-12 max(1, |lambda|) of the top, the one whose largest-magnitude
-    coefficient sits at the smallest index wins (the lowest-ranked one on a
-    tie), so rounding noise can turn the result within that space (ROADMAP
-    item 5).
+    no canonical vector: of the vectors `eigh` returns with eigenvalues
+    within 1e-12 max|eigenvalue| of the top (a window that scales with the
+    matrix), the one whose largest-magnitude coefficient sits at the
+    smallest index wins (the lowest-ranked one on a tie), so rounding noise
+    can turn the result within that space (ROADMAP item 5).
     """
     matrix = np.asarray(matrix, dtype=float)
     evals, evecs = np.linalg.eigh((matrix + matrix.swapaxes(-1, -2)) / 2)
     lam = evals[..., -1:]
     cols = evecs.swapaxes(-1, -2)  # cols[..., j, :] is eigenvector j
     lead = np.abs(cols).argmax(axis=-1)  # index of each eigenvector's largest |coefficient|
-    candidate = evals >= lam - 1e-12 * np.maximum(1.0, np.abs(lam))
+    candidate = evals >= lam - 1e-12 * np.abs(evals).max(axis=-1, keepdims=True)
     best = np.where(candidate, lead, lead.shape[-1]).argmin(axis=-1)  # first minimum: lowest rank
     if matrix.ndim == 2:  # basic indexing: no index arrays for a single matrix
         vec = cols[best]
@@ -274,45 +273,22 @@ def optimize_generator(md: MomentData, generator_slots):
     return principal_eigenpair(md.m_matrix[slots][:, slots])
 
 
-def shot_noise_limit(system: str, n_particles: int | None = None) -> float:
-    """Best classical sensitivity: N for N spins, 2 for a single bosonic mode."""
-    if system == "spin":
-        if n_particles is None or n_particles < 1:
-            raise ValueError("spin shot noise needs the particle number")
-        return float(n_particles)
-    if system == "cv":
-        return 2.0
-    raise ValueError("system must be 'spin' or 'cv'")
-
-
-def _shot_noise(family: OperatorFamily) -> float:
-    """Shot-noise limit of the system whose basis of the family's dimension
-    carries the family's tag (NaN if none does)."""
-    dim = family.dim
-    if 2 <= dim <= MAX_DIMENSION:  # the sizes both bases accept
-        if family.basis_tag == FockBasis(dim).tag:
-            return shot_noise_limit("cv")
-        if family.basis_tag == DickeBasis(dim - 1).tag:
-            return shot_noise_limit("spin", dim - 1)
-    return math.nan
-
-
 @dataclass(frozen=True, eq=False)
 class SqueezingResult:
     """Optimized inverse squeezing parameter and the vectors achieving it.
 
     chi2_inv is the saturating quotient |<[X, H]>|^2 / (Delta X)^2 of the
     generator H = n.H and the optimal measurement X = m.H, and exactly 0
-    when there is no signal; xi2 the gain coefficient F_SN / chi2_inv;
-    m_coeffs the unit-norm optimal measurement (None without signal, where
-    chi2_inv is 0);
+    when there is no signal; the gain coefficient xi^2 = F_SN / chi2_inv
+    takes F_SN from the basis (`DickeBasis.shot_noise`,
+    `FockBasis.shot_noise`).  m_coeffs is the unit-norm optimal measurement
+    (None without signal, where chi2_inv is 0);
     n_coeffs the generator direction on its candidate slots; lambda_max the
     top eigenvalue of the principal submatrix on those slots; moments the
     MomentData (of this order's family) that all of it was read from.
     """
 
     chi2_inv: float
-    xi2: float
     m_coeffs: np.ndarray | None
     n_coeffs: np.ndarray
     lambda_max: float
@@ -327,8 +303,7 @@ class SqueezingResult:
         return self.moments.robertson_violated
 
 
-def _squeeze(md: MomentData, rows: np.ndarray, slots, n_coeffs: np.ndarray, lam: float,
-             f_sn: float) -> SqueezingResult:
+def _squeeze(md: MomentData, rows: np.ndarray, slots, n_coeffs: np.ndarray, lam: float) -> SqueezingResult:
     """Squeezing result of the moment data `md` and the centered rows it came
     from, for the generator n_coeffs on `slots`; lam is the top eigenvalue
     of M on the slots, which the caller has solved for.
@@ -349,10 +324,8 @@ def _squeeze(md: MomentData, rows: np.ndarray, slots, n_coeffs: np.ndarray, lam:
         m = None
     signal = None if m is None else _signal(m @ rows, n_full @ rows)
     if signal is None:
-        return SqueezingResult(0.0, math.nan if math.isnan(f_sn) else math.inf, None,
-                               n_coeffs, lam, md)
-    chi2_inv = signal[1] ** 2 / signal[0]
-    return SqueezingResult(chi2_inv, f_sn / chi2_inv, m, n_coeffs, lam, md)
+        return SqueezingResult(0.0, None, n_coeffs, lam, md)
+    return SqueezingResult(signal[1] ** 2 / signal[0], m, n_coeffs, lam, md)
 
 
 def chi2_inverse_opt(state: QuantumState, family: OperatorFamily, n_coeffs,
@@ -372,7 +345,7 @@ def chi2_inverse_opt(state: QuantumState, family: OperatorFamily, n_coeffs,
     rows, gamma, c = _family_moments(state, family)
     md = moment_matrix(gamma, c)
     lam = optimize_generator(md, slots)[1]  # also checks the slots
-    return _squeeze(md, rows, slots, n_coeffs, lam, _shot_noise(family))
+    return _squeeze(md, rows, slots, n_coeffs, lam)
 
 
 def chi2_error_propagation(state: QuantumState, generator: HermitianOperator,
@@ -396,7 +369,8 @@ def chi2_error_propagation(state: QuantumState, generator: HermitianOperator,
 
 def spin_squeezing_profile(state: QuantumState, basis: DickeBasis, k_max: int,
                            family: OperatorFamily | None = None) -> list[SqueezingResult]:
-    """Squeezing results for every order 1..k_max sharing one moment table.
+    """Squeezing results for every order 1..k_max sharing one moment table;
+    `basis` only builds the family when none is given.
 
     The order-k family is a prefix of the order-k_max family, so the
     covariance and commutator matrices are computed once and sliced.  Each
@@ -414,8 +388,7 @@ def spin_squeezing_profile(state: QuantumState, basis: DickeBasis, k_max: int,
     mds = [moment_matrix(gamma[:cnt, :cnt], c[:cnt, :cnt])
            for cnt in map(spin_family_size, range(1, k_max + 1))]
     n_opts, lams = principal_eigenpair(np.stack([md.m_matrix[:3, :3] for md in mds]))
-    f_sn = float(basis.n_particles)
-    return [_squeeze(md, rows[:md.size], [0, 1, 2], n_opt, float(lam), f_sn)
+    return [_squeeze(md, rows[:md.size], [0, 1, 2], n_opt, float(lam))
             for md, n_opt, lam in zip(mds, n_opts, lams)]
 
 

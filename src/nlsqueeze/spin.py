@@ -48,6 +48,11 @@ class DickeBasis:
     def tag(self) -> str:
         return f"dicke-N{self.n_particles}"
 
+    @property
+    def shot_noise(self) -> float:
+        """Shot-noise limit F_SN = N, the best sensitivity of N uncorrelated spins."""
+        return float(self.n_particles)
+
 
 def _spin_bands(basis: DickeBasis) -> np.ndarray:
     """Bands (D, 3, 3) of Jx, Jy, Jz (see `OperatorFamily`): Jz is diagonal,

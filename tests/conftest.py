@@ -22,9 +22,9 @@ def random_density(rng, dim, basis_tag="test", rank=None):
     return QuantumState.mixed(rho, basis_tag)
 
 
-def random_family(rng, dim, size, basis_tag="test"):
+def random_family(rng, dim, size):
     ops = [random_hermitian(rng, dim, label=f"H{k}") for k in range(size)]
-    return OperatorFamily.from_operators(ops, basis_tag)
+    return OperatorFamily.from_operators(ops, "test")
 
 
 def angle_between(u, v):

@@ -9,7 +9,7 @@ PUBLIC = [
     "coherent_spin_state_z", "coherent_state", "combine", "covariance_matrix", "default_cutoff",
     "entanglement_bound", "evolve", "f_max_density", "fock_state", "moment_data", "moment_matrix",
     "optimal_measurement", "optimize_generator", "parity_operator", "qfi", "quadrature_generator",
-    "shot_noise_limit", "simulate_moment_estimator", "spin_family_size", "spin_squeezing_profile",
+    "simulate_moment_estimator", "spin_family_size", "spin_squeezing_profile",
     "symmetric_product", "twisting_generator",
 ]
 

@@ -192,6 +192,14 @@ class TestFock:
         line = next(l for l in out.splitlines() if l.startswith("chi2_inv"))
         assert abs(float(line.split("=")[1]) - 22.0) < 1e-8
 
+    @pytest.mark.parametrize("n, line", [("0", "xi2      = 1"), ("5", "xi2      = 0.0909090909091"),
+                                         ("60", "xi2      = 0.00826446280992")])
+    def test_gain_coefficient_uses_the_mode_shot_noise(self, capsys, n, line):
+        # xi2 = F_SN / chi2_inv with F_SN = 2 and chi2_inv = 4n + 2 at order 3
+        code, out, _ = run(capsys, "fock", "--n", n, "--order", "3")
+        assert code == EXIT_OK
+        assert line in out.splitlines()
+
     def test_n5_order2(self, capsys):
         code, out, _ = run(capsys, "fock", "--n", "5", "--order", "2")
         assert code == EXIT_OK

@@ -26,7 +26,6 @@ from nlsqueeze import (
     parity_operator,
     qfi,
     quadrature_generator,
-    shot_noise_limit,
 )
 from nlsqueeze.dynamics import EvolutionSpec
 from nlsqueeze.fisher import _spin_axes
@@ -327,15 +326,10 @@ def test_chain_holds_along_a_small_phase_walk(name, observable):
 
 class TestShotNoise:
     def test_values(self):
-        assert shot_noise_limit("spin", 16) == 16.0
-        assert shot_noise_limit("spin", 1) == 1.0
-        assert shot_noise_limit("cv") == 2.0
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            shot_noise_limit("spin")
-        with pytest.raises(ValueError):
-            shot_noise_limit("optical")
+        # F_SN is a fact of the system, so its basis carries it
+        assert DickeBasis(16).shot_noise == 16.0
+        assert DickeBasis(1).shot_noise == 1.0
+        assert FockBasis(6).shot_noise == 2.0
 
 
 class TestFisherReport:
