@@ -556,10 +556,17 @@ class TestChi2:
         with pytest.raises(ValueError, match="unit"):
             chi2_inverse_opt(css, fam, [np.nan, 0.0, 0.0])
 
-    def test_dimension_one_family_has_no_signal(self):
-        fam = OperatorFamily(np.ones((1, 1, 1)), ["1"], (1,), "test")
-        res = chi2_inverse_opt(QuantumState.pure([1.0], "test"), fam, [1.0])
+    @pytest.mark.parametrize("tag", ["dicke-N0", "fock-D1", "test"])
+    def test_dimension_one_family_has_no_shot_noise_limit(self, tag):
+        # a one-level family carries no signal, whatever its tag, and no
+        # basis accepts one level, so there is no shot-noise limit to divide
+        fam = OperatorFamily(np.ones((1, 1, 1)), ["1"], (1,), tag)
+        res = chi2_inverse_opt(QuantumState.pure([1.0], tag), fam, [1.0])
         assert res.chi2_inv == 0.0 and res.m_coeffs is None
+        with pytest.raises(ValueError):
+            DickeBasis(0)
+        with pytest.raises(ValueError):
+            FockBasis(1)
 
     def test_fock_third_order_value(self):
         for n in (0, 2, 5):
