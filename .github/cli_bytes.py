@@ -26,6 +26,9 @@ MATRIX = [
     "analyze --model TAT --n 30 --kmax 5 --tau 0.2",
     *(f"fock --n {n} --order {order}" for n in (0, 5, 60) for order in (2, 3)),
     "estimate --model OAT --n 16 --tau 0.1",
+    # finite ends whose span overflows: one error line, no numpy warning
+    "sweep --n 4 --tau-start=-1e308 --tau-end=1e308 --steps 3",
+    "estimate --n 4 --window 1e308",
 ]
 
 

@@ -20,7 +20,7 @@ from .dynamics import (
 )
 from .errors import BasisMismatchError, CalibrationError, ZeroSignalError
 from .fisher import (
-    FisherReport,
+    check_chain,
     classical_fisher,
     f_max_density,
     qfi,
@@ -58,7 +58,6 @@ __all__ = [
     "DickeBasis",
     "EstimatorReport",
     "EvolutionSpec",
-    "FisherReport",
     "FockBasis",
     "HermitianOperator",
     "HermitianPropagator",
@@ -72,6 +71,7 @@ __all__ = [
     "build_cv_third_order_family",
     "build_spin_family",
     "build_spin_operators",
+    "check_chain",
     "chi2_error_propagation",
     "chi2_inverse_opt",
     "classical_fisher",

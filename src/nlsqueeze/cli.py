@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, fields
 
@@ -74,6 +75,8 @@ class SweepConfig:
             raise ValueError("steps must be >= 2")
         if not self.tau_start < self.tau_end:
             raise ValueError("tau-start must be smaller than tau-end")
+        if not math.isfinite(self.tau_end - self.tau_start):
+            raise ValueError("tau-end - tau-start must be finite")
         if self.format not in ("csv", "json"):
             raise ValueError("format must be csv or json")
 

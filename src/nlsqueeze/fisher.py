@@ -4,7 +4,6 @@ chi^-2 <= F <= F_Q."""
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,23 +100,10 @@ def classical_fisher(state: QuantumState, generator: HermitianOperator,
     return float(np.sum(dp[keep] ** 2 / p[keep]))
 
 
-@dataclass(frozen=True)
-class FisherReport:
-    """The three rungs of the sensitivity chain for one configuration."""
-
-    chi2_inv: float
-    classical_fisher: float
-    qfi: float
-
-    def validate_chain(self) -> None:
-        """Raise unless chi^-2 <= F <= F_Q within the relative slack 1e-8."""
-        if self.chi2_inv > self.classical_fisher + CHAIN_SLACK * self.qfi:
-            raise ValueError(
-                f"chain violated: chi2_inv {self.chi2_inv} > classical Fisher "
-                f"{self.classical_fisher}"
-            )
-        if self.classical_fisher > self.qfi * (1.0 + CHAIN_SLACK):
-            raise ValueError(
-                f"chain violated: classical Fisher {self.classical_fisher} > "
-                f"QFI {self.qfi}"
-            )
+def check_chain(chi2_inv: float, classical_fisher: float, qfi: float) -> None:
+    """Raise unless chi^-2 <= F <= F_Q within the relative slack 1e-8; a NaN
+    or infinite rung fails."""
+    if not chi2_inv <= classical_fisher + CHAIN_SLACK * qfi:
+        raise ValueError(f"chain violated: chi2_inv {chi2_inv} > classical Fisher {classical_fisher}")
+    if not classical_fisher <= qfi * (1.0 + CHAIN_SLACK) < np.inf:
+        raise ValueError(f"chain violated: classical Fisher {classical_fisher} > QFI {qfi}")

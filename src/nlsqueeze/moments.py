@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import HermitianPropagator
-from .errors import CalibrationError, ZeroSignalError
+from .errors import BasisMismatchError, CalibrationError, ZeroSignalError
 from .operators import HermitianOperator, OperatorFamily
 from .spin import DickeBasis, build_spin_family, spin_family_size
 from .states import QuantumState, check_same_basis
@@ -370,7 +370,7 @@ def chi2_error_propagation(state: QuantumState, generator: HermitianOperator,
 def spin_squeezing_profile(state: QuantumState, basis: DickeBasis, k_max: int,
                            family: OperatorFamily | None = None) -> list[SqueezingResult]:
     """Squeezing results for every order 1..k_max sharing one moment table;
-    `basis` only builds the family when none is given.
+    `basis` builds the family when none is given, or must hold the given one.
 
     The order-k family is a prefix of the order-k_max family, so the
     covariance and commutator matrices are computed once and sliced.  Each
@@ -382,6 +382,8 @@ def spin_squeezing_profile(state: QuantumState, basis: DickeBasis, k_max: int,
     """
     if family is None:
         family = build_spin_family(basis, k_max)
+    elif family.basis_tag != basis.tag:
+        raise BasisMismatchError("family does not live in the given Dicke basis")
     if len(family) != spin_family_size(k_max):
         raise ValueError("family does not match k_max")
     rows, gamma, c = _family_moments(state, family)
@@ -447,6 +449,8 @@ def simulate_moment_estimator(state: QuantumState, generator: HermitianOperator,
     lo, hi = float(window[0]), float(window[1])
     if not lo < theta_true < hi:
         raise ValueError("theta_true must lie strictly inside the window")
+    if not math.isfinite(hi - lo):
+        raise ValueError("window width must be finite")
 
     prop = HermitianPropagator._from_matrix(state._matrix_of(generator))
     grid = np.linspace(lo, hi, 1001)

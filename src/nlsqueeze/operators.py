@@ -181,6 +181,8 @@ def symmetric_product(ops: Sequence[HermitianOperator]) -> HermitianOperator:
 
 def combine(ops: Sequence[HermitianOperator], coeffs, label: str | None = None) -> HermitianOperator:
     """Real linear combination sum_k coeffs[k] * ops[k]."""
+    if len(ops) == 0:
+        raise ValueError("combine needs at least one operator")
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (len(ops),):
         raise ValueError("coefficient vector length must match the operator list")

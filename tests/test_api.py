@@ -2,10 +2,11 @@ import nlsqueeze
 
 PUBLIC = [
     "BasisMismatchError", "CalibrationError", "DickeBasis", "EstimatorReport", "EvolutionSpec",
-    "FisherReport", "FockBasis", "HermitianOperator", "HermitianPropagator", "MomentData",
-    "OperatorFamily", "QuadratureDirection", "QuantumState", "SqueezingResult", "ZeroSignalError",
+    "FockBasis", "HermitianOperator", "HermitianPropagator", "MomentData", "OperatorFamily",
+    "QuadratureDirection", "QuantumState", "SqueezingResult", "ZeroSignalError",
     "build_cv_second_order_family", "build_cv_third_order_family", "build_spin_family",
-    "build_spin_operators", "chi2_error_propagation", "chi2_inverse_opt", "classical_fisher",
+    "build_spin_operators", "check_chain", "chi2_error_propagation", "chi2_inverse_opt",
+    "classical_fisher",
     "coherent_spin_state_z", "coherent_state", "combine", "covariance_matrix", "default_cutoff",
     "entanglement_bound", "evolve", "f_max_density", "fock_state", "moment_data", "moment_matrix",
     "optimal_measurement", "optimize_generator", "parity_operator", "qfi", "quadrature_generator",

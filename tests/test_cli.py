@@ -382,9 +382,20 @@ def test_integrity_flag_exits_2_with_a_warning(capsys, monkeypatch, argv):
     (["estimate", "--generator", "Jx"], "estimate needs --n >= 1"),
     (["sweep", "--n", "4", "--kmax", "1", "--steps", "2", "--out", "{tmp}/missing/out.csv"],
      "cannot write output"),
-], ids=["analyze without n", "estimate without n", "unwritable out"])
+    # every tau and theta below is finite or refused by name, yet their span
+    # is not: no numpy warning may print before the error line
+    (["sweep", "--n", "4", "--tau-start=-1e308", "--tau-end=1e308", "--steps", "3"],
+     "tau-end - tau-start must be finite"),
+    (["sweep", "--n", "4", "--tau-start=-inf", "--steps", "3"], "tau-end - tau-start must be finite"),
+    (["sweep", "--config", "{tmp}/config.json"], "tau-end - tau-start must be finite"),
+    (["estimate", "--n", "4", "--window", "1e308"], "window width must be finite"),
+    (["estimate", "--n", "4", "--window", "inf"], "window width must be finite"),
+], ids=["analyze without n", "estimate without n", "unwritable out", "sweep span beyond float range",
+        "sweep from -inf", "config from -Infinity", "estimate window beyond float range",
+        "estimate infinite window"])
 def test_refusals_exit_one(capsys, tmp_path, argv, fragment):
+    (tmp_path / "config.json").write_text('{"n_particles": 4, "steps": 3, "tau_start": -Infinity}')
     code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == EXIT_USAGE
     assert out == ""
-    assert err.startswith("error: ") and fragment in err
+    assert err.startswith("error: ") and fragment in err and err.count("\n") == 1

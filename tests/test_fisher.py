@@ -4,7 +4,6 @@ import pytest
 from nlsqueeze import (
     BasisMismatchError,
     DickeBasis,
-    FisherReport,
     FockBasis,
     HermitianOperator,
     HermitianPropagator,
@@ -13,6 +12,7 @@ from nlsqueeze import (
     ZeroSignalError,
     build_spin_family,
     build_spin_operators,
+    check_chain,
     chi2_error_propagation,
     chi2_inverse_opt,
     classical_fisher,
@@ -265,7 +265,7 @@ def test_classical_fisher_keeps_rare_outcomes(n):
         f = classical_fisher(css, jx, jz, theta)
         if theta >= 1e-9:
             assert abs(f - n) <= 1e-9 * n, theta
-        FisherReport(n, f, f_q).validate_chain()
+        check_chain(n, f, f_q)
 
 
 @pytest.mark.parametrize("name", ["coherent", "OAT tau=0.3"])
@@ -321,7 +321,7 @@ def test_chain_holds_along_a_small_phase_walk(name, observable):
             chi2_inv = 1.0 / chi2_error_propagation(propagator.apply(state, theta), jx, obs)
         except ZeroSignalError:
             chi2_inv = 0.0
-        FisherReport(chi2_inv, classical_fisher(state, jx, obs, theta), f_q).validate_chain()
+        check_chain(chi2_inv, classical_fisher(state, jx, obs, theta), f_q)
 
 
 class TestShotNoise:
@@ -332,7 +332,7 @@ class TestShotNoise:
         assert FockBasis(6).shot_noise == 2.0
 
 
-class TestFisherReport:
+class TestCheckChain:
     def test_chain_holds_on_benchmarks(self):
         n = 12
         basis = DickeBasis(n)
@@ -345,18 +345,25 @@ class TestFisherReport:
         ]
         for state, gen, obs, theta in cases:
             probe = HermitianPropagator(gen).apply(state, theta)
-            report = FisherReport(
-                chi2_inv=1.0 / chi2_error_propagation(probe, gen, obs),
-                classical_fisher=classical_fisher(state, gen, obs, theta=theta),
-                qfi=qfi(probe, gen),
-            )
-            report.validate_chain()
+            check_chain(1.0 / chi2_error_propagation(probe, gen, obs),
+                        classical_fisher(state, gen, obs, theta=theta), qfi(probe, gen))
 
     def test_violation_detected(self):
         with pytest.raises(ValueError, match="chain"):
-            FisherReport(chi2_inv=3.0, classical_fisher=2.0, qfi=4.0).validate_chain()
+            check_chain(3.0, 2.0, 4.0)
         with pytest.raises(ValueError, match="chain"):
-            FisherReport(chi2_inv=1.0, classical_fisher=5.0, qfi=4.0).validate_chain()
+            check_chain(1.0, 5.0, 4.0)
+
+    @pytest.mark.parametrize("rungs", [(np.nan, 1.0, 2.0), (1.0, np.nan, 2.0), (1.0, 1.5, np.nan),
+                                       (np.inf, np.inf, np.inf)],
+                             ids=["nan chi2_inv", "nan classical", "nan qfi", "all infinite"])
+    def test_non_finite_rung_fails(self, rungs):
+        with pytest.raises(ValueError, match="chain violated"):
+            check_chain(*rungs)
+
+    def test_zero_chain_holds(self):
+        # a state with no signal anywhere: every rung 0, all equalities
+        check_chain(0.0, 0.0, 0.0)
 
     def test_chain_with_optimized_nonlinear_measurements(self):
         # the analytically optimal (generator, measurement) pair from the
@@ -371,12 +378,7 @@ class TestFisherReport:
             res = spin_squeezing_profile(state, basis, 3, family=family)[-1]
             gen = combine(tuple(family), list(res.n_coeffs) + [0.0] * (len(family) - 3))
             obs = combine(tuple(family), res.m_coeffs)
-            report = FisherReport(
-                chi2_inv=res.chi2_inv,
-                classical_fisher=classical_fisher(state, gen, obs, theta=0.0),
-                qfi=qfi(state, gen),
-            )
-            report.validate_chain()
+            check_chain(res.chi2_inv, classical_fisher(state, gen, obs, theta=0.0), qfi(state, gen))
 
 
 class TestSpinAxes:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from nlsqueeze import (
+    BasisMismatchError,
     CalibrationError,
     DickeBasis,
     FockBasis,
@@ -949,8 +950,14 @@ def _css_jx_jy():
      "at least two trials"),
     (lambda: simulate_moment_estimator(*_css_jx_jy(), 0.0, mu=100, trials=2, seed=0, window=(0.1, 0.5)),
      ValueError, "strictly inside the window"),
+    # both ends are finite floats, their distance is not
+    (lambda: simulate_moment_estimator(*_css_jx_jy(), 0.0, mu=100, trials=2, seed=0,
+                                       window=(-1e308, 1e308)), ValueError, "window width must be finite"),
+    (lambda: spin_squeezing_profile(coherent_spin_state_z(DickeBasis(16)), DickeBasis(20), 1,
+                                    family=build_spin_family(DickeBasis(16), 1)),
+     BasisMismatchError, "family does not live in the given Dicke basis"),
 ], ids=["shapes differ", "outside retained", "generator length", "family order", "infinite xi2",
-        "mu 0", "one trial", "theta outside window"])
+        "mu 0", "one trial", "theta outside window", "window beyond float range", "family of another basis"])
 def test_refusals(make, exc, fragment):
     with pytest.raises(exc, match=fragment):
         make()

@@ -352,6 +352,7 @@ def test_from_operators_and_symmetric_product_are_exactly_hermitian(rng):
     (lambda: symmetric_product([]), ValueError, "at least one operator"),
     (lambda: combine(build_spin_operators(DickeBasis(2)), [1.0, 2.0]), ValueError,
      "coefficient vector length"),
+    (lambda: combine([], []), ValueError, "combine needs at least one operator"),
     (lambda: OperatorFamily(np.zeros((3, 3)), ["H"], (1,), "test"), ValueError, "at least one operator"),
     (lambda: OperatorFamily(np.zeros((3, 0, 3)), [], (), "test"), ValueError, "at least one operator"),
     (lambda: OperatorFamily(np.zeros((3, 1, 0)), ["H"], (1,), "test"), ValueError, r"\(dim, L, 2w\+1\)"),
@@ -360,8 +361,8 @@ def test_from_operators_and_symmetric_product_are_exactly_hermitian(rng):
     (lambda: OperatorFamily(np.zeros((3, 2, 3)), ["H"], (1, 1), "test"), ValueError,
      "one label and one degree per member"),
     (lambda: OperatorFamily.from_operators([], "test"), ValueError, "at least one operator"),
-], ids=["negative degree", "empty product", "combine length", "bands not 3-d", "no member",
-        "no band", "even band count", "no row", "label count", "no operator"])
+], ids=["negative degree", "empty product", "combine length", "empty combine", "bands not 3-d",
+        "no member", "no band", "even band count", "no row", "label count", "no operator"])
 def test_refusals(make, exc, fragment):
     with pytest.raises(exc, match=fragment):
         make()
