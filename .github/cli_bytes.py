@@ -23,6 +23,9 @@ MATRIX = [
     "sweep --model TAT --n 20 --kmax 4 --steps 11 --format json --parity --qfi",
     "sweep --n 2",
     "sweep --n 400 --kmax 3 --steps 21 --qfi --format json",
+    # the largest family, K = 6 (83 members), and its tau = pi/2 kernel
+    "sweep --n 16 --kmax 6 --steps 11 --qfi --format json",
+    "analyze --model OAT --n 7 --kmax 6 --tau 1.5707963267948966",
     "analyze --model TAT --n 30 --kmax 5 --tau 0.2",
     *(f"fock --n {n} --order {order}" for n in (0, 5, 60) for order in (2, 3)),
     "estimate --model OAT --n 16 --tau 0.1",

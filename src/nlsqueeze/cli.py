@@ -65,6 +65,11 @@ class SweepConfig:
             if (not isinstance(value, _FIELD_TYPES[f.type])
                     or (isinstance(value, bool) and f.type != "bool")):
                 raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
+            if f.type == "float":  # a JSON integer may lie beyond float range
+                try:
+                    setattr(self, f.name, float(value))
+                except OverflowError:
+                    raise ValueError(f"{f.name} lies beyond float range") from None
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}")
         if self.n_particles < 1:

@@ -67,12 +67,13 @@ class HermitianPropagator:
             mats[1, :len(h) // 2, :len(h) // 2] = h[1::2, 1::2]
         self.dim = len(h)
         self._evals, self._evecs = np.linalg.eigh(mats)
+        self._lam_max = float(np.abs(self._evals).max())
 
     def apply(self, state: QuantumState, theta: float) -> QuantumState:
         if state.dim != self.dim:
             raise BasisMismatchError("state dimension does not match the generator")
         theta = float(theta)  # a Python float product overflows to inf without a warning
-        if not math.isfinite(theta * float(np.abs(self._evals).max())):  # also NaN theta
+        if not math.isfinite(theta * self._lam_max):  # also NaN theta
             raise ValueError(f"theta {theta!r} times the generator's largest |eigenvalue| is not finite")
         blocks, size = self._evals.shape
         s = np.zeros((size * blocks, state.factor.shape[1]), dtype=complex)

@@ -103,7 +103,8 @@ def classical_fisher(state: QuantumState, generator: HermitianOperator,
 def check_chain(chi2_inv: float, classical_fisher: float, qfi: float) -> None:
     """Raise unless chi^-2 <= F <= F_Q within the relative slack 1e-8; a NaN
     or infinite rung fails."""
+    rungs = f"chi2_inv {chi2_inv}, classical Fisher {classical_fisher}, QFI {qfi}"
     if not chi2_inv <= classical_fisher + CHAIN_SLACK * qfi:
-        raise ValueError(f"chain violated: chi2_inv {chi2_inv} > classical Fisher {classical_fisher}")
+        raise ValueError(f"chain violated: not chi2_inv <= F + {CHAIN_SLACK:g} QFI at {rungs}")
     if not classical_fisher <= qfi * (1.0 + CHAIN_SLACK) < np.inf:
-        raise ValueError(f"chain violated: classical Fisher {classical_fisher} > QFI {qfi}")
+        raise ValueError(f"chain violated: not F <= (1 + {CHAIN_SLACK:g}) QFI < inf at {rungs}")

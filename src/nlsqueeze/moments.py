@@ -63,7 +63,7 @@ def _center(rows: np.ndarray, s: np.ndarray):
     """
     flat = rows.reshape(len(rows), -1)
     s_flat = s.ravel()
-    mu = (flat @ s_flat.conj()).real[:, None]
+    mu = (flat @ s_flat.conj()).real.astype(complex)[:, None]  # cast once, not per slice
     step = max(1, SLICE_ENTRIES // len(flat))
     gram = None
     for j in range(0, flat.shape[1], step):
@@ -165,17 +165,18 @@ def moment_matrix(gamma: np.ndarray, c: np.ndarray) -> MomentData:
         raise ValueError("gamma and c must be square matrices of equal size")
     # written `not x <= tol < inf`: a NaN entry leaves a NaN residue and an
     # infinite one an infinite tolerance
-    if not np.abs(gamma - gamma.T).max() <= 1e-10 * np.abs(gamma).max() < np.inf:
+    if not (gamma_residue := np.abs(gamma - gamma.T).max()) <= 1e-10 * np.abs(gamma).max() < np.inf:
         raise ValueError("gamma is not a finite symmetric matrix")
-    if not np.abs(c + c.T).max() <= 1e-10 * np.abs(c).max() < np.inf:
+    if not (c_residue := np.abs(c + c.T).max()) <= 1e-10 * np.abs(c).max() < np.inf:
         raise ValueError("c is not a finite skew-symmetric matrix")
-    gamma = (gamma + gamma.T) / 2
-    c = (c - c.T) / 2
+    # an exactly (skew-)symmetric input is its own symmetric part: keep a copy
+    gamma = gamma.copy() if gamma_residue == 0.0 else (gamma + gamma.T) / 2
+    c = c.copy() if c_residue == 0.0 else (c - c.T) / 2
 
-    dev = np.sqrt(np.clip(np.diag(gamma), 0.0, None))
-    scales = np.divide(1.0, dev, out=np.ones_like(dev), where=dev > 0.0)
-    gamma_eq = gamma * scales[:, None] * scales[None, :]
-    c_eq = c * scales[:, None] * scales[None, :]
+    dev = np.sqrt(np.maximum(gamma.diagonal(), 0.0))
+    scales = 1.0 / np.where(dev > 0.0, dev, 1.0)
+    gamma_eq = gamma * scales[:, None] * scales
+    c_eq = c * scales[:, None] * scales
 
     evals, evecs = np.linalg.eigh((gamma_eq + gamma_eq.T) / 2)
     lam_top = evals[-1]
@@ -187,10 +188,10 @@ def moment_matrix(gamma: np.ndarray, c: np.ndarray) -> MomentData:
     proj = (retained.T @ c_eq) * dev  # (r, k); the factor dev undoes the equilibration
     m = proj.T @ proj  # exactly symmetric (BLAS syrk); k x k zeros when nothing is kept
 
-    c_norm = float(np.linalg.norm(c_eq))
+    c_norm = math.sqrt(np.vdot(c_eq, c_eq))  # Frobenius norm
     dropped = evecs[:, ~keep]
-    if dropped.shape[1] and c_norm > 0:
-        leakage = float(np.linalg.norm(c_eq @ dropped, axis=0).max() / c_norm)
+    if dropped.shape[1] and c_norm > 0:  # the largest column norm of c_eq @ dropped
+        leakage = math.sqrt(np.add.reduce((c_eq @ dropped) ** 2).max()) / c_norm
     else:
         leakage = 0.0
     return MomentData(gamma, c, m, retained, leakage, scales, c_norm)
@@ -322,7 +323,7 @@ def _squeeze(md: MomentData, rows: np.ndarray, slots, n_coeffs: np.ndarray, lam:
         m = _measurement(md, n_full)
     except ZeroSignalError:
         m = None
-    signal = None if m is None else _signal(m @ rows, n_full @ rows)
+    signal = None if m is None else _signal(m @ rows, n_coeffs @ rows[slots])
     if signal is None:
         return SqueezingResult(0.0, None, n_coeffs, lam, md)
     return SqueezingResult(signal[1] ** 2 / signal[0], m, n_coeffs, lam, md)

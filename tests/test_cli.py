@@ -154,7 +154,10 @@ class TestSweep:
         ({"n_particles": 0}, "n must be >= 1"),
         ({"k_max": 7}, "kmax must be between 1 and 6"),
         ({"format": "xml"}, "format must be csv or json"),
-    ], ids=["model", "n", "kmax", "format"])
+        # JSON integers are exact: one beyond float range must not reach float arithmetic
+        ({"tau_end": 10 ** 334}, "tau_end lies beyond float range"),
+        ({"tau_start": -10 ** 334}, "tau_start lies beyond float range"),
+    ], ids=["model", "n", "kmax", "format", "tau_end beyond float range", "tau_start beyond float range"])
     def test_config_value_out_of_range_rejected(self, tmp_path, capsys, document, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(document))

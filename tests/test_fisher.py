@@ -358,8 +358,12 @@ class TestCheckChain:
                                        (np.inf, np.inf, np.inf)],
                              ids=["nan chi2_inv", "nan classical", "nan qfi", "all infinite"])
     def test_non_finite_rung_fails(self, rungs):
-        with pytest.raises(ValueError, match="chain violated"):
+        # the message names every rung: a NaN QFI fails the first test through
+        # its slack term, which must not read as "chi2_inv 1.0 > F 1.5"
+        with pytest.raises(ValueError, match="chain violated") as info:
             check_chain(*rungs)
+        a, f, q = rungs
+        assert f"chi2_inv {a}, classical Fisher {f}, QFI {q}" in str(info.value)
 
     def test_zero_chain_holds(self):
         # a state with no signal anywhere: every rung 0, all equalities

@@ -35,6 +35,7 @@ from nlsqueeze import (
 from nlsqueeze.dynamics import EvolutionSpec
 from nlsqueeze.fisher import f_max_density
 from nlsqueeze.moments import SLICE_ENTRIES, _center, _centered_rows, _signal, principal_eigenpair
+from nlsqueeze.moments import _family_moments as moments_of
 from nlsqueeze.spin import spin_family_size
 
 from conftest import angle_between, random_density, random_family, random_pure_state
@@ -342,6 +343,126 @@ class TestMomentMatrix:
                 md = moment_data(state, fam)
                 assert md.kernel_leakage <= 1e-8
                 assert np.array_equal(md.m_matrix, md.m_matrix.T)
+
+
+def _moment_matrix_reference(gamma, c):
+    """`moment_matrix` as it was before its per-call work was trimmed: it
+    symmetrized every input, equilibrated through np.clip, np.divide and a
+    symmetrized copy, and took its norms from np.linalg.norm."""
+    gamma = np.asarray(gamma, dtype=float)
+    c = np.asarray(c, dtype=float)
+    k = gamma.shape[0]
+    if gamma.shape != (k, k) or c.shape != (k, k):
+        raise ValueError("gamma and c must be square matrices of equal size")
+    if not np.abs(gamma - gamma.T).max() <= 1e-10 * np.abs(gamma).max() < np.inf:
+        raise ValueError("gamma is not a finite symmetric matrix")
+    if not np.abs(c + c.T).max() <= 1e-10 * np.abs(c).max() < np.inf:
+        raise ValueError("c is not a finite skew-symmetric matrix")
+    gamma = (gamma + gamma.T) / 2
+    c = (c - c.T) / 2
+    dev = np.sqrt(np.clip(np.diag(gamma), 0.0, None))
+    scales = np.divide(1.0, dev, out=np.ones_like(dev), where=dev > 0.0)
+    gamma_eq = gamma * scales[:, None] * scales[None, :]
+    c_eq = c * scales[:, None] * scales[None, :]
+    evals, evecs = np.linalg.eigh((gamma_eq + gamma_eq.T) / 2)
+    lam_top = evals[-1]
+    if evals[0] < -1e-10 * lam_top:
+        raise ValueError("gamma has a negative eigenvalue beyond tolerance")
+    keep = evals > 1e-12 * lam_top
+    retained = evecs[:, keep] / np.sqrt(evals[keep])
+    proj = (retained.T @ c_eq) * dev
+    m = proj.T @ proj
+    c_norm = float(np.linalg.norm(c_eq))
+    dropped = evecs[:, ~keep]
+    if dropped.shape[1] and c_norm > 0:
+        leakage = float(np.linalg.norm(c_eq @ dropped, axis=0).max() / c_norm)
+    else:
+        leakage = 0.0
+    return MomentData(gamma, c, m, retained, leakage, scales, c_norm)
+
+
+_MOMENT_FIELDS = ("gamma", "c", "m_matrix", "retained", "kernel_leakage", "scales", "c_norm")
+
+
+def _moment_bytes(md):
+    return {name: np.asarray(getattr(md, name)).tobytes() for name in _MOMENT_FIELDS}
+
+
+class TestMomentMatrixBytes:
+    """`moment_matrix` gives the reference's bytes in every field: it keeps an
+    exactly (skew-)symmetric input instead of symmetrizing it, but forms
+    every other value with the same operations in the same order."""
+
+    @staticmethod
+    def _prefixes(state, family, k_max):
+        _, gamma, c = moments_of(state, family)
+        return [(gamma[:cnt, :cnt], c[:cnt, :cnt]) for cnt in map(spin_family_size, range(1, k_max + 1))]
+
+    def _table_cases(self):
+        basis16, basis7 = DickeBasis(16), DickeBasis(7)
+        fam16, fam7 = build_spin_family(basis16, 5), build_spin_family(basis7, 6)
+        taus = np.linspace(0.0, np.pi, 101)
+        for row in range(47, 54):
+            state = evolve(coherent_spin_state_z(basis16), EvolutionSpec("OAT", float(taus[row])))
+            yield from self._prefixes(state, fam16, 5)
+        yield from self._prefixes(_noisy_tat_point(16, tau=0.4)[1], fam16, 5)
+        yield from self._prefixes(evolve(coherent_spin_state_z(basis7), EvolutionSpec("OAT", np.pi / 2)), fam7, 6)
+
+    @staticmethod
+    def _random_pairs(rng):
+        """Positive-definite, rank-deficient and partly zero covariances with
+        skew partners, made exactly (skew-)symmetric."""
+        for size in (1, 3, 9, 34):
+            a = rng.normal(size=(size, size)) * np.logspace(0, 6, size)
+            b = rng.normal(size=(size, size))
+            low = a[:, :max(1, size // 2)]
+            zeroed = a @ a.T
+            zeroed[:, :1] = zeroed[:1, :] = 0.0
+            for gamma in (a @ a.T, low @ low.T, zeroed):
+                yield (gamma + gamma.T) / 2, b - b.T
+
+    def _assert_reference_bytes(self, gamma, c):
+        got, want = moment_matrix(gamma, c), _moment_matrix_reference(gamma, c)
+        assert _moment_bytes(got) == _moment_bytes(want)
+        assert type(got.kernel_leakage) is float and type(got.c_norm) is float
+
+    def test_family_tables(self):
+        cases = list(self._table_cases())
+        assert len(cases) == 8 * 5 + 6
+        for gamma, c in cases:
+            # tables from the row kernel are exactly symmetric: the copy branch
+            assert np.array_equal(gamma, gamma.T) and np.array_equal(c, -c.T)
+            self._assert_reference_bytes(gamma, c)
+
+    def test_random_pairs(self, rng):
+        for gamma, c in self._random_pairs(rng):
+            self._assert_reference_bytes(gamma, c)
+
+    def test_near_symmetric_inputs_are_symmetrized(self, rng):
+        # an entrywise relative residue of 1e-13 passes the 1e-10 check and
+        # takes the symmetrizing branch; the factors 1 +- e leave the
+        # (skew-)symmetric part, so a rank-deficient gamma stays semidefinite
+        pairs = list(self._random_pairs(rng)) + list(self._table_cases())[::5]
+        for gamma, c in pairs[3:]:  # the 1 x 1 pairs have no off-diagonal entry
+            noise = 1e-13 * rng.normal(size=(2,) + gamma.shape)
+            gamma = gamma * (1.0 + noise[0] - noise[0].T)
+            c = c * (1.0 + noise[1] - noise[1].T)
+            assert not np.array_equal(gamma, gamma.T) and not np.array_equal(c, -c.T)
+            self._assert_reference_bytes(gamma, c)
+
+    def test_result_owns_its_arrays(self, rng):
+        # the profile passes views of one table; a later write to the caller's
+        # arrays must not reach the MomentData
+        basis = DickeBasis(16)
+        state = evolve(coherent_spin_state_z(basis), EvolutionSpec("OAT", 0.3))
+        _, gamma, c = moments_of(state, build_spin_family(basis, 3))
+        gamma_near = gamma + 1e-13 * np.abs(gamma).max() * rng.normal(size=gamma.shape)
+        for g, cc in ((gamma[:9, :9], c[:9, :9]), (gamma_near, c.copy())):
+            md = moment_matrix(g, cc)
+            before = _moment_bytes(md)
+            g[...] = 7.0
+            cc[...] = 3.0
+            assert _moment_bytes(md) == before
 
 
 class TestOptimalMeasurement:
@@ -738,9 +859,7 @@ class TestSpinSqueezingOrders:
                 m = optimal_measurement(md, n_opt)
             except ZeroSignalError:
                 m = None
-            n_full = np.zeros(cnt)
-            n_full[:3] = n_opt
-            signal = None if m is None else _signal(m @ rows[:cnt], n_full @ rows[:cnt])
+            signal = None if m is None else _signal(m @ rows[:cnt], n_opt @ rows[[0, 1, 2]])
             chi2_inv = 0.0 if signal is None else signal[1] ** 2 / signal[0]
             assert res.chi2_inv == chi2_inv
             assert res.lambda_max == lam and type(res.lambda_max) is float
