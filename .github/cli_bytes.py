@@ -27,6 +27,9 @@ MATRIX = [
     "sweep --n 16 --kmax 6 --steps 11 --qfi --format json",
     "analyze --model OAT --n 7 --kmax 6 --tau 1.5707963267948966",
     "analyze --model TAT --n 30 --kmax 5 --tau 0.2",
+    # K > N: the families span every operator and hold exact-zero members
+    "sweep --n 1 --kmax 6 --steps 11 --qfi --format json",
+    "analyze --model TAT --n 3 --kmax 6 --tau 0.4",
     *(f"fock --n {n} --order {order}" for n in (0, 5, 60) for order in (2, 3)),
     "estimate --model OAT --n 16 --tau 0.1",
     # finite ends whose span overflows: one error line, no numpy warning

@@ -12,7 +12,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .cv import (
-    MAX_CUTOFF,
     FockBasis,
     build_cv_second_order_family,
     build_cv_third_order_family,
@@ -29,6 +28,7 @@ from .moments import (
     simulate_moment_estimator,
     spin_squeezing_profile,
 )
+from .operators import MAX_DIMENSION
 from .spin import _AXES, DickeBasis, build_spin_family, build_spin_operators, parity_operator
 
 EXIT_OK = 0
@@ -178,10 +178,10 @@ def _run_fock(args: argparse.Namespace) -> tuple[str | None, str, bool]:
             f"cutoff {cutoff} too small: cubic observables on |{n}> reach "
             f"|{n + 3}>, need at least {n + 4}"
         )
-    if cutoff + 4 > MAX_CUTOFF:
+    if cutoff + 4 > MAX_DIMENSION:
         raise ValueError(
             f"cutoff {cutoff} too large: the convergence check at cutoff "
-            f"{cutoff + 4} exceeds the dense limit {MAX_CUTOFF}"
+            f"{cutoff + 4} exceeds the dense limit {MAX_DIMENSION}"
         )
     basis = FockBasis(cutoff)
     result, family = _fock_result(basis, n, args.order)
@@ -307,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     fock.add_argument("--n", type=int, default=None, help="Fock index")
     fock.add_argument("--order", type=int, choices=(2, 3), default=3)
     fock.add_argument("--cutoff", type=int, default=None,
-                      help=f"Fock dimension (default n + 8, at most {MAX_CUTOFF - 4})")
+                      help=f"Fock dimension (default n + 8, at most {MAX_DIMENSION - 4})")
     fock.set_defaults(func=_run_fock)
 
     analyze = sub.add_parser("analyze", help="moment matrices for one state")

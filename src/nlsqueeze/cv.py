@@ -8,8 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import MAX_DIMENSION as MAX_CUTOFF
-from .operators import HermitianOperator, OperatorFamily, dense_matrix, ladder_bands
+from .operators import MAX_DIMENSION, HermitianOperator, OperatorFamily, dense_matrix, ladder_bands
 # symmetric_product: unused, kept for perfbench's trace targets
 from .operators import symmetric_product
 from .states import QuantumState
@@ -20,15 +19,15 @@ RENORM_WARN_TOL = 1e-10
 @dataclass(frozen=True)
 class FockBasis:
     """Number basis |0> ... |cutoff-1> of a single bosonic mode, with
-    2 <= cutoff <= MAX_CUTOFF."""
+    2 <= cutoff <= MAX_DIMENSION."""
 
     cutoff: int
 
     def __post_init__(self):
         if isinstance(self.cutoff, bool) or not isinstance(self.cutoff, (int, np.integer)) or self.cutoff < 2:
             raise ValueError(f"cutoff must be an integer >= 2, got {self.cutoff!r}")
-        if self.cutoff > MAX_CUTOFF:
-            raise ValueError(f"cutoff {self.cutoff} exceeds the dense limit {MAX_CUTOFF}")
+        if self.cutoff > MAX_DIMENSION:
+            raise ValueError(f"cutoff {self.cutoff} exceeds the dense limit {MAX_DIMENSION}")
 
     @property
     def tag(self) -> str:

@@ -3,13 +3,11 @@ chi^-2 <= F <= F_Q."""
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .dynamics import HermitianPropagator
 from .errors import BasisMismatchError
-# covariance_matrix and build_spin_operators: unused, kept for perfbench's trace targets
+# covariance_matrix, build_spin_family, build_spin_operators: unused, kept for perfbench's trace targets
 from .moments import _centered_rows, _operator_rows, covariance_matrix, principal_eigenpair
 from .operators import HermitianOperator
 from .spin import DickeBasis, build_spin_family, build_spin_operators
@@ -50,12 +48,6 @@ def qfi(state: QuantumState, generator: HermitianOperator) -> float:
     return float(_qfi_matrix(state.factor, *_operator_rows(state.factor, state._matrix_of(generator)))[0, 0])
 
 
-@functools.lru_cache(maxsize=8)
-def _spin_axes(basis: DickeBasis):
-    """The order-1 family Jx, Jy, Jz of a basis, built once per basis."""
-    return build_spin_family(basis, 1)
-
-
 def f_max_density(state: QuantumState, basis: DickeBasis):
     """Best quantum Fisher information per particle over collective rotations.
 
@@ -65,7 +57,7 @@ def f_max_density(state: QuantumState, basis: DickeBasis):
     """
     if state.basis_tag != basis.tag:
         raise BasisMismatchError("state does not live in the given Dicke basis")
-    q = _qfi_matrix(state.factor, *_centered_rows(state.factor, _spin_axes(basis)))
+    q = _qfi_matrix(state.factor, *_centered_rows(state.factor, basis.spin_axes))
     direction, lam = principal_eigenpair(q)
     return lam / basis.n_particles, direction
 

@@ -95,10 +95,14 @@ def _family_moments(state: QuantumState, family: OperatorFamily):
     skew-symmetric matrix of -i times commutator expectations.
 
     Re(Z) is the symmetrized covariance and 2 Im(Z) equals -i<[H_k, H_l]>,
-    so one Gram matrix Z feeds both matrices.
+    so one Gram matrix Z feeds both matrices.  An exact-zero member (row within
+    100 e_k, `OperatorFamily.member_noise`) gets zero row, Gram row and column.
     """
     check_same_basis(state, family)
     rows, gram = _centered_rows(state.factor, family)
+    exact_zero = gram.diagonal().real <= (100.0 * family.member_noise) ** 2
+    if exact_zero.any():
+        rows[exact_zero] = gram[exact_zero] = gram[:, exact_zero] = 0.0
     return rows, (gram.real + gram.real.T) / 2, gram.imag - gram.imag.T
 
 

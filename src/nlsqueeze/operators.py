@@ -208,6 +208,7 @@ class OperatorFamily:
     `tuple(fam)` for all of them) and kept only by the caller.  Each member
     must pass the Hermiticity rule of `HermitianOperator` against its band
     adjoint; the family keeps the exact (H_k + H_k^dagger) / 2 in its own array.
+    member_noise holds each member's rounding bound e_k (see `__post_init__`).
     """
 
     bands: np.ndarray
@@ -230,11 +231,15 @@ class OperatorFamily:
             herm[r, :, w + o] = bands[r.start + o:r.stop + o, :, w - o].conj()
         # per member, rows reduced first: a two-axis max over the short band axis is slow
         resid = np.abs(bands - herm).max(axis=0).max(axis=1)
-        scale = np.abs(bands).max(axis=0).max(axis=1)
+        mag = np.abs(bands)
+        scale = mag.max(axis=0).max(axis=1)
         bad = np.flatnonzero(~((resid <= HERMITICITY_ATOL * scale) & (scale < np.inf)))  # NaN fails too
         if len(bad):
             raise ValueError(f"family member {bad[0]} ({self.labels[bad[0]]!r}) is not Hermitian "
                              f"(max residue {resid[bad[0]]:.2e})")
+        # e_k = eps (2w+2) max_i sum_j |H_k|_ij bounds the rounding of a row (H_k - <H_k>) S, ||S||_F = 1
+        row_sums = mag @ np.ones(2 * w + 1)  # a matmul: a sum over the short band axis is slow
+        object.__setattr__(self, "member_noise", np.finfo(float).eps * (2 * w + 2) * row_sums.max(axis=0))
         herm += bands  # (H + H^dagger) / 2 has exactly conjugate entries
         herm /= 2
         herm.setflags(write=False)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -53,6 +54,11 @@ class DickeBasis:
         """Shot-noise limit F_SN = N, the best sensitivity of N uncorrelated spins."""
         return float(self.n_particles)
 
+    @functools.cached_property
+    def spin_axes(self) -> OperatorFamily:
+        """Jx, Jy, Jz (`build_spin_family` of order 1), built once per basis object."""
+        return build_spin_family(self, 1)
+
 
 def _spin_bands(basis: DickeBasis) -> np.ndarray:
     """Bands (D, 3, 3) of Jx, Jy, Jz (see `OperatorFamily`): Jz is diagonal,
@@ -67,8 +73,8 @@ def _spin_bands(basis: DickeBasis) -> np.ndarray:
 
 
 def build_spin_operators(basis: DickeBasis):
-    """Dense collective Jx, Jy, Jz for total spin j = n_particles / 2."""
-    return tuple(OperatorFamily(_spin_bands(basis), list(_AXES), (1, 1, 1), basis.tag))
+    """Dense collective Jx, Jy, Jz: the members of `basis.spin_axes`, densified on each call."""
+    return tuple(basis.spin_axes)
 
 
 def _monomial_degrees(k_max: int) -> list[tuple[int, int, int]]:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nlsqueeze import HermitianOperator, OperatorFamily, QuantumState, fisher
+from nlsqueeze import HermitianOperator, OperatorFamily, QuantumState
 
 
 def random_hermitian(rng, dim, label="H", degree=1):
@@ -38,11 +38,3 @@ def angle_between(u, v):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
-
-
-@pytest.fixture(autouse=True)
-def _cold_spin_axes_cache():
-    """Empty the per-basis cache of `fisher._spin_axes` after every test, so
-    that no test (here or in perfbench/) depends on which ran before it."""
-    yield
-    fisher._spin_axes.cache_clear()

@@ -13,7 +13,7 @@ from nlsqueeze import (
     qfi,
     quadrature_generator,
 )
-from nlsqueeze.cv import MAX_CUTOFF
+from nlsqueeze.operators import MAX_DIMENSION
 
 
 def _quadratures(basis):
@@ -29,8 +29,8 @@ def test_two_level_x_matrix():
 
 
 def test_cutoff_bounded_by_dense_limit():
-    assert FockBasis(MAX_CUTOFF).cutoff == MAX_CUTOFF
-    for cutoff in (MAX_CUTOFF + 1, 10 ** 9):
+    assert FockBasis(MAX_DIMENSION).cutoff == MAX_DIMENSION
+    for cutoff in (MAX_DIMENSION + 1, 10 ** 9):
         with pytest.raises(ValueError, match="dense limit"):
             FockBasis(cutoff)
 

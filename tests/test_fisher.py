@@ -7,6 +7,7 @@ from nlsqueeze import (
     FockBasis,
     HermitianOperator,
     HermitianPropagator,
+    OperatorFamily,
     QuadratureDirection,
     QuantumState,
     ZeroSignalError,
@@ -28,7 +29,7 @@ from nlsqueeze import (
     quadrature_generator,
 )
 from nlsqueeze.dynamics import EvolutionSpec
-from nlsqueeze.fisher import _spin_axes
+from nlsqueeze.spin import _AXES, _spin_bands
 
 from conftest import random_density, random_hermitian, random_pure_state
 
@@ -387,9 +388,21 @@ class TestCheckChain:
 
 class TestSpinAxes:
     def test_cached_per_basis(self):
-        basis = DickeBasis(9)
-        assert _spin_axes(basis) is _spin_axes(DickeBasis(9))
-        assert _spin_axes(basis).labels == ["Jx", "Jy", "Jz"]
+        # the family lives with one basis object: an equal basis builds its own
+        basis, twin = DickeBasis(9), DickeBasis(9)
+        assert basis.spin_axes is basis.spin_axes
+        assert twin == basis and twin.spin_axes is not basis.spin_axes
+        assert basis.spin_axes.labels == ["Jx", "Jy", "Jz"]
+        for op, member in zip(build_spin_operators(basis), basis.spin_axes, strict=True):
+            assert op.label == member.label and op.matrix.tobytes() == member.matrix.tobytes()
+
+    def test_axes_are_the_raw_spin_bands(self):
+        # the order-1 symmetrized family stores the bands of Jx, Jy, Jz
+        # themselves, byte for byte
+        for n in [*range(1, 40), 60, 100, 400, 1023]:
+            basis = DickeBasis(n)
+            raw = OperatorFamily(_spin_bands(basis), list(_AXES), (1, 1, 1), basis.tag)
+            assert basis.spin_axes.bands.tobytes() == raw.bands.tobytes(), n
 
     def test_f_max_matches_fresh_family(self):
         basis = DickeBasis(12)

@@ -970,6 +970,54 @@ class TestSpinSqueezingOrders:
         assert parity_inv > 10.0
 
 
+def _noisy_twisted(basis, model, tau, noise=0.1):
+    """The +z coherent state mixed with `noise` of the maximally mixed state,
+    then twisted."""
+    dim = basis.dimension
+    rho = (1.0 - noise) * coherent_spin_state_z(basis).density_matrix() + noise * np.eye(dim) / dim
+    return evolve(QuantumState.mixed(rho, basis.tag), EvolutionSpec(model, tau))
+
+
+class TestExactZeroMembers:
+    """Members whose centered row is rounding noise, as Jx^2 = Jy^2 = Jz^2 = I/4
+    for spin 1/2, keep no covariance direction: once the family spans every
+    operator (K >= N), the optimized chi^-2 is F_Q (Braunstein & Caves)."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_complete_family_reaches_f_max_and_never_exceeds_it(self, n):
+        rng = np.random.default_rng(7)
+        basis = DickeBasis(n)
+        family = build_spin_family(basis, 6)
+        dim = basis.dimension
+        states = [random_density(rng, dim, basis.tag, rank=rank) for rank in (None, 2) for _ in range(6)]
+        states += [_noisy_twisted(basis, model, tau) for model in ("OAT", "TAT") for tau in (0.3, 1.1, 2.4)]
+        for state in states:
+            profile = spin_squeezing_profile(state, basis, 6, family=family)
+            f_q = n * f_max_density(state, basis)[0]
+            for res in profile:
+                assert res.chi2_inv <= f_q * (1.0 + 1e-8)
+                assert res.moments.retained_count <= dim * dim - 1
+            assert abs(profile[-1].chi2_inv - f_q) <= 1e-10 * f_q
+
+    @pytest.mark.parametrize("n, k_max", [(16, 5), (16, 6), (7, 6), (40, 5), (100, 4), (400, 3)])
+    def test_twisting_frame_does_not_change_the_profile(self, n, k_max):
+        # exp(-i tau Jz^2) on +x is the sweep's exp(-i tau Jy^2) on +z seen in
+        # a rotated frame, and the family of all monomials up to degree K is
+        # closed under rotations; at tau = pi/2 the diagonal frame used to
+        # keep noise directions of members that are exact zeros there
+        basis = DickeBasis(n)
+        family = build_spin_family(basis, k_max)
+        m = basis.m_values
+        plus_x = np.sqrt([math.comb(n, k) / 2 ** n for k in range(n + 1)])
+        start = coherent_spin_state_z(basis)
+        for tau in np.linspace(0.0, np.pi, 101):
+            diagonal = QuantumState.pure(np.exp(-1j * tau * m ** 2) * plus_x, basis.tag)
+            swept = evolve(start, EvolutionSpec("OAT", float(tau)))
+            got = [r.chi2_inv / n for r in spin_squeezing_profile(diagonal, basis, k_max, family=family)]
+            want = [r.chi2_inv / n for r in spin_squeezing_profile(swept, basis, k_max, family=family)]
+            np.testing.assert_allclose(got, want, rtol=1e-7, atol=1e-9, err_msg=f"tau = {tau!r}")
+
+
 class TestEntanglementBound:
     @pytest.mark.parametrize(
         "value,want",
