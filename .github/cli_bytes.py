@@ -29,6 +29,9 @@ MATRIX = [
     "analyze --model TAT --n 30 --kmax 5 --tau 0.2",
     # K > N: the families span every operator and hold exact-zero members
     "sweep --n 1 --kmax 6 --steps 11 --qfi --format json",
+    # pure tables of 2 row chunks and 2 column slices in `moments._center`
+    "sweep --n 1000 --kmax 3 --steps 5 --qfi --format json",
+    "sweep --n 400 --kmax 5 --steps 5 --qfi --format json",
     "analyze --model TAT --n 3 --kmax 6 --tau 0.4",
     *(f"fock --n {n} --order {order}" for n in (0, 5, 60) for order in (2, 3)),
     "estimate --model OAT --n 16 --tau 0.1",

@@ -22,7 +22,9 @@ from .states import QuantumState, check_same_basis
 # their sensitivity
 GAMMA_EPS_REL = 1e-12
 KERNEL_LEAK_TOL = 1e-8
-# entries (complex, 256 KB) in one column slice of the centered row table
+# entries (complex, 256 KB) in one piece of the centered row table: the
+# centering walks it in row chunks of at least one row, the Gram product in
+# column slices, whose partition fixes the bits of Z and must not move
 SLICE_ENTRIES = 16384
 
 
@@ -56,19 +58,22 @@ def _center(rows: np.ndarray, s: np.ndarray):
 
     The means are the real part of one product of the flattened rows with
     S*; every H_k was checked Hermitian when it was made.  The table is
-    then walked in column slices of SLICE_ENTRIES entries: each slice is
-    centered and its Gram block added while it is in cache, so no
-    temporary larger than a slice is made.  A table of one slice gets Z
-    bit for bit as the one-shot R* R^T; more slices sum their blocks.
+    then walked twice in pieces of SLICE_ENTRIES entries (or one row, if
+    longer), the largest temporaries.  The centering walks contiguous row
+    chunks; being elementwise, it gives the same bits in any partition.
+    The Gram product walks column slices and adds up their blocks; a table
+    of one slice gets Z bit for bit as the one-shot R* R^T.
     """
     flat = rows.reshape(len(rows), -1)
     s_flat = s.ravel()
-    mu = (flat @ s_flat.conj()).real.astype(complex)[:, None]  # cast once, not per slice
+    mu = (flat @ s_flat.conj()).real.astype(complex)[:, None]  # cast once, not per chunk
+    per = max(1, SLICE_ENTRIES // flat.shape[1])
+    for k in range(0, len(flat), per):
+        flat[k:k + per] -= mu[k:k + per] * s_flat
     step = max(1, SLICE_ENTRIES // len(flat))
     gram = None
     for j in range(0, flat.shape[1], step):
         part = flat[:, j:j + step]
-        part -= mu * s_flat[j:j + step]
         block = part.conj() @ part.T
         gram = block if gram is None else gram + block
     return flat, gram
@@ -216,7 +221,7 @@ def principal_eigenpair(matrix: np.ndarray):
     within 1e-12 max|eigenvalue| of the top (a window that scales with the
     matrix), the one whose largest-magnitude coefficient sits at the
     smallest index wins (the lowest-ranked one on a tie), so rounding noise
-    can turn the result within that space (ROADMAP item 5).
+    can turn the result within that space (ROADMAP, "Honest numbers").
     """
     matrix = np.asarray(matrix, dtype=float)
     evals, evecs = np.linalg.eigh((matrix + matrix.swapaxes(-1, -2)) / 2)
@@ -395,7 +400,7 @@ def spin_squeezing_profile(state: QuantumState, basis: DickeBasis, k_max: int,
     mds = [moment_matrix(gamma[:cnt, :cnt], c[:cnt, :cnt])
            for cnt in map(spin_family_size, range(1, k_max + 1))]
     n_opts, lams = principal_eigenpair(np.stack([md.m_matrix[:3, :3] for md in mds]))
-    return [_squeeze(md, rows[:md.size], [0, 1, 2], n_opt, float(lam))
+    return [_squeeze(md, rows[:md.size], slice(3), n_opt, float(lam))
             for md, n_opt, lam in zip(mds, n_opts, lams)]
 
 

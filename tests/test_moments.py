@@ -152,44 +152,47 @@ def _noisy_tat_point(n, weight=0.1, tau=0.7):
 
 
 class TestSlicedKernel:
-    """`_center` walks the row table in column slices of SLICE_ENTRIES entries
-    in all; it must agree with the broadcast centering and the one-shot Gram
-    product R* R^T."""
+    """`_center` centers the row table in row chunks and adds up its Gram
+    matrix over column slices, each of SLICE_ENTRIES entries in all; it must
+    agree with the broadcast centering and the one-shot Gram product R* R^T."""
 
     def _cases(self, rng):
-        """(state, family, slices, remainder) for each kind of table."""
+        """(state, family, chunks, slices, remainder) for each kind of table."""
         spin16, spin20, spin64 = DickeBasis(16), DickeBasis(20), DickeBasis(64)
+        spin1000 = DickeBasis(1000)
         fock = FockBasis(91)
         cv3 = build_cv_third_order_family(fock)
         dense128, dense100 = random_family(rng, 128, 4), random_family(rng, 100, 4)
         tat_basis, tat_state = _noisy_tat_point(60)
         return [
-            # one slice
-            (random_density(rng, 17, spin16.tag, rank=3), build_spin_family(spin16, 5), 1, 51),
-            (fock_state(fock, 6), cv3, 1, 91),
-            (random_pure_state(rng, 128), dense128, 1, 128),
+            # one chunk, one slice
+            (random_density(rng, 17, spin16.tag, rank=3), build_spin_family(spin16, 5), 1, 1, 51),
+            (fock_state(fock, 6), cv3, 1, 1, 91),
+            (random_pure_state(rng, 128), dense128, 1, 1, 128),
             # exactly several slices
-            (random_density(rng, 65, spin64.tag, rank=56), build_spin_family(spin64, 2), 2, 0),
-            (random_density(rng, 91, fock.tag, rank=60), cv3, 2, 0),
-            (random_density(rng, 128, rank=64), dense128, 2, 0),
+            (random_density(rng, 65, spin64.tag, rank=56), build_spin_family(spin64, 2), 3, 2, 0),
+            (random_density(rng, 91, fock.tag, rank=60), cv3, 2, 2, 0),
+            (random_density(rng, 128, rank=64), dense128, 2, 2, 0),
             # several slices and a remainder
-            (random_density(rng, 21, spin20.tag, rank=21), build_spin_family(spin20, 5), 2, 144),
-            (tat_state, build_spin_family(tat_basis, 3), 5, 273),
-            (random_density(rng, 91, fock.tag, rank=61), cv3, 3, 91),
-            (random_density(rng, 100, rank=50), dense100, 2, 904),
+            (random_density(rng, 21, spin20.tag, rank=21), build_spin_family(spin20, 5), 2, 2, 144),
+            (tat_state, build_spin_family(tat_basis, 3), 5, 5, 273),
+            (random_pure_state(rng, 1001, spin1000.tag), build_spin_family(spin1000, 3), 2, 2, 139),
+            (random_density(rng, 91, fock.tag, rank=61), cv3, 3, 3, 91),
+            (random_density(rng, 100, rank=50), dense100, 2, 2, 904),
         ]
 
     def test_slices_match_one_shot_reference(self, rng):
-        for state, family, slices, remainder in self._cases(rng):
+        for state, family, chunks, slices, remainder in self._cases(rng):
             s = state.factor
-            raw = np.stack([op.matrix for op in family]) @ s
+            raw = np.stack([op.matrix @ s for op in family])  # one dense member at a time
             mu = raw.reshape(len(raw), -1) @ s.ravel().conj()
             want = (raw - mu.real[:, None, None] * s).reshape(len(raw), -1)
             want_gram = want.conj() @ want.T
             rows, gram = _center(raw.copy(), s)
-            step = SLICE_ENTRIES // len(family)
+            per, step = max(1, SLICE_ENTRIES // rows.shape[1]), SLICE_ENTRIES // len(family)
+            assert math.ceil(len(rows) / per) == chunks
             assert (math.ceil(rows.shape[1] / step), rows.shape[1] % step) == (slices, remainder)
-            # centering is elementwise, so slicing it changes no bit
+            # centering is elementwise, so chunking it changes no bit
             assert np.array_equal(rows, want)
             if slices == 1:
                 assert np.array_equal(gram, want_gram)
@@ -200,7 +203,7 @@ class TestSlicedKernel:
     def test_kernel_makes_no_copy_of_the_row_table(self):
         # at N=60, K=3 the mixed TAT point's row table is 19 x 61 x 61 complex
         # (1.13 MB); the band product's gathered operand (0.42 MB), or the
-        # temporaries of one column slice (about 0.5 MB), come on top of it;
+        # temporaries of one row chunk (about 0.4 MB), come on top of it;
         # one full-size copy (a broadcast centering, a conjugate table) would
         # take the peak to 2.2x
         basis, state = _noisy_tat_point(60)
@@ -217,7 +220,7 @@ class TestSlicedKernel:
             f_max_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert profile_peak <= 1.6 * table
+        assert profile_peak <= 1.42 * table
         # 3 rows take 0.18 MB and peak at 0.66 MB with their products
         # P = S^dagger R; a conjugate copy of the rows, or numpy's buffer for
         # the complex-times-real product of P and its weights, add 0.18 MB each
@@ -243,7 +246,8 @@ class TestMomentMatrix:
     def test_retained_factor_whitens_the_covariance(self, case, rng):
         # W^T Gamma_eq W = I_r for the stored factor W = V lambda^(-1/2); the
         # spin points are well conditioned, since elsewhere the identity holds
-        # only to about eps lambda_max / lambda_min (ROADMAP item 1)
+        # only to about eps lambda_max / lambda_min (ROADMAP, "Retention from
+        # the rows' own rank": the whitening residue)
         if case in ("pure", "mixed"):
             make = random_pure_state if case == "pure" else random_density
             mds = [moment_data(make(rng, dim), random_family(rng, dim, size))
@@ -837,16 +841,19 @@ class TestSpinSqueezingOrders:
         tau = float(np.linspace(0.0, np.pi, 101)[index]) if index is not None else np.pi / 2
         return basis, evolve(coherent_spin_state_z(basis), EvolutionSpec("OAT", tau))
 
-    @pytest.mark.parametrize("point", ["readme row 48", "readme row 52", "pi/2", "noisy TAT"])
+    @pytest.mark.parametrize("point", ["readme row 48", "readme row 52", "pi/2", "noisy TAT",
+                                       "noisy TAT N=60"])
     def test_profile_is_the_public_per_order_path_bit_for_bit(self, point):
         # rows 48 and 52 of the README grid raise the integrity flag at order
         # 5; tau = pi/2 has a degenerate generator plane and orders without
-        # signal
+        # signal; the N=60, K=3 table has 5 row chunks and 5 column slices
+        k_max = 5
         if point == "noisy TAT":
             basis, state = _noisy_tat_point(16, tau=0.4)
+        elif point == "noisy TAT N=60":
+            (basis, state), k_max = _noisy_tat_point(60), 3
         else:
             basis, state = self._readme_point({"readme row 48": 48, "readme row 52": 52}.get(point))
-        k_max = 5
         family = build_spin_family(basis, k_max)
         gamma, c = covariance_matrix(state, family), moment_data(state, family).c
         rows, _ = _centered_rows(state.factor, family)

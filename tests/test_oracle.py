@@ -22,13 +22,14 @@ along its eigenvector).  Hence
     f_max:    |d f| / f   <= 4 N delta / sqrt(max(V_+, Var Jz)).
 
 Below a true order-1 value of 1e-6 the printed digits are rounding noise
-(ROADMAP item 5), so order 1 is compared only above it (58, 24, 12 and 8
-grid points at N = 16, 100, 400 and 1000).  Measured on the 101-point grids,
-the largest error over its bound is 0.16 (order 1) and 0.080 (f_max) at
-N = 16, 0.013 and 0.011 at N = 100, 0.0068 and 0.0037 at N = 400, and
-0.00087 and 0.0020 at N = 1000.  The bound thus holds with a margin of at
-least 6, and it is loose at large N: the state sits on the eigenvectors of
-Jy^2 with small |m|, so its phase errors stay far below u tau ||H||.
+(ROADMAP, "Honest numbers": the noise cells), so order 1 is compared only
+above it (58, 24, 12 and 8 grid points at N = 16, 100, 400 and 1000).
+Measured on the 101-point grids, the largest error over its bound is 0.16
+(order 1) and 0.080 (f_max) at N = 16, 0.013 and 0.011 at N = 100, 0.0068
+and 0.0037 at N = 400, and 0.00087 and 0.0020 at N = 1000.  The bound thus
+holds with a margin of at least 6, and it is loose at large N: the state sits
+on the eigenvectors of Jy^2 with small |m|, so its phase errors stay far
+below u tau ||H||.
 """
 
 import math
