@@ -38,6 +38,10 @@ MATRIX = [
     # finite ends whose span overflows: one error line, no numpy warning
     "sweep --n 4 --tau-start=-1e308 --tau-end=1e308 --steps 3",
     "estimate --n 4 --window 1e308",
+    # a mu beyond int64 is refused with one error line, not a traceback
+    "estimate --n 4 --mu 100000000000000000000",
+    # generator and observable read from `DickeBasis.spin_axes` at large D
+    "estimate --n 400 --generator Jy --observable Jx --tau 0.05 --mu 1000 --trials 20",
 ]
 
 

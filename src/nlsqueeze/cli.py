@@ -29,7 +29,7 @@ from .moments import (
     spin_squeezing_profile,
 )
 from .operators import MAX_DIMENSION
-from .spin import _AXES, DickeBasis, build_spin_family, build_spin_operators, parity_operator
+from .spin import _AXES, DickeBasis, build_spin_family, parity_operator
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -126,7 +126,7 @@ def _run_sweep(args: argparse.Namespace) -> tuple[str | None, str, bool]:
     psi0 = coherent_spin_state_z(basis)
     family = build_spin_family(basis, cfg.k_max)
     if cfg.include_parity:
-        jz, parity = family[2], parity_operator(basis)  # members 0-2 are Jx, Jy, Jz
+        jz, parity = basis.spin_axes[2], parity_operator(basis)
     records, lines, flagged = [], [], False
     for tau in np.linspace(cfg.tau_start, cfg.tau_end, cfg.steps):
         state = evolve(psi0, EvolutionSpec(cfg.model, float(tau)))
@@ -234,19 +234,14 @@ def _run_analyze(args: argparse.Namespace) -> tuple[str | None, str, bool]:
     return args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n", result.robertson_violated
 
 
-def _spin_observable(basis: DickeBasis, name: str):
-    if name == "parity":
-        return parity_operator(basis)
-    return build_spin_operators(basis)[_AXES.index(name)]
-
-
 def _run_estimate(args: argparse.Namespace) -> tuple[str | None, str, bool]:
     if args.n is None or args.n < 1:
         raise ValueError("estimate needs --n >= 1")
     window = (args.theta - args.window, args.theta + args.window)
     basis = DickeBasis(args.n)
-    generator = _spin_observable(basis, args.generator)
-    observable = _spin_observable(basis, args.observable)
+    generator = basis.spin_axes[_AXES.index(args.generator)]
+    observable = (parity_operator(basis) if args.observable == "parity"
+                  else basis.spin_axes[_AXES.index(args.observable)])
     state = evolve(coherent_spin_state_z(basis), EvolutionSpec(args.model, args.tau))
     report = simulate_moment_estimator(
         state, generator, observable, args.theta,

@@ -51,7 +51,7 @@ class HermitianPropagator:
 
     @classmethod
     def _from_matrix(cls, h: np.ndarray) -> "HermitianPropagator":
-        """Propagator of a Hermitian matrix held as a real or complex array."""
+        """The twisting propagator's path past the Hermitian gate: a real matrix stays real."""
         prop = cls.__new__(cls)
         prop._decompose(h)
         return prop

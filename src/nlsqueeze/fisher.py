@@ -81,7 +81,7 @@ def classical_fisher(state: QuantumState, generator: HermitianOperator,
     """
     h = state._matrix_of(generator)
     evals, evecs = np.linalg.eigh(state._matrix_of(observable))
-    s = HermitianPropagator._from_matrix(h).apply(state, theta).factor
+    s = HermitianPropagator(generator).apply(state, theta).factor
     a = evecs.conj().T @ s
     b = evecs.conj().T @ (h @ s)
     tol = len(evals) * np.finfo(float).eps * np.abs(evals).max()

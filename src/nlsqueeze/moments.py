@@ -445,8 +445,8 @@ def simulate_moment_estimator(state: QuantumState, generator: HermitianOperator,
     by monotone bracketing with linear interpolation on a fixed 1001-point
     grid over the declared window (default: theta_true +- 0.3).
     """
-    if mu < 1:
-        raise ValueError("mu must be >= 1")
+    if not 1 <= mu <= np.iinfo(np.int64).max:  # the multinomial draw counts in int64
+        raise ValueError(f"mu must be >= 1 and <= {np.iinfo(np.int64).max}")
     if trials < 2:
         raise ValueError("need at least two trials to estimate a variance")
     if mu < 30:
@@ -462,7 +462,7 @@ def simulate_moment_estimator(state: QuantumState, generator: HermitianOperator,
     if not math.isfinite(hi - lo):
         raise ValueError("window width must be finite")
 
-    prop = HermitianPropagator._from_matrix(state._matrix_of(generator))
+    prop = HermitianPropagator(generator)
     grid = np.linspace(lo, hi, 1001)
     curve = np.array([prop.apply(state, t).expectation(observable) for t in grid])
     diffs = np.diff(curve)

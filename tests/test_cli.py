@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from nlsqueeze import cli, moments
+from nlsqueeze import OperatorFamily, cli, moments
 from nlsqueeze.cli import EXIT_INTEGRITY, EXIT_OK, EXIT_USAGE, main
 
 INTEGRITY_WARNING = ("warning: covariance kernel carries commutator signal "
@@ -343,6 +343,26 @@ class TestEstimate:
         assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv, builds", [
+    (("estimate", "--n", "8", "--mu", "100", "--trials", "5"), 2),
+    (("sweep", "--n", "8", "--steps", "3", "--parity"), 1),
+], ids=["estimate", "parity sweep"])
+def test_densifies_only_the_operators_it_reads(capsys, monkeypatch, argv, builds):
+    """Every dense member is built by `OperatorFamily.__getitem__`: estimate
+    builds its generator and its observable, the parity sweep its Jz, once each."""
+    calls = []
+    getitem = OperatorFamily.__getitem__
+
+    def counting(self, idx):
+        calls.append(idx)
+        return getitem(self, idx)
+
+    monkeypatch.setattr(OperatorFamily, "__getitem__", counting)
+    code, _, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert len(calls) == builds
+
+
 def test_unknown_command_is_usage_error(capsys):
     assert main(["frobnicate"]) == EXIT_USAGE
 
@@ -393,9 +413,10 @@ def test_integrity_flag_exits_2_with_a_warning(capsys, monkeypatch, argv):
     (["sweep", "--config", "{tmp}/config.json"], "tau-end - tau-start must be finite"),
     (["estimate", "--n", "4", "--window", "1e308"], "window width must be finite"),
     (["estimate", "--n", "4", "--window", "inf"], "window width must be finite"),
+    (["estimate", "--n", "4", "--mu", "100000000000000000000"], "mu must be >= 1 and <="),
 ], ids=["analyze without n", "estimate without n", "unwritable out", "sweep span beyond float range",
         "sweep from -inf", "config from -Infinity", "estimate window beyond float range",
-        "estimate infinite window"])
+        "estimate infinite window", "estimate mu beyond int64"])
 def test_refusals_exit_one(capsys, tmp_path, argv, fragment):
     (tmp_path / "config.json").write_text('{"n_particles": 4, "steps": 3, "tau_start": -Infinity}')
     code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))

@@ -1120,6 +1120,9 @@ def _css_jx_jy():
     (lambda: entanglement_bound(math.inf), ValueError, "must be finite"),
     (lambda: simulate_moment_estimator(*_css_jx_jy(), 0.0, mu=0, trials=2, seed=0), ValueError,
      "mu must be >= 1"),
+    # the multinomial draw counts in int64
+    (lambda: simulate_moment_estimator(*_css_jx_jy(), 0.0, mu=2**63, trials=2, seed=0), ValueError,
+     "mu must be >= 1 and <= 9223372036854775807"),
     (lambda: simulate_moment_estimator(*_css_jx_jy(), 0.0, mu=100, trials=1, seed=0), ValueError,
      "at least two trials"),
     (lambda: simulate_moment_estimator(*_css_jx_jy(), 0.0, mu=100, trials=2, seed=0, window=(0.1, 0.5)),
@@ -1131,7 +1134,7 @@ def _css_jx_jy():
                                     family=build_spin_family(DickeBasis(16), 1)),
      BasisMismatchError, "family does not live in the given Dicke basis"),
 ], ids=["shapes differ", "outside retained", "generator length", "family order", "infinite xi2",
-        "mu 0", "one trial", "theta outside window", "window beyond float range", "family of another basis"])
+        "mu 0", "mu beyond int64", "one trial", "theta outside window", "window beyond float range", "family of another basis"])
 def test_refusals(make, exc, fragment):
     with pytest.raises(exc, match=fragment):
         make()
