@@ -7,6 +7,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -330,6 +331,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(args):
+    """Run the subcommand, printing each warning it raises as one `warning:`
+    line on stderr instead of Python's source location and line."""
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            return args.func(args)
+        finally:
+            for warning in caught:
+                print(f"warning: {warning.message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     """Run one subcommand, which returns (output path or None for stdout, text,
     integrity flag); errors, output and exit codes are handled here alone."""
@@ -339,7 +351,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        path, text, flagged = args.func(args)
+        path, text, flagged = _run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -8,10 +8,10 @@ import numpy as np
 from .dynamics import HermitianPropagator
 from .errors import BasisMismatchError
 # covariance_matrix, build_spin_family, build_spin_operators: unused, kept for perfbench's trace targets
-from .moments import _centered_rows, _operator_rows, covariance_matrix, principal_eigenpair
+from .moments import _floored_rows, _operator_rows, covariance_matrix, principal_eigenpair
 from .operators import HermitianOperator
 from .spin import DickeBasis, build_spin_family, build_spin_operators
-from .states import QuantumState
+from .states import QuantumState, spectral_floor
 
 CHAIN_SLACK = 1e-8
 
@@ -43,6 +43,38 @@ def _qfi_matrix(s: np.ndarray, rows: np.ndarray, gram: np.ndarray) -> np.ndarray
     return 4.0 * gram.real - 8.0 * cross
 
 
+def _floor_qfi_matrix(lam0: float, s_top: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Quantum Fisher matrix of rho = lambda0 I + S' S'^dagger (see
+    `states.spectral_floor`) from the centered rows over [S' | sqrt(lambda0) I]
+    that `moments._centered_rows` forms, of which only the r' columns
+    X_a = (A_a - <A_a>) S' are read.
+
+    The columns of S' are sqrt(d_i) v_i with v_i the eigenvectors of rho
+    above the floor, l_i = lambda0 + d_i, and Pi = I - V V^dagger (V the
+    matrix of the v_i) projects on the floor eigenspace.  Pairs of floor eigenvectors have equal
+    eigenvalues and add nothing to the spectral formula, so
+    Q_ab = sum_ij 2 (l_i - l_j)^2 / (l_i + l_j) Re(A_ij B_ji)
+         + 4 sum_i (l_i - lambda0)^2 / (l_i + lambda0) Re<Pi A v_i, Pi B v_i>
+    over i, j above the floor.  With P^a = S'^dagger X_a, A_ij is
+    P^a_ij / sqrt(d_i d_j), and Pi X_a = X_a - S' diag(1/d) P^a is formed
+    explicitly (D x r'), so no D x D product enters and each diagonal
+    entry Q_aa is a sum of non-negative terms.
+    """
+    x = rows.reshape(len(rows), len(s_top), -1)[:, :, :s_top.shape[1]]
+    d = np.linalg.norm(s_top, axis=0) ** 2
+    lam = lam0 + d
+    p = s_top.conj().T @ x
+    pair = 2.0 * (d[:, None] - d[None, :]) ** 2 / (np.add.outer(lam, lam) * np.outer(d, d))
+    side = x - s_top @ (p / d[:, None])
+    return _real_gram(p * pair, p) + _real_gram(side * (4.0 * d / (lam + lam0)), side)
+
+
+def _real_gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re sum_j a_kj conj(b_lj) over the trailing axes of two complex stacks:
+    the real dot products of their float views."""
+    return a.reshape(len(a), -1).view(float) @ b.reshape(len(b), -1).view(float).T
+
+
 def qfi(state: QuantumState, generator: HermitianOperator) -> float:
     """Quantum Fisher information of a pure or mixed state for a generator."""
     return float(_qfi_matrix(state.factor, *_operator_rows(state.factor, state._matrix_of(generator)))[0, 0])
@@ -53,11 +85,17 @@ def f_max_density(state: QuantumState, basis: DickeBasis):
 
     Returns (f_max, direction): the top eigenvalue of the 3x3 quantum Fisher
     matrix of Jx, Jy, Jz divided by N, and its eigenvector (for a pure
-    state, four times the spin covariance matrix).
+    state, four times the spin covariance matrix).  A state with a spectral
+    floor (see `states.spectral_floor`) reads the matrix from the rows over
+    the r' columns above the floor alone (`_floor_qfi_matrix`), so a
+    white-noise mixture costs r' x r' products instead of D x D ones.
     """
     if state.basis_tag != basis.tag:
         raise BasisMismatchError("state does not live in the given Dicke basis")
-    q = _qfi_matrix(state.factor, *_centered_rows(state.factor, basis.spin_axes))
+    s, axes = state.factor, basis.spin_axes
+    floor = spectral_floor(s, axes.bands.shape[2] // 2)
+    rows, gram = _floored_rows(s, axes, floor)
+    q = _qfi_matrix(s, rows, gram) if floor is None else _floor_qfi_matrix(*floor, rows)
     direction, lam = principal_eigenpair(q)
     return lam / basis.n_particles, direction
 

@@ -14,7 +14,7 @@ from .dynamics import HermitianPropagator
 from .errors import BasisMismatchError, CalibrationError, ZeroSignalError
 from .operators import HermitianOperator, OperatorFamily
 from .spin import DickeBasis, build_spin_family, spin_family_size
-from .states import QuantumState, check_same_basis
+from .states import QuantumState, check_same_basis, spectral_floor
 
 # retention threshold for the equilibrated covariance spectrum: sits well
 # above its ~K*eps eigenvalue noise floor while keeping the genuinely dark
@@ -40,10 +40,36 @@ def _centered_rows(s: np.ndarray, family: OperatorFamily):
     second moments dwarf their covariances.  The products H_k S come from
     the family's stored diagonals, so no dense member is touched, and are
     written straight into the returned table.
+
+    A state with a spectral floor, rho = lambda0 I + S' S'^dagger (see
+    `states.spectral_floor`), is factored instead as [S' | sqrt(lambda0) I]
+    with the identity in band layout (sqrt(lambda0) on the diagonal column
+    of each row): the identity part's products are the members' own bands,
+    so the table has D (r' + 2w + 1) columns instead of D r, and `_center`
+    gives the same moments (each mean picks up lambda0 tr H_k from the
+    diagonal column).
     """
-    rows = np.empty((len(family), *s.shape), dtype=complex)
-    np.matmul(family.bands, s[family.band_cols], out=rows.transpose(1, 0, 2))  # rows[k] = H_k S
-    return _center(rows, s)
+    return _floored_rows(s, family, spectral_floor(s, family.bands.shape[2] // 2))
+
+
+def _floored_rows(s: np.ndarray, family: OperatorFamily, floor):
+    """`_centered_rows` for the floor that `spectral_floor` gave for s and the
+    family's band width (None: no floor)."""
+    if floor is None:
+        rows = np.empty((len(family), *s.shape), dtype=complex)
+        np.matmul(family.bands, s[family.band_cols], out=rows.transpose(1, 0, 2))  # rows[k] = H_k S
+        return _center(rows, s)
+    lam0, s_top = floor
+    top, width = s_top.shape[1], family.bands.shape[2] // 2
+    root = math.sqrt(lam0)
+    ext = np.zeros((len(s), top + 2 * width + 1), dtype=complex)
+    ext[:, :top] = s_top
+    ext[:, top + width] = root
+    rows = np.empty((len(family), *ext.shape), dtype=complex)
+    by_row = rows.transpose(1, 0, 2)  # by_row[i, k] = rows[k, i]
+    np.matmul(family.bands, s_top[family.band_cols], out=by_row[:, :, :top])  # H_k S'
+    np.multiply(family.bands, root, out=by_row[:, :, top:])  # H_k sqrt(lambda0) I, in band layout
+    return _center(rows, ext)
 
 
 def _operator_rows(s: np.ndarray, *mats):

@@ -14,6 +14,12 @@ DENSITY_ATOL = 1e-12
 DENSITY_EIG_FLOOR = -1e-10
 
 
+def _rounding_cut(dim: int, lam_max: float) -> float:
+    """eps * dim * lambda_max: eigenvalues of a dim x dim density this close
+    to a reference (zero, or the smallest) are not told apart from it."""
+    return np.finfo(float).eps * dim * lam_max
+
+
 @dataclass(frozen=True, eq=False)
 class QuantumState:
     """State rho = S S^dagger given by its factor S of shape (dim, rank).
@@ -27,7 +33,11 @@ class QuantumState:
     construction, S <- S W with S^dagger S = W diag(l) W^dagger (the same
     rho); `mixed()` and an evolved factor U S are in it already.
     Every expectation value is a product of S with operators, so pure and
-    mixed states share one code path.
+    mixed states share one code path.  Where the moment rows of a band
+    family are formed, a full-rank factor whose smallest eigenvalues form a
+    wide floor, such as a white-noise mixture, is taken as
+    rho = lambda0 I + S' S'^dagger (see `spectral_floor`); the state itself
+    keeps its whole factor, which evolution and the dense-operator paths use.
     """
 
     basis_tag: str
@@ -72,7 +82,7 @@ class QuantumState:
             raise ValueError("density operator has a negative eigenvalue")
         # eigenvalues within rounding of zero (relative to the largest) are
         # noise, so a pure density keeps one column
-        keep = lam > np.finfo(float).eps * rho.shape[0] * lam[-1]
+        keep = lam > _rounding_cut(rho.shape[0], lam[-1])
         s = vecs[:, keep] * np.sqrt(lam[keep])
         return cls._in_eigenframe(basis_tag, s / np.linalg.norm(s))
 
@@ -112,6 +122,31 @@ class QuantumState:
         mean = np.vdot(self.factor, phi).real
         phi -= mean * self.factor
         return np.vdot(phi, phi).real
+
+
+def spectral_floor(s: np.ndarray, width: int):
+    """(lambda0, S') with rho = S S^dagger = lambda0 I + S' S'^dagger, or None.
+
+    S is a factor in its eigenframe (see `QuantumState`), so its squared
+    column norms l are the eigenvalues of rho.  Only a full-rank factor
+    (as many columns as rows) has a floor: lambda0 is the smallest l, and
+    the columns within `mixed()`'s cut eps D lambda_max of it are taken as
+    exactly lambda0, an error no larger than the eigenvalues `mixed()`
+    drops.  The other r' columns, rescaled by sqrt(1 - lambda0 / l), make
+    S'.  A row table over [S' | sqrt(lambda0) I] holds each band member's
+    identity part in its 2 width + 1 band columns, so the split is taken
+    only when r' + 2 width + 1 < r: for a white-noise mixture of a pure
+    state r' = 1.  A pure state (r = 1) never takes it.
+    """
+    dim, rank = s.shape
+    if rank < dim:
+        return None
+    lam = np.einsum("ij,ij->j", s.real, s.real) + np.einsum("ij,ij->j", s.imag, s.imag)  # no D x r temporary
+    lam0 = lam.min()
+    above = lam > lam0 + _rounding_cut(dim, lam.max())
+    if np.count_nonzero(above) + 2 * width + 1 >= rank:
+        return None
+    return lam0, s[:, above] * np.sqrt(1.0 - lam0 / lam[above])
 
 
 def check_same_basis(state: QuantumState, family) -> None:

@@ -317,12 +317,14 @@ class TestEstimate:
         assert 0.7 < ratio < 1.3
 
     def test_small_mu_warns(self, capsys):
-        with pytest.warns(UserWarning) as record:
-            code, _, _ = run(
-                capsys, "estimate", "--n", "8", "--mu", "1", "--trials", "5",
-            )
+        code, _, err = run(capsys, "estimate", "--n", "8", "--mu", "1", "--trials", "5")
         assert code == EXIT_OK
-        assert any("central-limit" in str(w.message) for w in record)
+        assert "warning: mu = 1 is too small for the central-limit regime" in err
+
+    def test_library_warning_is_one_line_without_a_path(self, capsys):
+        code, out, err = run(capsys, "estimate", "--n", "4", "--mu", "10", "--trials", "5")
+        assert code == EXIT_OK and out.startswith("model OAT, N=4")
+        assert err == "warning: mu = 10 is too small for the central-limit regime the prediction relies on\n"
 
     def test_non_invertible_window(self, capsys):
         code, _, err = run(

@@ -30,6 +30,7 @@ from nlsqueeze import (
 )
 from nlsqueeze.dynamics import EvolutionSpec
 from nlsqueeze.spin import _AXES, _spin_bands
+from nlsqueeze.states import spectral_floor
 
 from conftest import random_density, random_hermitian, random_pure_state
 
@@ -177,6 +178,35 @@ class TestFMaxDensity:
             "J_n", degree=1,
         )
         assert abs(qfi(state, gen) / n - f_original) < 1e-9
+
+
+class TestFloorFisher:
+    """f_max of a state with a spectral floor, rho = lambda0 I + S' S'^dagger,
+    from the rows over the r' columns above the floor alone."""
+
+    @pytest.mark.parametrize("weight", [0.01, 0.1, 0.9])
+    @pytest.mark.parametrize("n", [16, 60, 200])
+    @pytest.mark.parametrize("model", ["OAT", "TAT"])
+    def test_white_noise_matches_the_spectral_formula(self, model, n, weight):
+        basis, state = noisy_css(n, weight)
+        state = evolve(state, EvolutionSpec(model, 0.3))
+        assert spectral_floor(state.factor, 1)[1].shape == (n + 1, 1)
+        jmats = [op.matrix for op in build_spin_operators(basis)]
+        want = np.linalg.eigvalsh(spectral_qfi_matrix(state.density_matrix(), jmats))[-1] / n
+        got, _ = f_max_density(state, basis)
+        assert abs(got - want) <= 1e-12 * want
+
+    def test_several_columns_above_the_floor(self, rng):
+        # r' = 3: the pairs above the floor add the spectral sum among them
+        n = 40
+        basis = DickeBasis(n)
+        sigma = random_density(rng, n + 1, basis.tag, rank=3).density_matrix()
+        rho = 0.8 * sigma + 0.2 * np.eye(n + 1) / (n + 1)
+        state = evolve(QuantumState.mixed(rho, basis.tag), EvolutionSpec("TAT", 0.5))
+        assert spectral_floor(state.factor, 1)[1].shape == (n + 1, 3)
+        jmats = [op.matrix for op in build_spin_operators(basis)]
+        want = np.linalg.eigvalsh(spectral_qfi_matrix(state.density_matrix(), jmats))[-1] / n
+        assert abs(f_max_density(state, basis)[0] - want) <= 1e-12 * want
 
 
 class TestClassicalFisher:

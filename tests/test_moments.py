@@ -27,6 +27,7 @@ from nlsqueeze import (
     fock_state,
     moment_data,
     moment_matrix,
+    moments,
     optimal_measurement,
     optimize_generator,
     simulate_moment_estimator,
@@ -37,6 +38,7 @@ from nlsqueeze.fisher import f_max_density
 from nlsqueeze.moments import SLICE_ENTRIES, _center, _centered_rows, _signal, principal_eigenpair
 from nlsqueeze.moments import _family_moments as moments_of
 from nlsqueeze.spin import spin_family_size
+from nlsqueeze.states import spectral_floor
 
 from conftest import angle_between, random_density, random_family, random_pure_state
 
@@ -200,31 +202,139 @@ class TestSlicedKernel:
                 norms = np.linalg.norm(want, axis=1)
                 assert (np.abs(gram - want_gram) <= 1e-13 * np.outer(norms, norms)).all()
 
-    def test_kernel_makes_no_copy_of_the_row_table(self):
-        # at N=60, K=3 the mixed TAT point's row table is 19 x 61 x 61 complex
-        # (1.13 MB); the band product's gathered operand (0.42 MB), or the
-        # temporaries of one row chunk (about 0.4 MB), come on top of it;
-        # one full-size copy (a broadcast centering, a conjugate table) would
-        # take the peak to 2.2x
-        basis, state = _noisy_tat_point(60)
+    def test_kernel_makes_no_copy_of_the_row_table(self, rng):
+        # at N=60, K=3 a generic full-rank state (no spectral floor) has a row
+        # table of 19 x 61 x 61 complex (1.13 MB); the band product's gathered
+        # operand (0.42 MB), or the temporaries of one row chunk (about
+        # 0.4 MB), come on top of it; one full-size copy (a broadcast
+        # centering, a conjugate table) would take the peak to 2.2x
+        basis = DickeBasis(60)
+        state = random_density(rng, 61, basis.tag)
+        assert state.factor.shape == (61, 61) and spectral_floor(state.factor, 1) is None
         family = build_spin_family(basis, 3)
-        table = len(family) * state.factor.size * 16
-        spin_squeezing_profile(state, basis, 3, family=family)
-        f_max_density(state, basis)  # fills the basis's cache of Jx, Jy, Jz
-        tracemalloc.start()
-        try:
-            spin_squeezing_profile(state, basis, 3, family=family)
-            profile_peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.reset_peak()
-            f_max_density(state, basis)
-            f_max_peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert profile_peak <= 1.42 * table
+        profile_peak, f_max_peak = _peaks(state, basis, family)
+        assert profile_peak <= 1.42 * len(family) * state.factor.size * 16
         # 3 rows take 0.18 MB and peak at 0.66 MB with their products
         # P = S^dagger R; a conjugate copy of the rows, or numpy's buffer for
         # the complex-times-real product of P and its weights, add 0.18 MB each
         assert f_max_peak <= 0.72e6
+
+    @pytest.mark.parametrize("n", [60, 200])
+    def test_floored_table_stays_within_its_own_columns(self, n):
+        # a noisy TAT point splits as lambda0 I + S' S'^dagger with r' = 1:
+        # its K=3 table holds L (D r' + D (2w + 1)) complex entries (19 x 488,
+        # 0.15 MB, at N=60; the unfloored 19 x 61 x 61 took 1.13 MB).  Such
+        # a table is smaller than one SLICE_ENTRIES piece, so `_center`
+        # centers and multiplies it whole, with numpy's buffers; its own peak
+        # on a table of that shape is allowed on top of the table's bound
+        basis, state = _noisy_tat_point(n)
+        family = build_spin_family(basis, 3)
+        width = family.bands.shape[2] // 2
+        top = spectral_floor(state.factor, width)[1].shape[1]
+        assert top == 1
+        profile_peak, f_max_peak = _peaks(state, basis, family)
+        shape = (len(family), basis.dimension, top + 2 * width + 1)
+        assert profile_peak <= 1.42 * math.prod(shape) * 16 + _center_peak(shape)
+        # f_max reads 3 rows in the band of width 1 (3 x 61 x 4 complex,
+        # 12 KB, at N=60), never a D x D array (60 KB); the extended factor
+        # and the gathered S' rows add a third of those 3 rows
+        shape = (3, basis.dimension, top + 3)
+        assert f_max_peak <= 2.0 * math.prod(shape) * 16 + _center_peak(shape)
+
+
+def _center_peak(shape):
+    """tracemalloc peak of `_center` on a table of that shape, beyond the table."""
+    rows, s = np.ones(shape, dtype=complex), np.ones(shape[1:], dtype=complex)
+    tracemalloc.start()
+    try:
+        _center(rows, s)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _peaks(state, basis, family):
+    """tracemalloc peaks of one warm profile and one warm f_max call."""
+    spin_squeezing_profile(state, basis, 3, family=family)
+    f_max_density(state, basis)  # fills the basis's cache of Jx, Jy, Jz
+    tracemalloc.start()
+    try:
+        spin_squeezing_profile(state, basis, 3, family=family)
+        profile_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        f_max_density(state, basis)
+        f_max_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return profile_peak, f_max_peak
+
+
+def _full_factor_rows(s, family):
+    """The table over the whole factor S from the stacked dense members, as
+    `TestSlicedKernel` builds it: what `_centered_rows` gives without a floor."""
+    return _center(np.stack([op.matrix @ s for op in family]), s)
+
+
+class TestSpectralFloor:
+    """A white-noise state takes the floor rho = lambda0 I + S' S'^dagger
+    (`states.spectral_floor`); its table over [S' | sqrt(lambda0) I] gives
+    the moments of the full-factor table."""
+
+    @pytest.mark.parametrize("weight", [0.01, 0.1, 0.9])
+    @pytest.mark.parametrize("n", [16, 60, 200])
+    @pytest.mark.parametrize("model", ["OAT", "TAT"])
+    def test_floored_table_matches_the_full_factor(self, monkeypatch, model, n, weight):
+        basis = DickeBasis(n)
+        state = _noisy_twisted(basis, model, 0.3, noise=weight)
+        family = build_spin_family(basis, 3)
+        rows, _ = _centered_rows(state.factor, family)
+        assert rows.shape == (19, basis.dimension * 8)  # r' = 1 and the band of width 3
+        gamma, c = covariance_matrix(state, family), moment_data(state, family).c
+        profile = spin_squeezing_profile(state, basis, 3, family=family)
+        with monkeypatch.context() as patch:
+            patch.setattr(moments, "_centered_rows", _full_factor_rows)
+            want_gamma, want_c = covariance_matrix(state, family), moment_data(state, family).c
+            want = spin_squeezing_profile(state, basis, 3, family=family)
+        # each member's scale is ||H_k S||_F, the size of its raw row
+        scales = np.array([np.linalg.norm(op.matrix @ state.factor) for op in family])
+        bound = 1e-13 * np.outer(scales, scales)
+        assert (np.abs(gamma - want_gamma) <= bound).all()
+        assert (np.abs(c - want_c) <= bound).all()
+        for got, ref in zip(profile, want):
+            # Robertson: chi2_inv <= 4 Var(n.J), the scale of the commutator's
+            # rounding where an order has almost no signal (4e-10 at OAT N=200, w=0.9)
+            robertson = 4.0 * ref.n_coeffs @ ref.moments.gamma[:3, :3] @ ref.n_coeffs
+            assert abs(got.chi2_inv - ref.chi2_inv) <= 1e-10 * ref.chi2_inv + 1e-15 * robertson
+            assert not got.robertson_violated
+
+    def test_maximally_mixed_state_has_no_signal(self):
+        # r' = 0: the table is the identity part alone.  Its C is rounding
+        # noise (||C|| ~ 4e-17), which the leakage rule divides by itself, so
+        # the integrity flag is left unchecked here, as on the full factor
+        basis = DickeBasis(60)
+        state = QuantumState.mixed(np.eye(61) / 61, basis.tag)
+        family = build_spin_family(basis, 3)
+        assert _centered_rows(state.factor, family)[0].shape == (19, 61 * 7)
+        for res in spin_squeezing_profile(state, basis, 3, family=family):
+            assert res.chi2_inv == 0.0 and res.m_coeffs is None
+        assert f_max_density(state, basis)[0] == 0.0
+
+    def test_states_without_a_floor_keep_the_full_table(self, rng):
+        # a generic full-rank state, rank-deficient ones and a pure one are
+        # tabled over their whole factor, byte for byte as before the floor
+        basis = DickeBasis(60)
+        family = build_spin_family(basis, 3)
+        states = [random_density(rng, 61, basis.tag), random_density(rng, 61, basis.tag, rank=3),
+                  random_density(rng, 61, basis.tag, rank=60),
+                  evolve(coherent_spin_state_z(basis), EvolutionSpec("TAT", 0.3))]
+        for state in states:
+            s = state.factor
+            assert spectral_floor(s, 3) is None and spectral_floor(s, 1) is None
+            want = np.empty((len(family), *s.shape), dtype=complex)
+            np.matmul(family.bands, s[family.band_cols], out=want.transpose(1, 0, 2))
+            want_rows, want_gram = _center(want, s)
+            rows, gram = _centered_rows(s, family)
+            assert rows.tobytes() == want_rows.tobytes() and gram.tobytes() == want_gram.tobytes()
 
 
 class TestMomentMatrix:
@@ -842,16 +952,20 @@ class TestSpinSqueezingOrders:
         return basis, evolve(coherent_spin_state_z(basis), EvolutionSpec("OAT", tau))
 
     @pytest.mark.parametrize("point", ["readme row 48", "readme row 52", "pi/2", "noisy TAT",
-                                       "noisy TAT N=60"])
+                                       "noisy TAT N=60", "full rank N=60"])
     def test_profile_is_the_public_per_order_path_bit_for_bit(self, point):
         # rows 48 and 52 of the README grid raise the integrity flag at order
         # 5; tau = pi/2 has a degenerate generator plane and orders without
-        # signal; the N=60, K=3 table has 5 row chunks and 5 column slices
+        # signal; the noisy TAT points take the spectral floor, and the
+        # generic full-rank N=60, K=3 table has 5 row chunks and 5 column slices
         k_max = 5
         if point == "noisy TAT":
             basis, state = _noisy_tat_point(16, tau=0.4)
         elif point == "noisy TAT N=60":
             (basis, state), k_max = _noisy_tat_point(60), 3
+        elif point == "full rank N=60":
+            basis, k_max = DickeBasis(60), 3
+            state = random_density(np.random.default_rng(20260810), 61, basis.tag)
         else:
             basis, state = self._readme_point({"readme row 48": 48, "readme row 52": 52}.get(point))
         family = build_spin_family(basis, k_max)

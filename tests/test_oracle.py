@@ -37,8 +37,8 @@ import math
 import numpy as np
 import pytest
 
-from nlsqueeze import (DickeBasis, build_spin_family, coherent_spin_state_z, evolve, f_max_density,
-                       spin_squeezing_profile)
+from nlsqueeze import (DickeBasis, QuantumState, build_spin_family, coherent_spin_state_z, evolve,
+                       f_max_density, spin_squeezing_profile)
 from nlsqueeze.dynamics import EvolutionSpec
 
 U = np.finfo(float).eps / 2
@@ -81,3 +81,20 @@ def test_oat_grid_matches_the_closed_form(n):
             assert abs(xi_got - xi_true) <= xi_bound * xi_true, tau
             compared += 1
     assert compared >= 5  # the comparison is not vacuous
+
+
+@pytest.mark.parametrize("n, weight", [(100, 0.1), (400, 0.1), (60, 0.9)])
+def test_white_noise_scales_f_max_in_closed_form(n, weight):
+    # rho = (1-w) |psi><psi| + w I/D has the eigenvalue (1-w) + w/D on psi and
+    # w/D on its complement, so the spectral formula keeps only the pairs
+    # (psi, complement): Q(rho) = (1-w)^2 / ((1-w) + 2w/D) Q(psi), for the
+    # whole Fisher matrix of Jx, Jy, Jz and hence for its top eigenvalue
+    basis = DickeBasis(n)
+    dim = basis.dimension
+    css = coherent_spin_state_z(basis)
+    rho = (1.0 - weight) * css.density_matrix() + weight * np.eye(dim) / dim
+    spec = EvolutionSpec("OAT", 0.3)
+    noisy = evolve(QuantumState.mixed(rho, basis.tag), spec)
+    pure = f_max_density(evolve(css, spec), basis)[0]
+    want = (1.0 - weight) ** 2 / ((1.0 - weight) + 2.0 * weight / dim) * pure
+    assert abs(f_max_density(noisy, basis)[0] - want) <= 1e-14 * want

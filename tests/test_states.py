@@ -18,7 +18,7 @@ from nlsqueeze import (
     simulate_moment_estimator,
 )
 from nlsqueeze.dynamics import twisting_generator
-from nlsqueeze.states import DENSITY_EIG_FLOOR
+from nlsqueeze.states import DENSITY_EIG_FLOOR, spectral_floor
 
 
 class TestValidation:
@@ -94,6 +94,45 @@ def test_mixed_keeps_every_noise_weighted_direction():
     state = QuantumState.mixed(rho, basis.tag)
     assert state.factor.shape == (61, 61)
     assert np.abs(state.density_matrix() - rho).max() <= 1e-14
+
+
+def _white_noise(n, weight):
+    basis = DickeBasis(n)
+    dim = basis.dimension
+    rho = (1.0 - weight) * coherent_spin_state_z(basis).density_matrix() + weight * np.eye(dim) / dim
+    return QuantumState.mixed(rho, basis.tag)
+
+
+class TestSpectralFloor:
+    @pytest.mark.parametrize("weight", [0.01, 0.1, 0.9])
+    def test_white_noise_splits_off_the_identity(self, weight):
+        state = evolve(_white_noise(60, weight), EvolutionSpec("TAT", 0.7))
+        lam0, s_top = spectral_floor(state.factor, 3)
+        assert s_top.shape == (61, 1)
+        assert abs(lam0 - weight / 61) <= 1e-15
+        assert abs(np.linalg.norm(s_top) ** 2 - (1.0 - weight)) <= 1e-14
+        split = lam0 * np.eye(61) + s_top @ s_top.conj().T
+        assert np.abs(split - state.density_matrix()).max() <= 1e-15
+
+    def test_taken_only_when_it_narrows_the_table(self):
+        # r' = 1 above the floor: a band of width w needs 1 + 2w + 1 < D
+        state = _white_noise(7, 0.1)  # D = 8
+        assert spectral_floor(state.factor, 3) is None  # 1 + 7 columns, not fewer than 8
+        assert spectral_floor(state.factor, 2)[1].shape == (8, 1)
+        assert spectral_floor(_white_noise(8, 0.1).factor, 3)[1].shape == (9, 1)
+
+    def test_maximally_mixed_keeps_no_column(self):
+        lam0, s_top = spectral_floor(QuantumState.mixed(np.eye(61) / 61, "test").factor, 3)
+        assert lam0 == pytest.approx(1 / 61, rel=1e-15) and s_top.shape == (61, 0)
+
+    def test_pure_generic_and_rank_deficient_states_have_none(self, rng):
+        assert spectral_floor(coherent_spin_state_z(DickeBasis(60)).factor, 1) is None
+        a = rng.normal(size=(61, 61)) + 1j * rng.normal(size=(61, 61))
+        generic = QuantumState.mixed(a @ a.conj().T / np.linalg.norm(a) ** 2, "test")
+        assert generic.factor.shape == (61, 61)  # full rank, distinct eigenvalues
+        assert spectral_floor(generic.factor, 1) is None
+        rho = np.diag(np.r_[0.5, np.full(59, 0.5 / 59), 0.0])  # a wide floor, but rank 60 < 61
+        assert spectral_floor(QuantumState.mixed(rho, "test").factor, 1) is None
 
 
 def test_evolution_keeps_rank_and_matches_direct_exponential():
