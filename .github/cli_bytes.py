@@ -1,4 +1,5 @@
-"""Compare the CLI output of two source trees byte for byte.
+"""Compare the CLI output of two source trees byte for byte; fail on an
+undeclared change.
 
 Usage: python .github/cli_bytes.py BASE_TREE HEAD_TREE
 
@@ -6,11 +7,20 @@ Runs every `nlsqueeze` command of HEAD_TREE's README plus the fixed MATRIX
 below as `python -m nlsqueeze`, once per tree, with PYTHONPATH=<tree>/src,
 one BLAS thread and a fresh working directory each.  Prints a Markdown
 report: "identical" when stdout, stderr, the exit code and every file the
-command writes agree, else their unified diffs.  It reports and never fails:
-a change of bytes may be intended.
+command writes agree, else their unified diffs.
+
+A change of bytes may be intended, so a command may be declared in
+HEAD_TREE's DECLARED file, one line per command: the sha256 of the
+command's new output (see `digest`), two spaces, and the command as the
+report prints it.  The script exits 1 when a command differs and is not
+declared with the digest of its new output; the report gives the line to
+declare for each.  A declaration names the bytes it admits, so one left
+from an earlier change matches nothing and is reported as stale, to be
+pruned.
 """
 
 import difflib
+import hashlib
 import os
 import re
 import shlex
@@ -18,6 +28,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+DECLARED = Path(".github/cli_bytes_declared.txt")
 
 MATRIX = [
     "sweep --model TAT --n 20 --kmax 4 --steps 11 --format json --parity --qfi",
@@ -72,10 +84,31 @@ def run(tree: Path, command: str) -> dict[str, bytes]:
     return out
 
 
-def main() -> None:
+def digest(out: dict[str, bytes]) -> str:
+    """sha256 of every part of a command's output (stdout, stderr, exit code
+    and files), each as its name, its length and its bytes, in name order."""
+    h = hashlib.sha256()
+    for part in sorted(out):
+        h.update(b"%s\0%d\0" % (part.encode(), len(out[part])) + out[part])
+    return h.hexdigest()
+
+
+def declarations(tree: Path) -> dict[str, str]:
+    """command -> declared digest, from the tree's DECLARED file ('#' starts a comment)."""
+    path = tree / DECLARED
+    declared = {}
+    for line in path.read_text().splitlines() if path.exists() else []:
+        if line.strip() and not line.startswith("#"):
+            sha, command = line.split("  ", 1)
+            declared[command] = sha
+    return declared
+
+
+def main() -> int:
     base, head = (Path(arg).resolve() for arg in sys.argv[1:3])
     commands = readme_commands(head) + MATRIX
-    differing = 0
+    declared = declarations(head)
+    differing, undeclared, used = 0, [], set()
     report = []
     for command in commands:
         old, new = run(base, command), run(head, command)
@@ -83,7 +116,12 @@ def main() -> None:
             report.append(f"- `{command}`: identical")
             continue
         differing += 1
-        report.append(f"- `{command}`: differs")
+        if declared.get(command) == digest(new):
+            used.add(command)
+            report.append(f"- `{command}`: differs, declared")
+        else:
+            undeclared.append(f"{digest(new)}  {command}")
+            report.append(f"- `{command}`: differs, NOT declared")
         report.append("```diff")
         for part in sorted(old.keys() | new.keys()):
             a = old.get(part, b"").decode(errors="replace").splitlines()
@@ -91,9 +129,18 @@ def main() -> None:
             report.extend(difflib.unified_diff(a, b, f"base {part}", f"head {part}", lineterm=""))
         report.append("```")
     print("### CLI bytes against the base commit")
-    print(f"{len(commands) - differing} of {len(commands)} commands identical")
+    print(f"{len(commands) - differing} of {len(commands)} commands identical, "
+          f"{differing - len(undeclared)} declared changes, {len(undeclared)} undeclared")
     print("\n".join(report))
+    if stale := sorted(declared.keys() - used):
+        print(f"\nStale declarations in `{DECLARED}` (they match no change; prune them):")
+        print("\n".join(f"- `{command}`" for command in stale))
+    if undeclared:
+        print(f"\nUndeclared changes; if intended, add these lines to `{DECLARED}`:")
+        print("```\n" + "\n".join(undeclared) + "\n```")
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -79,6 +79,9 @@ class SweepConfig:
             raise ValueError("kmax must be between 1 and 6")
         if self.steps < 2:
             raise ValueError("steps must be >= 2")
+        for name, end in (("tau-start", self.tau_start), ("tau-end", self.tau_end)):
+            if not math.isfinite(end):
+                raise ValueError(f"{name} must be finite, got {end!r}")
         if not self.tau_start < self.tau_end:
             raise ValueError("tau-start must be smaller than tau-end")
         if not math.isfinite(self.tau_end - self.tau_start):

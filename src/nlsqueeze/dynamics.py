@@ -70,14 +70,26 @@ class HermitianPropagator:
         self._lam_max = float(np.abs(self._evals).max())
 
     def apply(self, state: QuantumState, theta: float) -> QuantumState:
+        """exp(-i theta H) applied to the state.  A state with a floor split
+        (see `QuantumState`) has its S' rotated here and its D x D factor
+        when that is first read."""
         if state.dim != self.dim:
             raise BasisMismatchError("state dimension does not match the generator")
         theta = float(theta)  # a Python float product overflows to inf without a warning
         if not math.isfinite(theta * self._lam_max):  # also NaN theta
             raise ValueError(f"theta {theta!r} times the generator's largest |eigenvalue| is not finite")
+        if state._floor is None:
+            # U S has the Gram matrix of S, so the factor stays in its eigenframe
+            return QuantumState._in_eigenframe(state.basis_tag, self._rotate(state.factor, theta), split=False)
+        lam0, s_top = state._floor
+        return QuantumState._evolved(state.basis_tag, (lam0, self._rotate(s_top, theta)), state,
+                                     functools.partial(self._rotate, theta=theta))
+
+    def _rotate(self, factor: np.ndarray, theta: float) -> np.ndarray:
+        """exp(-i theta H) S for a factor S of any number of columns."""
         blocks, size = self._evals.shape
-        s = np.zeros((size * blocks, state.factor.shape[1]), dtype=complex)
-        s[:self.dim] = state.factor
+        s = np.zeros((size * blocks, factor.shape[1]), dtype=complex)
+        s[:self.dim] = factor
         s = s.reshape(size, blocks, -1).transpose(1, 0, 2)  # s[p] = rows p, p + blocks, ...
         phase, e = np.exp(-1j * theta * self._evals)[..., None], self._evecs
         if e.dtype == complex:
@@ -86,9 +98,7 @@ class HermitianPropagator:
         else:  # E (a + ib) = E a + i E b, so E is never cast to complex
             coeffs = (e.transpose(0, 2, 1) @ s.view(float)).view(complex)
             s = (e @ (phase * coeffs).view(float)).view(complex)
-        s = s.transpose(1, 0, 2).reshape(size * blocks, -1)[:self.dim]
-        # U S has the Gram matrix of S, so the factor stays in its eigenframe
-        return QuantumState._in_eigenframe(state.basis_tag, s)
+        return s.transpose(1, 0, 2).reshape(size * blocks, -1)[:self.dim]
 
 
 def _twisting_band(basis: DickeBasis, model: str) -> np.ndarray:

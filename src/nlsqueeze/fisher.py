@@ -11,7 +11,7 @@ from .errors import BasisMismatchError
 from .moments import _floored_rows, _operator_rows, covariance_matrix, principal_eigenpair
 from .operators import HermitianOperator
 from .spin import DickeBasis, build_spin_family, build_spin_operators
-from .states import QuantumState, spectral_floor
+from .states import QuantumState
 
 CHAIN_SLACK = 1e-8
 
@@ -85,17 +85,20 @@ def f_max_density(state: QuantumState, basis: DickeBasis):
 
     Returns (f_max, direction): the top eigenvalue of the 3x3 quantum Fisher
     matrix of Jx, Jy, Jz divided by N, and its eigenvector (for a pure
-    state, four times the spin covariance matrix).  A state with a spectral
-    floor (see `states.spectral_floor`) reads the matrix from the rows over
-    the r' columns above the floor alone (`_floor_qfi_matrix`), so a
-    white-noise mixture costs r' x r' products instead of D x D ones.
+    state, four times the spin covariance matrix).  A state that carries a
+    floor split narrower than its factor for the axes' band (see
+    `QuantumState` and `states.spectral_floor`; the split is found once per
+    state, not here) reads the matrix from the rows over the r' columns
+    above the floor alone (`_floor_qfi_matrix`), so a white-noise mixture
+    costs r' x r' products instead of D x D ones and its D x D factor is
+    never formed.
     """
     if state.basis_tag != basis.tag:
         raise BasisMismatchError("state does not live in the given Dicke basis")
-    s, axes = state.factor, basis.spin_axes
-    floor = spectral_floor(s, axes.bands.shape[2] // 2)
-    rows, gram = _floored_rows(s, axes, floor)
-    q = _qfi_matrix(s, rows, gram) if floor is None else _floor_qfi_matrix(*floor, rows)
+    axes = basis.spin_axes
+    floor = state._floor_within(axes.bands.shape[2] // 2)
+    rows, gram = _floored_rows(state, axes, floor)
+    q = _qfi_matrix(state.factor, rows, gram) if floor is None else _floor_qfi_matrix(*floor, rows)
     direction, lam = principal_eigenpair(q)
     return lam / basis.n_particles, direction
 

@@ -14,7 +14,7 @@ from .dynamics import HermitianPropagator
 from .errors import BasisMismatchError, CalibrationError, ZeroSignalError
 from .operators import HermitianOperator, OperatorFamily
 from .spin import DickeBasis, build_spin_family, spin_family_size
-from .states import QuantumState, check_same_basis, spectral_floor
+from .states import QuantumState, check_same_basis
 
 # retention threshold for the equilibrated covariance spectrum: sits well
 # above its ~K*eps eigenvalue noise floor while keeping the genuinely dark
@@ -28,11 +28,11 @@ KERNEL_LEAK_TOL = 1e-8
 SLICE_ENTRIES = 16384
 
 
-def _centered_rows(s: np.ndarray, family: OperatorFamily):
+def _centered_rows(state: QuantumState, family: OperatorFamily):
     """Centered rows r_k = (H_k - <H_k>) S, flattened, and their Gram matrix
     Z = R* R^T (see `_center`), where rho = S S^dagger.
 
-    S is a state's factor (the state vector of a pure state).  Every
+    S is the state's factor (the state vector of a pure state).  Every
     second moment of the family is an inner product of these rows:
     Z_kl = <(H_k - <H_k>)(H_l - <H_l>)>, and a combination sum_k a_k H_k
     has the centered row a^T R.  Centering the rows before the products
@@ -41,28 +41,31 @@ def _centered_rows(s: np.ndarray, family: OperatorFamily):
     the family's stored diagonals, so no dense member is touched, and are
     written straight into the returned table.
 
-    A state with a spectral floor, rho = lambda0 I + S' S'^dagger (see
-    `states.spectral_floor`), is factored instead as [S' | sqrt(lambda0) I]
-    with the identity in band layout (sqrt(lambda0) on the diagonal column
-    of each row): the identity part's products are the members' own bands,
-    so the table has D (r' + 2w + 1) columns instead of D r, and `_center`
-    gives the same moments (each mean picks up lambda0 tr H_k from the
-    diagonal column).
+    A state that carries a floor split, rho = lambda0 I + S' S'^dagger
+    (found once per state, see `QuantumState` and `states.spectral_floor`),
+    is factored instead as [S' | sqrt(lambda0) I] with the identity in band
+    layout (sqrt(lambda0) on the diagonal column of each row) whenever that
+    is narrower, r' + 2w + 1 < r: the identity part's products are the
+    members' own bands, so the table has D (r' + 2w + 1) columns instead of
+    D r, and `_center` gives the same moments (each mean picks up
+    lambda0 tr H_k from the diagonal column).  Such a state's D x D factor
+    is then never formed.
     """
-    return _floored_rows(s, family, spectral_floor(s, family.bands.shape[2] // 2))
+    return _floored_rows(state, family, state._floor_within(family.bands.shape[2] // 2))
 
 
-def _floored_rows(s: np.ndarray, family: OperatorFamily, floor):
-    """`_centered_rows` for the floor that `spectral_floor` gave for s and the
-    family's band width (None: no floor)."""
+def _floored_rows(state: QuantumState, family: OperatorFamily, floor):
+    """`_centered_rows` over the floor split `floor` of the state (None: over
+    its factor)."""
     if floor is None:
+        s = state.factor
         rows = np.empty((len(family), *s.shape), dtype=complex)
         np.matmul(family.bands, s[family.band_cols], out=rows.transpose(1, 0, 2))  # rows[k] = H_k S
         return _center(rows, s)
     lam0, s_top = floor
     top, width = s_top.shape[1], family.bands.shape[2] // 2
     root = math.sqrt(lam0)
-    ext = np.zeros((len(s), top + 2 * width + 1), dtype=complex)
+    ext = np.zeros((len(s_top), top + 2 * width + 1), dtype=complex)
     ext[:, :top] = s_top
     ext[:, top + width] = root
     rows = np.empty((len(family), *ext.shape), dtype=complex)
@@ -130,7 +133,7 @@ def _family_moments(state: QuantumState, family: OperatorFamily):
     100 e_k, `OperatorFamily.member_noise`) gets zero row, Gram row and column.
     """
     check_same_basis(state, family)
-    rows, gram = _centered_rows(state.factor, family)
+    rows, gram = _centered_rows(state, family)
     exact_zero = gram.diagonal().real <= (100.0 * family.member_noise) ** 2
     if exact_zero.any():
         rows[exact_zero] = gram[exact_zero] = gram[:, exact_zero] = 0.0

@@ -196,6 +196,13 @@ def combine(ops: Sequence[HermitianOperator], coeffs, label: str | None = None) 
     return HermitianOperator(matrix=mat, label=label, degree=degree)
 
 
+def _row_noise(mag: np.ndarray) -> np.ndarray:
+    """e_k = eps (2w+2) max_i sum_j |H_k|_ij from the entry magnitudes of a
+    family's bands: it bounds the rounding of a row (H_k - <H_k>) S, ||S||_F = 1."""
+    row_sums = mag @ np.ones(mag.shape[2])  # a matmul: a sum over the short band axis is slow
+    return np.finfo(float).eps * (mag.shape[2] + 1) * row_sums.max(axis=0)
+
+
 @dataclass(frozen=True, eq=False)
 class OperatorFamily:
     """Ordered Hermitian operators on one basis, stored only as their bands.
@@ -208,7 +215,7 @@ class OperatorFamily:
     `tuple(fam)` for all of them) and kept only by the caller.  Each member
     must pass the Hermiticity rule of `HermitianOperator` against its band
     adjoint; the family keeps the exact (H_k + H_k^dagger) / 2 in its own array.
-    member_noise holds each member's rounding bound e_k (see `__post_init__`).
+    member_noise holds each member's rounding bound e_k, formed on first read.
     """
 
     bands: np.ndarray
@@ -237,9 +244,8 @@ class OperatorFamily:
         if len(bad):
             raise ValueError(f"family member {bad[0]} ({self.labels[bad[0]]!r}) is not Hermitian "
                              f"(max residue {resid[bad[0]]:.2e})")
-        # e_k = eps (2w+2) max_i sum_j |H_k|_ij bounds the rounding of a row (H_k - <H_k>) S, ||S||_F = 1
-        row_sums = mag @ np.ones(2 * w + 1)  # a matmul: a sum over the short band axis is slow
-        object.__setattr__(self, "member_noise", np.finfo(float).eps * (2 * w + 2) * row_sums.max(axis=0))
+        if resid.any():  # the kept (H + H^dagger) / 2 is not the input: e_k from the input now
+            self.__dict__["member_noise"] = _row_noise(mag)
         herm += bands  # (H + H^dagger) / 2 has exactly conjugate entries
         herm /= 2
         herm.setflags(write=False)
@@ -270,6 +276,13 @@ class OperatorFamily:
     def __getitem__(self, idx: int) -> HermitianOperator:
         k = range(len(self))[idx]
         return HermitianOperator(dense_matrix(self.bands[:, k]), self.labels[k], self.degrees[k])
+
+    @functools.cached_property
+    def member_noise(self) -> np.ndarray:
+        """Each member's rounding bound e_k (see `_row_noise`), formed on
+        first read: only a centered family needs it.  An exactly Hermitian
+        input is kept bit for bit, so its e_k are those of the input."""
+        return _row_noise(np.abs(self.bands))
 
     @property
     def dim(self) -> int:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -20,7 +20,6 @@ def _rounding_cut(dim: int, lam_max: float) -> float:
     return np.finfo(float).eps * dim * lam_max
 
 
-@dataclass(frozen=True, eq=False)
 class QuantumState:
     """State rho = S S^dagger given by its factor S of shape (dim, rank).
 
@@ -33,31 +32,54 @@ class QuantumState:
     construction, S <- S W with S^dagger S = W diag(l) W^dagger (the same
     rho); `mixed()` and an evolved factor U S are in it already.
     Every expectation value is a product of S with operators, so pure and
-    mixed states share one code path.  Where the moment rows of a band
-    family are formed, a full-rank factor whose smallest eigenvalues form a
-    wide floor, such as a white-noise mixture, is taken as
-    rho = lambda0 I + S' S'^dagger (see `spectral_floor`); the state itself
-    keeps its whole factor, which evolution and the dense-operator paths use.
+    mixed states share one code path.
+    A full-rank factor whose smallest eigenvalues form a floor, such as a
+    white-noise mixture, is also split once, where it is made, as
+    rho = lambda0 I + S' S'^dagger (`spectral_floor` for a band of width 1).
+    A unitary keeps the floor, U rho U^dagger = lambda0 I + (U S')(U S')^dagger,
+    so evolution carries the split by rotating S' alone and forms the D x D
+    factor U S only when `factor` is first read (the dense-operator paths:
+    expectation values, `density_matrix`, `qfi`, `classical_fisher`,
+    `chi2_error_propagation`, the estimator).  The moment table and
+    `f_max_density` read the split, and a band too wide for it the factor.
+    Instances are immutable.
     """
 
-    basis_tag: str
-    factor: np.ndarray
-
-    def __post_init__(self):
+    def __init__(self, basis_tag: str, factor):
+        object.__setattr__(self, "basis_tag", basis_tag)
         # a copy: the state neither aliases nor freezes the caller's array
-        self._settle(np.array(self.factor, dtype=complex), rotate=True)
+        self._settle(np.array(factor, dtype=complex), rotate=True, split=True)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a QuantumState is immutable")
 
     @classmethod
-    def _in_eigenframe(cls, basis_tag: str, factor: np.ndarray) -> "QuantumState":
+    def _in_eigenframe(cls, basis_tag: str, factor: np.ndarray, split: bool) -> "QuantumState":
         """State of a fresh factor, owned by no caller, whose columns are
         already orthogonal (V sqrt(lambda), or U S for a state's factor S and
-        a unitary U): checked and kept as it is, neither copied nor rotated."""
+        a unitary U): checked and kept as it is, neither copied nor rotated;
+        its floor is looked for when `split`."""
         state = cls.__new__(cls)
         object.__setattr__(state, "basis_tag", basis_tag)
-        state._settle(np.asarray(factor, dtype=complex), rotate=False)
+        state._settle(np.asarray(factor, dtype=complex), rotate=False, split=split)
         return state
 
-    def _settle(self, s: np.ndarray, rotate: bool) -> None:
+    @classmethod
+    def _evolved(cls, basis_tag: str, floor, parent: "QuantumState", rotate) -> "QuantumState":
+        """State of the floor split (lambda0, U S') of `parent` evolved by a
+        unitary U, whose factor rotate(S) = U S is formed on first read from
+        the parent's.  Its trace D lambda0 + ||U S'||^2 must be 1, as the
+        norm of a factor."""
+        if not abs((norm := _split_norm(*floor)) - 1.0) <= PURE_NORM_ATOL:  # written so that NaN fails
+            raise ValueError(f"state norm {norm!r} is not 1")
+        floor[1].setflags(write=False)
+        state = cls.__new__(cls)
+        for name, value in (("basis_tag", basis_tag), ("_factor", None), ("_floor", floor),
+                            ("_source", (parent, rotate))):
+            object.__setattr__(state, name, value)
+        return state
+
+    def _settle(self, s: np.ndarray, rotate: bool, split: bool) -> None:
         if s.ndim != 2 or s.shape[1] < 1:
             raise ValueError("state factor must be a matrix with at least one column")
         norm = np.linalg.norm(s)
@@ -66,7 +88,43 @@ class QuantumState:
         if rotate and s.shape[1] > 1:
             s = s @ np.linalg.eigh(s.conj().T @ s)[1]
         s.setflags(write=False)
-        object.__setattr__(self, "factor", s)
+        floor = spectral_floor(s, 1) if split else None
+        # kept only at unit trace, as evolution checks it: the floor columns
+        # taken as exactly lambda0 may add up to more than a norm's rounding
+        if floor is not None and abs(_split_norm(*floor) - 1.0) <= PURE_NORM_ATOL:
+            floor[1].setflags(write=False)
+        else:
+            floor = None
+        object.__setattr__(self, "_factor", s)
+        object.__setattr__(self, "_floor", floor)
+
+    @property
+    def factor(self) -> np.ndarray:
+        """The factor S, read-only.  An evolved state with a floor forms it
+        here, once, by the rotations since the nearest earlier state that
+        holds its factor, in order (a loop, so a long chain of evolutions
+        needs no deep recursion)."""
+        if self._factor is None:
+            rotations, state = [], self
+            while state._factor is None:
+                state, rotate = state._source
+                rotations.append(rotate)
+            s = state._factor
+            for rotate in reversed(rotations):
+                s = rotate(s)
+            s.setflags(write=False)
+            object.__setattr__(self, "_factor", s)
+            object.__setattr__(self, "_source", None)  # the parent is no longer needed
+        return self._factor
+
+    def _floor_within(self, width: int):
+        """The floor split (lambda0, S') when a row table over
+        [S' | sqrt(lambda0) I] for a band of that width is narrower than one
+        over S, r' + 2 width + 1 < r; else None."""
+        floor = self._floor
+        if floor is not None and floor[1].shape[1] + 2 * width + 1 < len(floor[1]):
+            return floor
+        return None
 
     @classmethod
     def pure(cls, vector, basis_tag: str) -> "QuantumState":
@@ -84,22 +142,22 @@ class QuantumState:
         # noise, so a pure density keeps one column
         keep = lam > _rounding_cut(rho.shape[0], lam[-1])
         s = vecs[:, keep] * np.sqrt(lam[keep])
-        return cls._in_eigenframe(basis_tag, s / np.linalg.norm(s))
+        return cls._in_eigenframe(basis_tag, s / np.linalg.norm(s), split=True)
 
     @property
     def is_pure(self) -> bool:
-        return self.factor.shape[1] == 1
+        return self._floor is None and self.factor.shape[1] == 1
 
     @property
     def vector(self) -> np.ndarray:
         """State vector of a pure state."""
-        if self.factor.shape[1] != 1:
+        if not self.is_pure:
             raise ValueError("a mixed state has no state vector")
         return self.factor[:, 0]
 
     @property
     def dim(self) -> int:
-        return self.factor.shape[0]
+        return len(self.factor) if self._floor is None else len(self._floor[1])
 
     def density_matrix(self) -> np.ndarray:
         return self.factor @ self.factor.conj().T
@@ -136,7 +194,11 @@ def spectral_floor(s: np.ndarray, width: int):
     S'.  A row table over [S' | sqrt(lambda0) I] holds each band member's
     identity part in its 2 width + 1 band columns, so the split is taken
     only when r' + 2 width + 1 < r: for a white-noise mixture of a pure
-    state r' = 1.  A pure state (r = 1) never takes it.
+    state r' = 1.  A pure state (r = 1) never takes it.  `QuantumState`
+    calls it once per state, where its factor is made, with width 1 (the
+    band of Jx, Jy, Jz), and carries the split through evolution; the
+    moment table and `f_max_density` test the width of their own band
+    against the carried split (`QuantumState._floor_within`).
     """
     dim, rank = s.shape
     if rank < dim:
@@ -147,6 +209,11 @@ def spectral_floor(s: np.ndarray, width: int):
     if np.count_nonzero(above) + 2 * width + 1 >= rank:
         return None
     return lam0, s[:, above] * np.sqrt(1.0 - lam0 / lam[above])
+
+
+def _split_norm(lam0: float, s_top: np.ndarray) -> float:
+    """sqrt(tr rho) of rho = lambda0 I + S' S'^dagger: sqrt(D lambda0 + ||S'||_F^2)."""
+    return math.sqrt(len(s_top) * lam0 + np.vdot(s_top, s_top).real)
 
 
 def check_same_basis(state: QuantumState, family) -> None:

@@ -411,13 +411,18 @@ def test_integrity_flag_exits_2_with_a_warning(capsys, monkeypatch, argv):
     # is not: no numpy warning may print before the error line
     (["sweep", "--n", "4", "--tau-start=-1e308", "--tau-end=1e308", "--steps", "3"],
      "tau-end - tau-start must be finite"),
-    (["sweep", "--n", "4", "--tau-start=-inf", "--steps", "3"], "tau-end - tau-start must be finite"),
-    (["sweep", "--config", "{tmp}/config.json"], "tau-end - tau-start must be finite"),
+    # a non-finite end is named, before the order of the ends is tested
+    (["sweep", "--n", "4", "--tau-start=-inf", "--steps", "3"], "tau-start must be finite, got -inf"),
+    (["sweep", "--config", "{tmp}/config.json"], "tau-start must be finite, got -inf"),
+    (["sweep", "--n", "4", "--tau-start", "nan"], "tau-start must be finite, got nan"),
+    (["sweep", "--n", "4", "--tau-end", "nan"], "tau-end must be finite, got nan"),
+    (["sweep", "--n", "4", "--tau-end", "inf"], "tau-end must be finite, got inf"),
     (["estimate", "--n", "4", "--window", "1e308"], "window width must be finite"),
     (["estimate", "--n", "4", "--window", "inf"], "window width must be finite"),
     (["estimate", "--n", "4", "--mu", "100000000000000000000"], "mu must be >= 1 and <="),
 ], ids=["analyze without n", "estimate without n", "unwritable out", "sweep span beyond float range",
-        "sweep from -inf", "config from -Infinity", "estimate window beyond float range",
+        "sweep from -inf", "config from -Infinity", "sweep from nan", "sweep to nan", "sweep to inf",
+        "estimate window beyond float range",
         "estimate infinite window", "estimate mu beyond int64"])
 def test_refusals_exit_one(capsys, tmp_path, argv, fragment):
     (tmp_path / "config.json").write_text('{"n_particles": 4, "steps": 3, "tau_start": -Infinity}')

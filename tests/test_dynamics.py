@@ -10,12 +10,14 @@ from nlsqueeze import (
     FockBasis,
     HermitianPropagator,
     QuantumState,
+    build_spin_family,
     build_spin_operators,
     coherent_spin_state_z,
     evolve,
     f_max_density,
     fock_state,
     parity_operator,
+    spin_squeezing_profile,
     symmetric_product,
     twisting_generator,
 )
@@ -155,6 +157,65 @@ def test_phase_beyond_float_range_is_refused():
             prop.apply(css, theta)
     with pytest.raises(ValueError, match="not finite"):
         evolve(css, EvolutionSpec("TAT", 1e308))
+
+
+def _white_noise(n, weight=0.1):
+    basis = DickeBasis(n)
+    css = coherent_spin_state_z(basis).density_matrix()
+    dim = basis.dimension
+    return basis, QuantumState.mixed((1.0 - weight) * css + weight * np.eye(dim) / dim, basis.tag)
+
+
+class TestCarriedFloor:
+    """A state with a floor split, rho = lambda0 I + S' S'^dagger, evolves by
+    rotating S' alone; its factor U S is formed when first read."""
+
+    def test_sweep_point_never_forms_the_full_factor(self, monkeypatch):
+        basis, state = _white_noise(60)
+        family = build_spin_family(basis, 3)
+        rotate = HermitianPropagator._rotate
+
+        def columns_above_the_floor_only(self, factor, theta):
+            if factor.shape[1] == len(factor):
+                raise AssertionError("the D x D factor was rotated")
+            return rotate(self, factor, theta)
+
+        monkeypatch.setattr(HermitianPropagator, "_rotate", columns_above_the_floor_only)
+        for model in ("OAT", "TAT"):
+            out = evolve(evolve(state, EvolutionSpec(model, 0.7)), EvolutionSpec(model, 0.2))
+            assert out.dim == 61 and not out.is_pure
+            spin_squeezing_profile(out, basis, 3, family=family)
+            f_max_density(out, basis)
+            assert out._factor is None
+            with pytest.raises(AssertionError, match="D x D factor was rotated"):
+                out.factor
+
+    def test_factor_read_later_is_the_unsplit_evolution(self):
+        # the same factor without its split evolves through the full rotation
+        # at once; the deferred factor must be that array byte for byte,
+        # also after two steps and under a complex generator (Jy)
+        basis, state = _white_noise(60)
+        plain = QuantumState._in_eigenframe(state.basis_tag, state.factor, split=False)
+        assert state._floor is not None and plain._floor is None
+        jy = build_spin_operators(basis)[1]
+        for prop, theta in ((_cached_propagator("OAT", 60), 0.7), (_cached_propagator("TAT", 60), 0.7),
+                            (HermitianPropagator(jy), 0.3)):
+            lazy = prop.apply(prop.apply(state, theta), -2.0 * theta)
+            eager = prop.apply(prop.apply(plain, theta), -2.0 * theta)
+            assert lazy._factor is None and eager._floor is None
+            assert lazy.factor.tobytes() == eager.factor.tobytes()
+            assert not lazy.factor.flags.writeable and lazy.factor is lazy.factor
+
+    def test_theta_and_trace_are_checked_when_applied(self, monkeypatch):
+        basis, state = _white_noise(16)
+        prop = _cached_propagator("TAT", 16)
+        for theta in (1e308, float("nan")):
+            with pytest.raises(ValueError, match="not finite"):
+                prop.apply(state, theta)
+        rotate = HermitianPropagator._rotate
+        monkeypatch.setattr(HermitianPropagator, "_rotate", lambda self, s, theta: 2.0 * rotate(self, s, theta))
+        with pytest.raises(ValueError, match="state norm .* is not 1"):
+            prop.apply(state, 0.3)
 
 
 def test_generator_eigensystem_reused_across_sweep():

@@ -139,7 +139,7 @@ class TestBandedRows:
         cases = self._cases(rng)
         assert [state.factor.shape[1] for state, _ in cases] == [1, 3] * 3
         for state, fam in cases:
-            got, _ = _centered_rows(state.factor, fam)
+            got, _ = _centered_rows(state, fam)
             want, scale = _dense_centered_rows(state, fam)
             assert got.shape == want.shape
             assert (np.abs(got - want).max(axis=1) <= 1e-13 * scale).all()
@@ -269,9 +269,11 @@ def _peaks(state, basis, family):
     return profile_peak, f_max_peak
 
 
-def _full_factor_rows(s, family):
-    """The table over the whole factor S from the stacked dense members, as
-    `TestSlicedKernel` builds it: what `_centered_rows` gives without a floor."""
+def _full_factor_rows(state, family):
+    """The table over the state's whole factor S from the stacked dense
+    members, as `TestSlicedKernel` builds it: what `_centered_rows` gives
+    without a floor."""
+    s = state.factor
     return _center(np.stack([op.matrix @ s for op in family]), s)
 
 
@@ -287,7 +289,7 @@ class TestSpectralFloor:
         basis = DickeBasis(n)
         state = _noisy_twisted(basis, model, 0.3, noise=weight)
         family = build_spin_family(basis, 3)
-        rows, _ = _centered_rows(state.factor, family)
+        rows, _ = _centered_rows(state, family)
         assert rows.shape == (19, basis.dimension * 8)  # r' = 1 and the band of width 3
         gamma, c = covariance_matrix(state, family), moment_data(state, family).c
         profile = spin_squeezing_profile(state, basis, 3, family=family)
@@ -307,6 +309,31 @@ class TestSpectralFloor:
             assert abs(got.chi2_inv - ref.chi2_inv) <= 1e-10 * ref.chi2_inv + 1e-15 * robertson
             assert not got.robertson_violated
 
+    @pytest.mark.parametrize("weight", [0.01, 0.1, 0.9])
+    @pytest.mark.parametrize("n", [16, 60, 200])
+    @pytest.mark.parametrize("model", ["OAT", "TAT"])
+    def test_carried_split_matches_a_split_found_afresh(self, model, n, weight):
+        # evolution rotates the split of the initial state; the split found
+        # on the evolved factor itself must give the same moments and f_max
+        basis = DickeBasis(n)
+        state = _noisy_twisted(basis, model, 0.3, noise=weight)
+        family = build_spin_family(basis, 3)
+        _, gamma, c = moments_of(state, family)
+        profile = spin_squeezing_profile(state, basis, 3, family=family)
+        f_max = f_max_density(state, basis)[0]
+        fresh = QuantumState(state.basis_tag, state.factor)
+        assert spectral_floor(fresh.factor, 3)[1].shape == (basis.dimension, 1)
+        _, want_gamma, want_c = moments_of(fresh, family)
+        want = spin_squeezing_profile(fresh, basis, 3, family=family)
+        scales = np.array([np.linalg.norm(op.matrix @ fresh.factor) for op in family])
+        bound = 1e-13 * np.outer(scales, scales)
+        assert (np.abs(gamma - want_gamma) <= bound).all()
+        assert (np.abs(c - want_c) <= bound).all()
+        for got, ref in zip(profile, want):
+            robertson = 4.0 * ref.n_coeffs @ ref.moments.gamma[:3, :3] @ ref.n_coeffs
+            assert abs(got.chi2_inv - ref.chi2_inv) <= 1e-10 * ref.chi2_inv + 1e-15 * robertson
+        assert abs(f_max - f_max_density(fresh, basis)[0]) <= 1e-13 * f_max
+
     def test_maximally_mixed_state_has_no_signal(self):
         # r' = 0: the table is the identity part alone.  Its C is rounding
         # noise (||C|| ~ 4e-17), which the leakage rule divides by itself, so
@@ -314,7 +341,7 @@ class TestSpectralFloor:
         basis = DickeBasis(60)
         state = QuantumState.mixed(np.eye(61) / 61, basis.tag)
         family = build_spin_family(basis, 3)
-        assert _centered_rows(state.factor, family)[0].shape == (19, 61 * 7)
+        assert _centered_rows(state, family)[0].shape == (19, 61 * 7)
         for res in spin_squeezing_profile(state, basis, 3, family=family):
             assert res.chi2_inv == 0.0 and res.m_coeffs is None
         assert f_max_density(state, basis)[0] == 0.0
@@ -333,7 +360,7 @@ class TestSpectralFloor:
             want = np.empty((len(family), *s.shape), dtype=complex)
             np.matmul(family.bands, s[family.band_cols], out=want.transpose(1, 0, 2))
             want_rows, want_gram = _center(want, s)
-            rows, gram = _centered_rows(s, family)
+            rows, gram = _centered_rows(state, family)
             assert rows.tobytes() == want_rows.tobytes() and gram.tobytes() == want_gram.tobytes()
 
 
@@ -970,7 +997,7 @@ class TestSpinSqueezingOrders:
             basis, state = self._readme_point({"readme row 48": 48, "readme row 52": 52}.get(point))
         family = build_spin_family(basis, k_max)
         gamma, c = covariance_matrix(state, family), moment_data(state, family).c
-        rows, _ = _centered_rows(state.factor, family)
+        rows, _ = _centered_rows(state, family)
         profile = spin_squeezing_profile(state, basis, k_max, family=family)
         for k, res in enumerate(profile, start=1):
             cnt = spin_family_size(k)
@@ -1023,7 +1050,7 @@ class TestSpinSqueezingOrders:
         no_signal = 0
         for tau in np.linspace(0.0, np.pi, 101):
             state = evolve(css, EvolutionSpec("OAT", float(tau)))
-            rows, _ = _centered_rows(state.factor, family)
+            rows, _ = _centered_rows(state, family)
             for res in spin_squeezing_profile(state, basis, k_max, family=family):
                 cnt = res.moments.size
                 assert res.kernel_leakage == res.moments.kernel_leakage

@@ -13,9 +13,14 @@ from nlsqueeze import (
     build_cv_third_order_family,
     build_spin_family,
     build_spin_operators,
+    coherent_spin_state_z,
     combine,
+    covariance_matrix,
+    f_max_density,
+    operators,
     symmetric_product,
 )
+from nlsqueeze.dynamics import _cached_propagator
 from nlsqueeze.cv import _quadrature_bands
 from nlsqueeze.operators import HERMITICITY_ATOL, _bands_of, dense_matrix, symmetrized_bands
 from nlsqueeze.spin import _monomial_degrees, _spin_bands
@@ -329,6 +334,36 @@ def test_library_bands_clear_the_relative_gate_by_a_wide_margin():
         for k, band in enumerate(bands.transpose(1, 0, 2)):
             mat = dense_matrix(band)
             assert np.abs(mat - mat.conj().T).max() <= HERMITICITY_ATOL / 100 * np.abs(mat).max(), (name, k)
+
+
+def _input_noise(bands):
+    """e_k = eps (2w+2) max_i sum_j |H_k|_ij of the bands handed to a family."""
+    mag = np.abs(np.asarray(bands, dtype=complex))
+    return np.finfo(float).eps * (mag.shape[2] + 1) * (mag @ np.ones(mag.shape[2])).max(axis=0)
+
+
+def test_member_noise_has_the_bits_of_the_input_bands():
+    # formed on first read from the kept bands where they are the input,
+    # bit for bit, and at construction from the input where they are not
+    for name, bands in _library_bands().items():
+        fam = OperatorFamily(bands, [str(k) for k in range(bands.shape[1])], (1,) * bands.shape[1], "t")
+        exact = np.array_equal(fam.bands, bands)
+        assert ("member_noise" in vars(fam)) is not exact, name
+        assert fam.member_noise.tobytes() == _input_noise(bands).tobytes(), name
+
+
+def test_member_noise_is_formed_only_for_centered_families(monkeypatch):
+    row_noise, shapes = operators._row_noise, []
+    monkeypatch.setattr(operators, "_row_noise", lambda mag: shapes.append(mag.shape) or row_noise(mag))
+    basis = DickeBasis(16)
+    f_max_density(coherent_spin_state_z(basis), basis)  # builds and reads basis.spin_axes
+    _cached_propagator.__wrapped__("TAT", 16)  # builds the twisting band's family
+    small = DickeBasis(2)
+    family = build_spin_family(small, 3)  # exactly Hermitian input
+    assert shapes == []
+    for _ in range(2):
+        covariance_matrix(coherent_spin_state_z(small), family)
+    assert shapes == [(3, 19, 7)]
 
 
 @pytest.mark.parametrize("cutoff", [4, 20, 72])

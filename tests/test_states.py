@@ -6,6 +6,8 @@ from nlsqueeze import (
     BasisMismatchError,
     DickeBasis,
     EvolutionSpec,
+    HermitianOperator,
+    HermitianPropagator,
     OperatorFamily,
     QuantumState,
     build_spin_operators,
@@ -19,6 +21,8 @@ from nlsqueeze import (
 )
 from nlsqueeze.dynamics import twisting_generator
 from nlsqueeze.states import DENSITY_EIG_FLOOR, spectral_floor
+
+EPS = np.finfo(float).eps
 
 
 class TestValidation:
@@ -133,6 +137,55 @@ class TestSpectralFloor:
         assert spectral_floor(generic.factor, 1) is None
         rho = np.diag(np.r_[0.5, np.full(59, 0.5 / 59), 0.0])  # a wide floor, but rank 60 < 61
         assert spectral_floor(QuantumState.mixed(rho, "test").factor, 1) is None
+
+
+class TestCarriedSplit:
+    """A state finds its floor split once, where its factor is made (the rule
+    of `spectral_floor` for the band of width 1, r' + 3 < r), and keeps it."""
+
+    def test_made_once_with_the_factor(self):
+        state = _white_noise(60, 0.1)
+        lam0, s_top = state._floor
+        want_lam0, want_top = spectral_floor(state.factor, 1)
+        assert lam0 == want_lam0 and s_top.tobytes() == want_top.tobytes()
+        assert not s_top.flags.writeable
+        # a factor handed to the constructor is split after its rotation
+        built = QuantumState(state.basis_tag, state.factor)
+        assert built._floor[1].shape == (61, 1) and abs(built._floor[0] - lam0) <= 1e-17
+
+    def test_kept_only_when_it_narrows_the_axes_table(self):
+        assert _white_noise(3, 0.1)._floor is None  # D = 4: 1 + 3 columns, not fewer than 4
+        assert _white_noise(4, 0.1)._floor[1].shape == (5, 1)
+
+    def test_pure_generic_and_rank_deficient_states_carry_none(self, rng):
+        a = rng.normal(size=(61, 61)) + 1j * rng.normal(size=(61, 61))
+        rho = np.diag(np.r_[0.5, np.full(59, 0.5 / 59), 0.0])
+        for state in (coherent_spin_state_z(DickeBasis(60)),
+                      QuantumState.mixed(a @ a.conj().T / np.linalg.norm(a) ** 2, "test"),
+                      QuantumState.mixed(rho, "test")):
+            assert state._floor is None
+
+    def test_split_off_unit_trace_is_not_kept(self):
+        # 499 floor eigenvalues spread within the cut eps D lambda_max of the
+        # smallest: each is taken as exactly lambda0, so the split's trace
+        # misses 1 by far more than a norm's rounding, and evolution, which
+        # checks the trace, would refuse a state whose factor is fine
+        dim = 500
+        lam = np.r_[0.5, 0.5 / (dim - 1) + np.linspace(0.0, 0.9, dim - 1) * EPS * dim * 0.5]
+        lam /= lam.sum()
+        state = QuantumState("test", np.diag(np.sqrt(lam)))
+        floor = spectral_floor(state.factor, 1)
+        assert floor[1].shape == (dim, 1)
+        assert abs(dim * floor[0] + np.linalg.norm(floor[1]) ** 2 - 1.0) > 1e-11
+        assert state._floor is None
+        out = HermitianPropagator(HermitianOperator(np.diag(np.arange(dim, dtype=float)), "H")).apply(state, 0.3)
+        assert abs(np.linalg.norm(out.factor) - 1.0) <= 1e-14
+
+    def test_states_are_immutable(self):
+        state = _white_noise(8, 0.1)
+        for name in ("factor", "basis_tag", "_floor"):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(state, name, None)
 
 
 def test_evolution_keeps_rank_and_matches_direct_exponential():
