@@ -241,6 +241,8 @@ def _run_analyze(args: argparse.Namespace) -> tuple[str | None, str, bool]:
 def _run_estimate(args: argparse.Namespace) -> tuple[str | None, str, bool]:
     if args.n is None or args.n < 1:
         raise ValueError("estimate needs --n >= 1")
+    if not args.window > 0:  # also NaN
+        raise ValueError(f"window must be positive, got {args.window!r}")
     window = (args.theta - args.window, args.theta + args.window)
     basis = DickeBasis(args.n)
     generator = basis.spin_axes[_AXES.index(args.generator)]

@@ -70,20 +70,13 @@ class HermitianPropagator:
         self._lam_max = float(np.abs(self._evals).max())
 
     def apply(self, state: QuantumState, theta: float) -> QuantumState:
-        """exp(-i theta H) applied to the state.  A state with a floor split
-        (see `QuantumState`) has its S' rotated here and its D x D factor
-        when that is first read."""
+        """exp(-i theta H) applied to the state (see `QuantumState._rotated`)."""
         if state.dim != self.dim:
             raise BasisMismatchError("state dimension does not match the generator")
         theta = float(theta)  # a Python float product overflows to inf without a warning
         if not math.isfinite(theta * self._lam_max):  # also NaN theta
             raise ValueError(f"theta {theta!r} times the generator's largest |eigenvalue| is not finite")
-        if state._floor is None:
-            # U S has the Gram matrix of S, so the factor stays in its eigenframe
-            return QuantumState._in_eigenframe(state.basis_tag, self._rotate(state.factor, theta), split=False)
-        lam0, s_top = state._floor
-        return QuantumState._evolved(state.basis_tag, (lam0, self._rotate(s_top, theta)), state,
-                                     functools.partial(self._rotate, theta=theta))
+        return state._rotated(functools.partial(self._rotate, theta=theta))
 
     def _rotate(self, factor: np.ndarray, theta: float) -> np.ndarray:
         """exp(-i theta H) S for a factor S of any number of columns."""

@@ -8,7 +8,7 @@ import numpy as np
 from .dynamics import HermitianPropagator
 from .errors import BasisMismatchError
 # covariance_matrix, build_spin_family, build_spin_operators: unused, kept for perfbench's trace targets
-from .moments import _floored_rows, _operator_rows, covariance_matrix, principal_eigenpair
+from .moments import _centered_rows, _operator_rows, covariance_matrix, principal_eigenpair
 from .operators import HermitianOperator
 from .spin import DickeBasis, build_spin_family, build_spin_operators
 from .states import QuantumState
@@ -86,19 +86,15 @@ def f_max_density(state: QuantumState, basis: DickeBasis):
     Returns (f_max, direction): the top eigenvalue of the 3x3 quantum Fisher
     matrix of Jx, Jy, Jz divided by N, and its eigenvector (for a pure
     state, four times the spin covariance matrix).  A state that carries a
-    floor split narrower than its factor for the axes' band (see
-    `QuantumState` and `states.spectral_floor`; the split is found once per
-    state, not here) reads the matrix from the rows over the r' columns
-    above the floor alone (`_floor_qfi_matrix`), so a white-noise mixture
-    costs r' x r' products instead of D x D ones and its D x D factor is
-    never formed.
+    floor split (see `QuantumState` and `states.spectral_floor`) is read
+    through it: the matrix comes from the rows over the r' columns above the
+    floor alone (`_floor_qfi_matrix`), so a white-noise mixture costs r' x r'
+    products instead of D x D ones and its D x D factor is never formed.
     """
     if state.basis_tag != basis.tag:
         raise BasisMismatchError("state does not live in the given Dicke basis")
-    axes = basis.spin_axes
-    floor = state._floor_within(axes.bands.shape[2] // 2)
-    rows, gram = _floored_rows(state, axes, floor)
-    q = _qfi_matrix(state.factor, rows, gram) if floor is None else _floor_qfi_matrix(*floor, rows)
+    rows, gram = _centered_rows(state, basis.spin_axes)
+    q = _qfi_matrix(state.factor, rows, gram) if state._floor is None else _floor_qfi_matrix(*state._floor, rows)
     direction, lam = principal_eigenpair(q)
     return lam / basis.n_particles, direction
 

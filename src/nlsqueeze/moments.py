@@ -42,27 +42,20 @@ def _centered_rows(state: QuantumState, family: OperatorFamily):
     written straight into the returned table.
 
     A state that carries a floor split, rho = lambda0 I + S' S'^dagger
-    (found once per state, see `QuantumState` and `states.spectral_floor`),
-    is factored instead as [S' | sqrt(lambda0) I] with the identity in band
-    layout (sqrt(lambda0) on the diagonal column of each row) whenever that
-    is narrower, r' + 2w + 1 < r: the identity part's products are the
-    members' own bands, so the table has D (r' + 2w + 1) columns instead of
-    D r, and `_center` gives the same moments (each mean picks up
-    lambda0 tr H_k from the diagonal column).  Such a state's D x D factor
-    is then never formed.
+    (see `QuantumState` and `states.spectral_floor`), is tabled over it,
+    factored as [S' | sqrt(lambda0) I] with the identity in band layout
+    (sqrt(lambda0) on the diagonal column of each row): the identity part's
+    products are the members' own bands, so the table has D (r' + 2w + 1)
+    columns, and `_center` gives the moments of the factor's table (each
+    mean picks up lambda0 tr H_k from the diagonal column).  Such a state's
+    D x D factor is never formed.
     """
-    return _floored_rows(state, family, state._floor_within(family.bands.shape[2] // 2))
-
-
-def _floored_rows(state: QuantumState, family: OperatorFamily, floor):
-    """`_centered_rows` over the floor split `floor` of the state (None: over
-    its factor)."""
-    if floor is None:
+    if state._floor is None:
         s = state.factor
         rows = np.empty((len(family), *s.shape), dtype=complex)
         np.matmul(family.bands, s[family.band_cols], out=rows.transpose(1, 0, 2))  # rows[k] = H_k S
         return _center(rows, s)
-    lam0, s_top = floor
+    lam0, s_top = state._floor
     top, width = s_top.shape[1], family.bands.shape[2] // 2
     root = math.sqrt(lam0)
     ext = np.zeros((len(s_top), top + 2 * width + 1), dtype=complex)

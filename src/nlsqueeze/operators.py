@@ -42,7 +42,12 @@ class HermitianOperator:
             raise ValueError(
                 f"operator {self.label!r} is not Hermitian (max residue {resid:.2e})"
             )
-        mat = (mat + mat.conj().T) / 2
+        # halves first: (H + H^dagger) / 2 overflows on a finite entry above
+        # DBL_MAX / 2; the adjoint is halved after conjugation, which keeps the
+        # bits of (H + H^dagger) / 2, signed zeros included, unless a half is subnormal
+        adjoint = mat.conj().T / 2
+        mat = mat / 2  # a new array: the caller's is neither aliased nor changed
+        mat += adjoint
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
         if self.degree < 0:
@@ -214,7 +219,7 @@ class OperatorFamily:
     member.  A dense member is built on each access (`fam[k]`, iteration,
     `tuple(fam)` for all of them) and kept only by the caller.  Each member
     must pass the Hermiticity rule of `HermitianOperator` against its band
-    adjoint; the family keeps the exact (H_k + H_k^dagger) / 2 in its own array.
+    adjoint; the family keeps the exact H_k / 2 + H_k^dagger / 2 in its own array.
     member_noise holds each member's rounding bound e_k, formed on first read.
     """
 
@@ -244,10 +249,15 @@ class OperatorFamily:
         if len(bad):
             raise ValueError(f"family member {bad[0]} ({self.labels[bad[0]]!r}) is not Hermitian "
                              f"(max residue {resid[bad[0]]:.2e})")
-        if resid.any():  # the kept (H + H^dagger) / 2 is not the input: e_k from the input now
+        if resid.any():  # the kept H / 2 + H^dagger / 2 is not the input: e_k from the input now
             self.__dict__["member_noise"] = _row_noise(mag)
-        herm += bands  # (H + H^dagger) / 2 has exactly conjugate entries
+        # H / 2 + H^dagger / 2 has exactly conjugate entries, and a finite H
+        # gives a finite sum, which (H + H^dagger) / 2 does not above DBL_MAX / 2;
+        # added in row pieces of 16384 entries, so no temporary as large as the bands
         herm /= 2
+        step = max(1, 16384 // (bands.shape[1] * bands.shape[2]))
+        for i in range(0, len(bands), step):
+            herm[i:i + step] += bands[i:i + step] / 2
         herm.setflags(write=False)
         object.__setattr__(self, "bands", herm)
 

@@ -34,14 +34,16 @@ class QuantumState:
     Every expectation value is a product of S with operators, so pure and
     mixed states share one code path.
     A full-rank factor whose smallest eigenvalues form a floor, such as a
-    white-noise mixture, is also split once, where it is made, as
-    rho = lambda0 I + S' S'^dagger (`spectral_floor` for a band of width 1).
+    white-noise mixture, is split once, where it is made, as
+    rho = lambda0 I + S' S'^dagger (`spectral_floor`).  The state owns that
+    decision, and a state that carries a split is read through it by every
+    band reader: the moment table and `f_max_density` table
+    [S' | sqrt(lambda0) I], never S.
     A unitary keeps the floor, U rho U^dagger = lambda0 I + (U S')(U S')^dagger,
-    so evolution carries the split by rotating S' alone and forms the D x D
+    so `_rotated` carries the split by rotating S' alone and forms the D x D
     factor U S only when `factor` is first read (the dense-operator paths:
     expectation values, `density_matrix`, `qfi`, `classical_fisher`,
-    `chi2_error_propagation`, the estimator).  The moment table and
-    `f_max_density` read the split, and a band too wide for it the factor.
+    `chi2_error_propagation`, the estimator).
     Instances are immutable.
     """
 
@@ -53,32 +55,6 @@ class QuantumState:
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {name!r}: a QuantumState is immutable")
 
-    @classmethod
-    def _in_eigenframe(cls, basis_tag: str, factor: np.ndarray, split: bool) -> "QuantumState":
-        """State of a fresh factor, owned by no caller, whose columns are
-        already orthogonal (V sqrt(lambda), or U S for a state's factor S and
-        a unitary U): checked and kept as it is, neither copied nor rotated;
-        its floor is looked for when `split`."""
-        state = cls.__new__(cls)
-        object.__setattr__(state, "basis_tag", basis_tag)
-        state._settle(np.asarray(factor, dtype=complex), rotate=False, split=split)
-        return state
-
-    @classmethod
-    def _evolved(cls, basis_tag: str, floor, parent: "QuantumState", rotate) -> "QuantumState":
-        """State of the floor split (lambda0, U S') of `parent` evolved by a
-        unitary U, whose factor rotate(S) = U S is formed on first read from
-        the parent's.  Its trace D lambda0 + ||U S'||^2 must be 1, as the
-        norm of a factor."""
-        if not abs((norm := _split_norm(*floor)) - 1.0) <= PURE_NORM_ATOL:  # written so that NaN fails
-            raise ValueError(f"state norm {norm!r} is not 1")
-        floor[1].setflags(write=False)
-        state = cls.__new__(cls)
-        for name, value in (("basis_tag", basis_tag), ("_factor", None), ("_floor", floor),
-                            ("_source", (parent, rotate))):
-            object.__setattr__(state, name, value)
-        return state
-
     def _settle(self, s: np.ndarray, rotate: bool, split: bool) -> None:
         if s.ndim != 2 or s.shape[1] < 1:
             raise ValueError("state factor must be a matrix with at least one column")
@@ -88,7 +64,7 @@ class QuantumState:
         if rotate and s.shape[1] > 1:
             s = s @ np.linalg.eigh(s.conj().T @ s)[1]
         s.setflags(write=False)
-        floor = spectral_floor(s, 1) if split else None
+        floor = spectral_floor(s) if split else None
         # kept only at unit trace, as evolution checks it: the floor columns
         # taken as exactly lambda0 may add up to more than a norm's rounding
         if floor is not None and abs(_split_norm(*floor) - 1.0) <= PURE_NORM_ATOL:
@@ -117,14 +93,25 @@ class QuantumState:
             object.__setattr__(self, "_source", None)  # the parent is no longer needed
         return self._factor
 
-    def _floor_within(self, width: int):
-        """The floor split (lambda0, S') when a row table over
-        [S' | sqrt(lambda0) I] for a band of that width is narrower than one
-        over S, r' + 2 width + 1 < r; else None."""
-        floor = self._floor
-        if floor is not None and floor[1].shape[1] + 2 * width + 1 < len(floor[1]):
-            return floor
-        return None
+    def _rotated(self, rotate) -> "QuantumState":
+        """This state under a unitary U, given as rotate(S) = U S for a
+        factor of any number of columns.  U S has the Gram matrix of S, so it
+        stays in its eigenframe, and a split (lambda0, S') becomes
+        (lambda0, U S'): only S' is rotated here, and the factor on its first
+        read.  The split's trace D lambda0 + ||U S'||^2 must be 1, as the
+        norm of a factor."""
+        state = QuantumState.__new__(QuantumState)
+        object.__setattr__(state, "basis_tag", self.basis_tag)
+        if self._floor is None:
+            state._settle(rotate(self.factor), rotate=False, split=False)
+            return state
+        floor = self._floor[0], rotate(self._floor[1])
+        if not abs((norm := _split_norm(*floor)) - 1.0) <= PURE_NORM_ATOL:  # written so that NaN fails
+            raise ValueError(f"state norm {norm!r} is not 1")
+        floor[1].setflags(write=False)
+        for name, value in (("_factor", None), ("_floor", floor), ("_source", (self, rotate))):
+            object.__setattr__(state, name, value)
+        return state
 
     @classmethod
     def pure(cls, vector, basis_tag: str) -> "QuantumState":
@@ -142,7 +129,11 @@ class QuantumState:
         # noise, so a pure density keeps one column
         keep = lam > _rounding_cut(rho.shape[0], lam[-1])
         s = vecs[:, keep] * np.sqrt(lam[keep])
-        return cls._in_eigenframe(basis_tag, s / np.linalg.norm(s), split=True)
+        # a fresh factor in its eigenframe already: kept as it is, neither copied nor rotated
+        state = cls.__new__(cls)
+        object.__setattr__(state, "basis_tag", basis_tag)
+        state._settle(s / np.linalg.norm(s), rotate=False, split=True)
+        return state
 
     @property
     def is_pure(self) -> bool:
@@ -182,7 +173,7 @@ class QuantumState:
         return np.vdot(phi, phi).real
 
 
-def spectral_floor(s: np.ndarray, width: int):
+def spectral_floor(s: np.ndarray):
     """(lambda0, S') with rho = S S^dagger = lambda0 I + S' S'^dagger, or None.
 
     S is a factor in its eigenframe (see `QuantumState`), so its squared
@@ -191,14 +182,12 @@ def spectral_floor(s: np.ndarray, width: int):
     the columns within `mixed()`'s cut eps D lambda_max of it are taken as
     exactly lambda0, an error no larger than the eigenvalues `mixed()`
     drops.  The other r' columns, rescaled by sqrt(1 - lambda0 / l), make
-    S'.  A row table over [S' | sqrt(lambda0) I] holds each band member's
-    identity part in its 2 width + 1 band columns, so the split is taken
-    only when r' + 2 width + 1 < r: for a white-noise mixture of a pure
-    state r' = 1.  A pure state (r = 1) never takes it.  `QuantumState`
-    calls it once per state, where its factor is made, with width 1 (the
-    band of Jx, Jy, Jz), and carries the split through evolution; the
-    moment table and `f_max_density` test the width of their own band
-    against the carried split (`QuantumState._floor_within`).
+    S'.  The split is kept when r' + 3 < r, the columns per row of a table
+    over [S' | sqrt(lambda0) I] in the band of Jx, Jy, Jz against those of
+    one over S: for a white-noise mixture of a pure state r' = 1, and a pure
+    state (r = 1) never has one.  `QuantumState` calls it once per state,
+    where its factor is made, and every band reader reads the split it
+    carries, whatever the width of its own band.
     """
     dim, rank = s.shape
     if rank < dim:
@@ -206,7 +195,7 @@ def spectral_floor(s: np.ndarray, width: int):
     lam = np.einsum("ij,ij->j", s.real, s.real) + np.einsum("ij,ij->j", s.imag, s.imag)  # no D x r temporary
     lam0 = lam.min()
     above = lam > lam0 + _rounding_cut(dim, lam.max())
-    if np.count_nonzero(above) + 2 * width + 1 >= rank:
+    if np.count_nonzero(above) + 3 >= rank:
         return None
     return lam0, s[:, above] * np.sqrt(1.0 - lam0 / lam[above])
 

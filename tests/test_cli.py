@@ -420,10 +420,15 @@ def test_integrity_flag_exits_2_with_a_warning(capsys, monkeypatch, argv):
     (["estimate", "--n", "4", "--window", "1e308"], "window width must be finite"),
     (["estimate", "--n", "4", "--window", "inf"], "window width must be finite"),
     (["estimate", "--n", "4", "--mu", "100000000000000000000"], "mu must be >= 1 and <="),
+    # a window that is not positive is named, not blamed on theta_true
+    (["estimate", "--n", "16", "--window", "0"], "window must be positive, got 0.0"),
+    (["estimate", "--n", "16", "--window=-1"], "window must be positive, got -1.0"),
+    (["estimate", "--n", "16", "--window", "nan"], "window must be positive, got nan"),
 ], ids=["analyze without n", "estimate without n", "unwritable out", "sweep span beyond float range",
         "sweep from -inf", "config from -Infinity", "sweep from nan", "sweep to nan", "sweep to inf",
         "estimate window beyond float range",
-        "estimate infinite window", "estimate mu beyond int64"])
+        "estimate infinite window", "estimate mu beyond int64",
+        "estimate zero window", "estimate negative window", "estimate nan window"])
 def test_refusals_exit_one(capsys, tmp_path, argv, fragment):
     (tmp_path / "config.json").write_text('{"n_particles": 4, "steps": 3, "tau_start": -Infinity}')
     code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))

@@ -190,7 +190,7 @@ class TestFloorFisher:
     def test_white_noise_matches_the_spectral_formula(self, model, n, weight):
         basis, state = noisy_css(n, weight)
         state = evolve(state, EvolutionSpec(model, 0.3))
-        assert spectral_floor(state.factor, 1)[1].shape == (n + 1, 1)
+        assert spectral_floor(state.factor)[1].shape == (n + 1, 1)
         jmats = [op.matrix for op in build_spin_operators(basis)]
         want = np.linalg.eigvalsh(spectral_qfi_matrix(state.density_matrix(), jmats))[-1] / n
         got, _ = f_max_density(state, basis)
@@ -203,7 +203,7 @@ class TestFloorFisher:
         sigma = random_density(rng, n + 1, basis.tag, rank=3).density_matrix()
         rho = 0.8 * sigma + 0.2 * np.eye(n + 1) / (n + 1)
         state = evolve(QuantumState.mixed(rho, basis.tag), EvolutionSpec("TAT", 0.5))
-        assert spectral_floor(state.factor, 1)[1].shape == (n + 1, 3)
+        assert spectral_floor(state.factor)[1].shape == (n + 1, 3)
         jmats = [op.matrix for op in build_spin_operators(basis)]
         want = np.linalg.eigvalsh(spectral_qfi_matrix(state.density_matrix(), jmats))[-1] / n
         assert abs(f_max_density(state, basis)[0] - want) <= 1e-12 * want

@@ -34,7 +34,7 @@ from nlsqueeze import (
     spin_squeezing_profile,
 )
 from nlsqueeze.dynamics import EvolutionSpec
-from nlsqueeze.fisher import f_max_density
+from nlsqueeze.fisher import _qfi_matrix, f_max_density
 from nlsqueeze.moments import SLICE_ENTRIES, _center, _centered_rows, _signal, principal_eigenpair
 from nlsqueeze.moments import _family_moments as moments_of
 from nlsqueeze.spin import spin_family_size
@@ -210,7 +210,7 @@ class TestSlicedKernel:
         # centering, a conjugate table) would take the peak to 2.2x
         basis = DickeBasis(60)
         state = random_density(rng, 61, basis.tag)
-        assert state.factor.shape == (61, 61) and spectral_floor(state.factor, 1) is None
+        assert state.factor.shape == (61, 61) and spectral_floor(state.factor) is None
         family = build_spin_family(basis, 3)
         profile_peak, f_max_peak = _peaks(state, basis, family)
         assert profile_peak <= 1.42 * len(family) * state.factor.size * 16
@@ -230,7 +230,7 @@ class TestSlicedKernel:
         basis, state = _noisy_tat_point(n)
         family = build_spin_family(basis, 3)
         width = family.bands.shape[2] // 2
-        top = spectral_floor(state.factor, width)[1].shape[1]
+        top = spectral_floor(state.factor)[1].shape[1]
         assert top == 1
         profile_peak, f_max_peak = _peaks(state, basis, family)
         shape = (len(family), basis.dimension, top + 2 * width + 1)
@@ -283,20 +283,29 @@ class TestSpectralFloor:
     the moments of the full-factor table."""
 
     @pytest.mark.parametrize("weight", [0.01, 0.1, 0.9])
-    @pytest.mark.parametrize("n", [16, 60, 200])
+    @pytest.mark.parametrize("n, kmax", [
+        pytest.param(16, 3, id="16"), pytest.param(60, 3, id="60"), pytest.param(200, 3, id="200"),
+        # small states and wide bands, whose tables over the split have more
+        # columns than over S (r' + 2w + 1 >= D): the split is read all the same
+        *(pytest.param(n, kmax, id=f"{n}-k{kmax}")
+          for n, kmax in ((4, 1), (4, 3), (4, 6), (7, 3), (7, 6), (10, 6), (13, 6), (16, 6))),
+    ])
     @pytest.mark.parametrize("model", ["OAT", "TAT"])
-    def test_floored_table_matches_the_full_factor(self, monkeypatch, model, n, weight):
+    def test_floored_table_matches_the_full_factor(self, monkeypatch, model, n, kmax, weight):
         basis = DickeBasis(n)
         state = _noisy_twisted(basis, model, 0.3, noise=weight)
-        family = build_spin_family(basis, 3)
+        family = build_spin_family(basis, kmax)
+        width = family.bands.shape[2] // 2
         rows, _ = _centered_rows(state, family)
-        assert rows.shape == (19, basis.dimension * 8)  # r' = 1 and the band of width 3
+        assert rows.shape == (len(family), basis.dimension * (2 * width + 2))  # r' = 1 and the band
         gamma, c = covariance_matrix(state, family), moment_data(state, family).c
-        profile = spin_squeezing_profile(state, basis, 3, family=family)
+        profile = spin_squeezing_profile(state, basis, kmax, family=family)
+        f_max = f_max_density(state, basis)[0]
+        assert state._floor is not None and state._factor is None  # the D x D factor was never formed
         with monkeypatch.context() as patch:
             patch.setattr(moments, "_centered_rows", _full_factor_rows)
             want_gamma, want_c = covariance_matrix(state, family), moment_data(state, family).c
-            want = spin_squeezing_profile(state, basis, 3, family=family)
+            want = spin_squeezing_profile(state, basis, kmax, family=family)
         # each member's scale is ||H_k S||_F, the size of its raw row
         scales = np.array([np.linalg.norm(op.matrix @ state.factor) for op in family])
         bound = 1e-13 * np.outer(scales, scales)
@@ -308,6 +317,13 @@ class TestSpectralFloor:
             robertson = 4.0 * ref.n_coeffs @ ref.moments.gamma[:3, :3] @ ref.n_coeffs
             assert abs(got.chi2_inv - ref.chi2_inv) <= 1e-10 * ref.chi2_inv + 1e-15 * robertson
             assert not got.robertson_violated
+        # f_max from the spectral formula over the whole factor, within 1e-13
+        # of its terms' scale 4 <J_a^2> = 4 ||J_a S||^2: near the maximally
+        # mixed state F_Q is far below it (54 against 1.6e4 at TAT N=200, w=0.9)
+        axes = basis.spin_axes
+        want_q = _qfi_matrix(state.factor, *_full_factor_rows(state, axes))
+        scale = 4.0 * max(np.linalg.norm(op.matrix @ state.factor) for op in axes) ** 2
+        assert abs(f_max - principal_eigenpair(want_q)[1] / n) <= 1e-13 * scale / n
 
     @pytest.mark.parametrize("weight", [0.01, 0.1, 0.9])
     @pytest.mark.parametrize("n", [16, 60, 200])
@@ -322,7 +338,7 @@ class TestSpectralFloor:
         profile = spin_squeezing_profile(state, basis, 3, family=family)
         f_max = f_max_density(state, basis)[0]
         fresh = QuantumState(state.basis_tag, state.factor)
-        assert spectral_floor(fresh.factor, 3)[1].shape == (basis.dimension, 1)
+        assert spectral_floor(fresh.factor)[1].shape == (basis.dimension, 1)
         _, want_gamma, want_c = moments_of(fresh, family)
         want = spin_squeezing_profile(fresh, basis, 3, family=family)
         scales = np.array([np.linalg.norm(op.matrix @ fresh.factor) for op in family])
@@ -356,7 +372,7 @@ class TestSpectralFloor:
                   evolve(coherent_spin_state_z(basis), EvolutionSpec("TAT", 0.3))]
         for state in states:
             s = state.factor
-            assert spectral_floor(s, 3) is None and spectral_floor(s, 1) is None
+            assert spectral_floor(s) is None
             want = np.empty((len(family), *s.shape), dtype=complex)
             np.matmul(family.bands, s[family.band_cols], out=want.transpose(1, 0, 2))
             want_rows, want_gram = _center(want, s)

@@ -111,7 +111,7 @@ class TestSpectralFloor:
     @pytest.mark.parametrize("weight", [0.01, 0.1, 0.9])
     def test_white_noise_splits_off_the_identity(self, weight):
         state = evolve(_white_noise(60, weight), EvolutionSpec("TAT", 0.7))
-        lam0, s_top = spectral_floor(state.factor, 3)
+        lam0, s_top = spectral_floor(state.factor)
         assert s_top.shape == (61, 1)
         assert abs(lam0 - weight / 61) <= 1e-15
         assert abs(np.linalg.norm(s_top) ** 2 - (1.0 - weight)) <= 1e-14
@@ -119,34 +119,36 @@ class TestSpectralFloor:
         assert np.abs(split - state.density_matrix()).max() <= 1e-15
 
     def test_taken_only_when_it_narrows_the_table(self):
-        # r' = 1 above the floor: a band of width w needs 1 + 2w + 1 < D
-        state = _white_noise(7, 0.1)  # D = 8
-        assert spectral_floor(state.factor, 3) is None  # 1 + 7 columns, not fewer than 8
-        assert spectral_floor(state.factor, 2)[1].shape == (8, 1)
-        assert spectral_floor(_white_noise(8, 0.1).factor, 3)[1].shape == (9, 1)
+        # one rule for every band: r' + 3 < r, the columns per row of the
+        # table over [S' | sqrt(lambda0) I] in the band of Jx, Jy, Jz
+        assert spectral_floor(_white_noise(3, 0.1).factor) is None  # D = 4: 1 + 3 columns, not fewer than 4
+        assert spectral_floor(_white_noise(4, 0.1).factor)[1].shape == (5, 1)
+        assert spectral_floor(QuantumState.mixed(np.eye(3) / 3, "test").factor) is None  # 0 + 3, not fewer than 3
+        lam0, s_top = spectral_floor(QuantumState.mixed(np.eye(4) / 4, "test").factor)
+        assert lam0 == pytest.approx(1 / 4, rel=1e-15) and s_top.shape == (4, 0)
 
     def test_maximally_mixed_keeps_no_column(self):
-        lam0, s_top = spectral_floor(QuantumState.mixed(np.eye(61) / 61, "test").factor, 3)
+        lam0, s_top = spectral_floor(QuantumState.mixed(np.eye(61) / 61, "test").factor)
         assert lam0 == pytest.approx(1 / 61, rel=1e-15) and s_top.shape == (61, 0)
 
     def test_pure_generic_and_rank_deficient_states_have_none(self, rng):
-        assert spectral_floor(coherent_spin_state_z(DickeBasis(60)).factor, 1) is None
+        assert spectral_floor(coherent_spin_state_z(DickeBasis(60)).factor) is None
         a = rng.normal(size=(61, 61)) + 1j * rng.normal(size=(61, 61))
         generic = QuantumState.mixed(a @ a.conj().T / np.linalg.norm(a) ** 2, "test")
         assert generic.factor.shape == (61, 61)  # full rank, distinct eigenvalues
-        assert spectral_floor(generic.factor, 1) is None
+        assert spectral_floor(generic.factor) is None
         rho = np.diag(np.r_[0.5, np.full(59, 0.5 / 59), 0.0])  # a wide floor, but rank 60 < 61
-        assert spectral_floor(QuantumState.mixed(rho, "test").factor, 1) is None
+        assert spectral_floor(QuantumState.mixed(rho, "test").factor) is None
 
 
 class TestCarriedSplit:
     """A state finds its floor split once, where its factor is made (the rule
-    of `spectral_floor` for the band of width 1, r' + 3 < r), and keeps it."""
+    of `spectral_floor`, r' + 3 < r), and keeps it."""
 
     def test_made_once_with_the_factor(self):
         state = _white_noise(60, 0.1)
         lam0, s_top = state._floor
-        want_lam0, want_top = spectral_floor(state.factor, 1)
+        want_lam0, want_top = spectral_floor(state.factor)
         assert lam0 == want_lam0 and s_top.tobytes() == want_top.tobytes()
         assert not s_top.flags.writeable
         # a factor handed to the constructor is split after its rotation
@@ -174,7 +176,7 @@ class TestCarriedSplit:
         lam = np.r_[0.5, 0.5 / (dim - 1) + np.linspace(0.0, 0.9, dim - 1) * EPS * dim * 0.5]
         lam /= lam.sum()
         state = QuantumState("test", np.diag(np.sqrt(lam)))
-        floor = spectral_floor(state.factor, 1)
+        floor = spectral_floor(state.factor)
         assert floor[1].shape == (dim, 1)
         assert abs(dim * floor[0] + np.linalg.norm(floor[1]) ** 2 - 1.0) > 1e-11
         assert state._floor is None
