@@ -57,6 +57,10 @@ MATRIX = [
     # a library warning: stderr is one `warning:` line, which no longer
     # carries the checkout's path and a source line, so two trees can agree
     "estimate --n 4 --mu 10 --trials 5",
+    # --model, --n and --tau of analyze and estimate come from one parent
+    # parser; the help of each shows its options' order and text
+    "analyze --help",
+    "estimate --help",
 ]
 
 

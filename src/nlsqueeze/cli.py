@@ -94,7 +94,10 @@ def _load_sweep_config(args: argparse.Namespace) -> SweepConfig:
     cfg = SweepConfig()
     if args.config is not None:
         with open(args.config) as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except RecursionError:
+                raise ValueError(f"config {args.config} is nested too deeply") from None
         if not isinstance(data, dict):
             raise ValueError("config must be a JSON object")
         unknown = set(data) - {f.name for f in fields(SweepConfig)}
@@ -123,15 +126,14 @@ def _csv_cells(record: dict):
 def _run_sweep(args: argparse.Namespace) -> tuple[str | None, str, bool]:
     cfg = _load_sweep_config(args)
     if cfg.model == "OAT" and cfg.n_particles % 2 == 1:
-        print("warning: OAT revival and GHZ statements assume an even particle number",
-              file=sys.stderr)
+        warnings.warn("OAT revival and GHZ statements assume an even particle number")
     basis = DickeBasis(cfg.n_particles)
     n = cfg.n_particles
     psi0 = coherent_spin_state_z(basis)
     family = build_spin_family(basis, cfg.k_max)
     if cfg.include_parity:
         jz, parity = basis.spin_axes[2], parity_operator(basis)
-    records, lines, flagged = [], [], False
+    records, flagged = [], False
     for tau in np.linspace(cfg.tau_start, cfg.tau_end, cfg.steps):
         state = evolve(psi0, EvolutionSpec(cfg.model, float(tau)))
         results = spin_squeezing_profile(state, basis, cfg.k_max, family=family)
@@ -154,15 +156,11 @@ def _run_sweep(args: argparse.Namespace) -> tuple[str | None, str, bool]:
             record["f_max"] = f_max_density(state, basis)[0]
         record["ent_bound"] = entanglement_bound(max(candidates))
         records.append(record)
-        cells = list(_csv_cells(record))
-        if not lines:
-            lines.append(",".join(column for column, _ in cells))
-        lines.append(",".join(_fmt(value) for _, value in cells))
-    if cfg.format == "csv":
-        text = "\n".join(lines) + "\n"
-    else:
-        text = json.dumps(records, indent=2, sort_keys=True) + "\n"
-    return cfg.output_path, text, flagged
+    if cfg.format == "json":
+        return cfg.output_path, json.dumps(records, indent=2, sort_keys=True) + "\n", flagged
+    rows = [list(_csv_cells(record)) for record in records]
+    lines = [",".join(column for column, _ in rows[0])] + [",".join(_fmt(v) for _, v in row) for row in rows]
+    return cfg.output_path, "\n".join(lines) + "\n", flagged
 
 
 def _fock_result(basis: FockBasis, n: int, order: int):
@@ -209,13 +207,18 @@ def _run_fock(args: argparse.Namespace) -> tuple[str | None, str, bool]:
     return None, "\n".join(lines) + "\n", result.robertson_violated
 
 
+def _spin_state(args: argparse.Namespace):
+    """(basis, state): the coherent spin state of --n particles evolved by --model for --tau."""
+    basis = DickeBasis(args.n)
+    return basis, evolve(coherent_spin_state_z(basis), EvolutionSpec(args.model, args.tau))
+
+
 def _run_analyze(args: argparse.Namespace) -> tuple[str | None, str, bool]:
     if args.n is None or args.n < 1:
         raise ValueError("analyze needs --n >= 1")
     if not 1 <= args.kmax <= 6:
         raise ValueError("kmax must be between 1 and 6")
-    basis = DickeBasis(args.n)
-    state = evolve(coherent_spin_state_z(basis), EvolutionSpec(args.model, args.tau))
+    basis, state = _spin_state(args)
     family = build_spin_family(basis, args.kmax)
     result = spin_squeezing_profile(state, basis, args.kmax, family=family)[-1]
     md = result.moments
@@ -244,11 +247,10 @@ def _run_estimate(args: argparse.Namespace) -> tuple[str | None, str, bool]:
     if not args.window > 0:  # also NaN
         raise ValueError(f"window must be positive, got {args.window!r}")
     window = (args.theta - args.window, args.theta + args.window)
-    basis = DickeBasis(args.n)
+    basis, state = _spin_state(args)
     generator = basis.spin_axes[_AXES.index(args.generator)]
     observable = (parity_operator(basis) if args.observable == "parity"
                   else basis.spin_axes[_AXES.index(args.observable)])
-    state = evolve(coherent_spin_state_z(basis), EvolutionSpec(args.model, args.tau))
     report = simulate_moment_estimator(
         state, generator, observable, args.theta,
         mu=args.mu, trials=args.trials, seed=args.seed, window=window,
@@ -311,18 +313,18 @@ def build_parser() -> argparse.ArgumentParser:
                       help=f"Fock dimension (default n + 8, at most {MAX_DIMENSION - 4})")
     fock.set_defaults(func=_run_fock)
 
-    analyze = sub.add_parser("analyze", help="moment matrices for one state")
-    analyze.add_argument("--model", choices=MODELS, default="OAT")
-    analyze.add_argument("--n", type=int, default=None)
-    analyze.add_argument("--tau", type=float, default=0.0)
+    # the evolved spin state of analyze and estimate (see `_spin_state`)
+    spin_state = argparse.ArgumentParser(add_help=False)
+    spin_state.add_argument("--model", choices=MODELS, default="OAT")
+    spin_state.add_argument("--n", type=int, default=None)
+    spin_state.add_argument("--tau", type=float, default=0.0)
+
+    analyze = sub.add_parser("analyze", parents=[spin_state], help="moment matrices for one state")
     analyze.add_argument("--kmax", type=int, default=2)
     analyze.add_argument("--out", default=None)
     analyze.set_defaults(func=_run_analyze)
 
-    estimate = sub.add_parser("estimate", help="moment-estimator validation")
-    estimate.add_argument("--model", choices=MODELS, default="OAT")
-    estimate.add_argument("--n", type=int, default=None)
-    estimate.add_argument("--tau", type=float, default=0.0)
+    estimate = sub.add_parser("estimate", parents=[spin_state], help="moment-estimator validation")
     estimate.add_argument("--generator", choices=_AXES, default="Jx")
     estimate.add_argument("--observable", choices=_AXES + ("parity",), default="Jy")
     estimate.add_argument("--theta", type=float, default=0.0)
@@ -340,6 +342,7 @@ def _run(args):
     """Run the subcommand, printing each warning it raises as one `warning:`
     line on stderr instead of Python's source location and line."""
     with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default", UserWarning)  # a line, also under -W error
         try:
             return args.func(args)
         finally:
@@ -357,7 +360,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         path, text, flagged = _run(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:  # numpy names an array beyond memory
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:

@@ -35,12 +35,10 @@ def _qfi_matrix(s: np.ndarray, rows: np.ndarray, gram: np.ndarray) -> np.ndarray
     pass, so the rows are not copied again here.
     """
     lam = np.linalg.norm(s, axis=0) ** 2
-    sums = (lam[:, None] + lam[None, :]).ravel()
+    sums = lam[:, None] + lam[None, :]
     inv = np.divide(1.0, sums, out=np.zeros_like(sums), where=sums > 0.0)
-    p = (s.conj().T @ rows.reshape(len(rows), *s.shape)).reshape(len(rows), -1).view(float)
-    # Re(x conj(y)) summed is the real dot product of the float views
-    cross = (p * np.repeat(inv, 2)) @ p.T
-    return 4.0 * gram.real - 8.0 * cross
+    p = s.conj().T @ rows.reshape(len(rows), *s.shape)
+    return 4.0 * gram.real - 8.0 * _real_gram(p * inv, p)
 
 
 def _floor_qfi_matrix(lam0: float, s_top: np.ndarray, rows: np.ndarray) -> np.ndarray:

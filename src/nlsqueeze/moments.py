@@ -12,7 +12,7 @@ import numpy as np
 
 from .dynamics import HermitianPropagator
 from .errors import BasisMismatchError, CalibrationError, ZeroSignalError
-from .operators import HermitianOperator, OperatorFamily
+from .operators import SLICE_ENTRIES, HermitianOperator, OperatorFamily
 from .spin import DickeBasis, build_spin_family, spin_family_size
 from .states import QuantumState, check_same_basis
 
@@ -22,10 +22,6 @@ from .states import QuantumState, check_same_basis
 # their sensitivity
 GAMMA_EPS_REL = 1e-12
 KERNEL_LEAK_TOL = 1e-8
-# entries (complex, 256 KB) in one piece of the centered row table: the
-# centering walks it in row chunks of at least one row, the Gram product in
-# column slices, whose partition fixes the bits of Z and must not move
-SLICE_ENTRIES = 16384
 
 
 def _centered_rows(state: QuantumState, family: OperatorFamily):

@@ -16,6 +16,10 @@ HERMITICITY_ATOL = 1e-12
 # members built on demand) are dense dim x dim matrices, so a basis
 # dimension is bounded: at 1024 one matrix takes 16.8 MB
 MAX_DIMENSION = 1024
+# entries (complex, 256 KB) in one piece of a table walked in pieces: the
+# family gate's row pieces, and `moments._center`'s row chunks and column
+# slices, whose partition fixes the bits of its Gram matrix and must not move
+SLICE_ENTRIES = 16384
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,8 +207,10 @@ def combine(ops: Sequence[HermitianOperator], coeffs, label: str | None = None) 
 
 def _row_noise(mag: np.ndarray) -> np.ndarray:
     """e_k = eps (2w+2) max_i sum_j |H_k|_ij from the entry magnitudes of a
-    family's bands: it bounds the rounding of a row (H_k - <H_k>) S, ||S||_F = 1."""
-    row_sums = mag @ np.ones(mag.shape[2])  # a matmul: a sum over the short band axis is slow
+    family's bands: it bounds the rounding of a row (H_k - <H_k>) S, ||S||_F = 1.
+    A row sum beyond float range is an infinite e_k, with no warning."""
+    with np.errstate(over="ignore"):
+        row_sums = mag @ np.ones(mag.shape[2])  # a matmul: a sum over the short band axis is slow
     return np.finfo(float).eps * (mag.shape[2] + 1) * row_sums.max(axis=0)
 
 
@@ -220,7 +226,8 @@ class OperatorFamily:
     `tuple(fam)` for all of them) and kept only by the caller.  Each member
     must pass the Hermiticity rule of `HermitianOperator` against its band
     adjoint; the family keeps the exact H_k / 2 + H_k^dagger / 2 in its own array.
-    member_noise holds each member's rounding bound e_k, formed on first read.
+    member_noise holds each member's rounding bound e_k (see `_row_noise`),
+    formed by the gate from the magnitudes of the input bands it reads.
     """
 
     bands: np.ndarray
@@ -249,13 +256,12 @@ class OperatorFamily:
         if len(bad):
             raise ValueError(f"family member {bad[0]} ({self.labels[bad[0]]!r}) is not Hermitian "
                              f"(max residue {resid[bad[0]]:.2e})")
-        if resid.any():  # the kept H / 2 + H^dagger / 2 is not the input: e_k from the input now
-            self.__dict__["member_noise"] = _row_noise(mag)
+        object.__setattr__(self, "member_noise", _row_noise(mag))
         # H / 2 + H^dagger / 2 has exactly conjugate entries, and a finite H
         # gives a finite sum, which (H + H^dagger) / 2 does not above DBL_MAX / 2;
-        # added in row pieces of 16384 entries, so no temporary as large as the bands
+        # added in row pieces of SLICE_ENTRIES entries
         herm /= 2
-        step = max(1, 16384 // (bands.shape[1] * bands.shape[2]))
+        step = max(1, SLICE_ENTRIES // (bands.shape[1] * bands.shape[2]))
         for i in range(0, len(bands), step):
             herm[i:i + step] += bands[i:i + step] / 2
         herm.setflags(write=False)
@@ -286,13 +292,6 @@ class OperatorFamily:
     def __getitem__(self, idx: int) -> HermitianOperator:
         k = range(len(self))[idx]
         return HermitianOperator(dense_matrix(self.bands[:, k]), self.labels[k], self.degrees[k])
-
-    @functools.cached_property
-    def member_noise(self) -> np.ndarray:
-        """Each member's rounding bound e_k (see `_row_noise`), formed on
-        first read: only a centered family needs it.  An exactly Hermitian
-        input is kept bit for bit, so its e_k are those of the input."""
-        return _row_noise(np.abs(self.bands))
 
     @property
     def dim(self) -> int:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -35,82 +36,66 @@ class QuantumState:
     mixed states share one code path.
     A full-rank factor whose smallest eigenvalues form a floor, such as a
     white-noise mixture, is split once, where it is made, as
-    rho = lambda0 I + S' S'^dagger (`spectral_floor`).  The state owns that
-    decision, and a state that carries a split is read through it by every
-    band reader: the moment table and `f_max_density` table
-    [S' | sqrt(lambda0) I], never S.
+    rho = lambda0 I + S' S'^dagger when `spectral_floor`'s rules keep it.  A
+    state that carries a split is read through it by every band reader: the
+    moment table and `f_max_density` table [S' | sqrt(lambda0) I], never S.
     A unitary keeps the floor, U rho U^dagger = lambda0 I + (U S')(U S')^dagger,
-    so `_rotated` carries the split by rotating S' alone and forms the D x D
-    factor U S only when `factor` is first read (the dense-operator paths:
-    expectation values, `density_matrix`, `qfi`, `classical_fisher`,
-    `chi2_error_propagation`, the estimator).
-    Instances are immutable.
+    so `_rotated` carries the split by rotating S' alone and defers the
+    D x D factor U S to the first read of `factor` (the dense-operator
+    paths: expectation values, `density_matrix`, `qfi`, `classical_fisher`,
+    `chi2_error_propagation`, the estimator).  Instances are immutable.
     """
 
     def __init__(self, basis_tag: str, factor):
-        object.__setattr__(self, "basis_tag", basis_tag)
-        # a copy: the state neither aliases nor freezes the caller's array
-        self._settle(np.array(factor, dtype=complex), rotate=True, split=True)
+        s = np.array(factor, dtype=complex)  # a copy: the caller's array is neither aliased nor frozen
+        if s.ndim != 2 or s.shape[1] < 1:
+            raise ValueError("state factor must be a matrix with at least one column")
+        if not _is_unit(norm := np.linalg.norm(s)):
+            raise ValueError(f"state norm {float(norm)!r} is not 1")
+        if s.shape[1] > 1:
+            s = s @ np.linalg.eigh(s.conj().T @ s)[1]
+        self._hold(basis_tag, s, spectral_floor(s))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {name!r}: a QuantumState is immutable")
 
-    def _settle(self, s: np.ndarray, rotate: bool, split: bool) -> None:
-        if s.ndim != 2 or s.shape[1] < 1:
-            raise ValueError("state factor must be a matrix with at least one column")
-        norm = np.linalg.norm(s)
-        if not abs(norm - 1.0) <= PURE_NORM_ATOL:  # written so that NaN fails
-            raise ValueError(f"state norm {float(norm)!r} is not 1")
-        if rotate and s.shape[1] > 1:
-            s = s @ np.linalg.eigh(s.conj().T @ s)[1]
-        s.setflags(write=False)
-        floor = spectral_floor(s) if split else None
-        # kept only at unit trace, as evolution checks it: the floor columns
-        # taken as exactly lambda0 may add up to more than a norm's rounding
-        if floor is not None and abs(_split_norm(*floor) - 1.0) <= PURE_NORM_ATOL:
-            floor[1].setflags(write=False)
-        else:
-            floor = None
-        object.__setattr__(self, "_factor", s)
-        object.__setattr__(self, "_floor", floor)
+    def _hold(self, basis_tag: str, factor, floor, source=None) -> None:
+        """Every constructor's end: set the parts and freeze the arrays.  A
+        deferred factor (None) has the source (root, rotations)."""
+        for array in (factor, floor and floor[1]):
+            if array is not None:
+                array.setflags(write=False)
+        for name, value in dict(basis_tag=basis_tag, _factor=factor, _floor=floor, _source=source).items():
+            object.__setattr__(self, name, value)
 
     @property
     def factor(self) -> np.ndarray:
         """The factor S, read-only.  An evolved state with a floor forms it
-        here, once, by the rotations since the nearest earlier state that
-        holds its factor, in order (a loop, so a long chain of evolutions
-        needs no deep recursion)."""
+        here, once, by its rotations in order on the factor of its root, the
+        last state that held one; no intermediate state is kept for it."""
         if self._factor is None:
-            rotations, state = [], self
-            while state._factor is None:
-                state, rotate = state._source
-                rotations.append(rotate)
-            s = state._factor
-            for rotate in reversed(rotations):
-                s = rotate(s)
-            s.setflags(write=False)
-            object.__setattr__(self, "_factor", s)
-            object.__setattr__(self, "_source", None)  # the parent is no longer needed
+            root, rotations = self._source
+            self._hold(self.basis_tag, functools.reduce(lambda s, rot: rot(s), rotations, root), self._floor)
         return self._factor
 
     def _rotated(self, rotate) -> "QuantumState":
         """This state under a unitary U, given as rotate(S) = U S for a
         factor of any number of columns.  U S has the Gram matrix of S, so it
         stays in its eigenframe, and a split (lambda0, S') becomes
-        (lambda0, U S'): only S' is rotated here, and the factor on its first
-        read.  The split's trace D lambda0 + ||U S'||^2 must be 1, as the
-        norm of a factor."""
-        state = QuantumState.__new__(QuantumState)
-        object.__setattr__(state, "basis_tag", self.basis_tag)
+        (lambda0, U S'): only S' is rotated here, and rotate is appended to
+        the rotations that the factor replays on its first read.  The norm
+        of U S, or the split's sqrt(D lambda0 + ||U S'||^2), must be 1."""
         if self._floor is None:
-            state._settle(rotate(self.factor), rotate=False, split=False)
-            return state
-        floor = self._floor[0], rotate(self._floor[1])
-        if not abs((norm := _split_norm(*floor)) - 1.0) <= PURE_NORM_ATOL:  # written so that NaN fails
-            raise ValueError(f"state norm {norm!r} is not 1")
-        floor[1].setflags(write=False)
-        for name, value in (("_factor", None), ("_floor", floor), ("_source", (self, rotate))):
-            object.__setattr__(state, name, value)
+            factor, floor, source = rotate(self.factor), None, None
+            norm = np.linalg.norm(factor)
+        else:
+            factor, floor = None, (self._floor[0], rotate(self._floor[1]))
+            root, rotations = self._source if self._factor is None else (self._factor, ())
+            source, norm = (root, rotations + (rotate,)), _split_norm(*floor)
+        if not _is_unit(norm):
+            raise ValueError(f"state norm {float(norm)!r} is not 1")
+        state = QuantumState.__new__(QuantumState)
+        state._hold(self.basis_tag, factor, floor, source)
         return state
 
     @classmethod
@@ -129,10 +114,10 @@ class QuantumState:
         # noise, so a pure density keeps one column
         keep = lam > _rounding_cut(rho.shape[0], lam[-1])
         s = vecs[:, keep] * np.sqrt(lam[keep])
+        s /= np.linalg.norm(s)
         # a fresh factor in its eigenframe already: kept as it is, neither copied nor rotated
         state = cls.__new__(cls)
-        object.__setattr__(state, "basis_tag", basis_tag)
-        state._settle(s / np.linalg.norm(s), rotate=False, split=True)
+        state._hold(basis_tag, s, spectral_floor(s))
         return state
 
     @property
@@ -184,10 +169,12 @@ def spectral_floor(s: np.ndarray):
     drops.  The other r' columns, rescaled by sqrt(1 - lambda0 / l), make
     S'.  The split is kept when r' + 3 < r, the columns per row of a table
     over [S' | sqrt(lambda0) I] in the band of Jx, Jy, Jz against those of
-    one over S: for a white-noise mixture of a pure state r' = 1, and a pure
-    state (r = 1) never has one.  `QuantumState` calls it once per state,
-    where its factor is made, and every band reader reads the split it
-    carries, whatever the width of its own band.
+    one over S (a white-noise mixture of a pure state has r' = 1, a pure
+    state r = 1), and when its trace D lambda0 + ||S'||^2 is 1 within a
+    norm's rounding, as evolution checks it: the floor columns taken as
+    exactly lambda0 may add up to more.  `QuantumState` calls it once per
+    state, where its factor is made, and every band reader reads the split
+    it carries, whatever the width of its own band.
     """
     dim, rank = s.shape
     if rank < dim:
@@ -197,12 +184,19 @@ def spectral_floor(s: np.ndarray):
     above = lam > lam0 + _rounding_cut(dim, lam.max())
     if np.count_nonzero(above) + 3 >= rank:
         return None
-    return lam0, s[:, above] * np.sqrt(1.0 - lam0 / lam[above])
+    s_top = s[:, above] * np.sqrt(1.0 - lam0 / lam[above])
+    return (lam0, s_top) if _is_unit(_split_norm(lam0, s_top)) else None
 
 
 def _split_norm(lam0: float, s_top: np.ndarray) -> float:
     """sqrt(tr rho) of rho = lambda0 I + S' S'^dagger: sqrt(D lambda0 + ||S'||_F^2)."""
     return math.sqrt(len(s_top) * lam0 + np.vdot(s_top, s_top).real)
+
+
+def _is_unit(norm: float) -> bool:
+    """Whether a state's norm, sqrt(tr rho), is 1 within `PURE_NORM_ATOL`
+    (written so that NaN is not)."""
+    return abs(norm - 1.0) <= PURE_NORM_ATOL
 
 
 def check_same_basis(state: QuantumState, family) -> None:

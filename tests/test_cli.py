@@ -174,7 +174,6 @@ class TestSweep:
         assert code == EXIT_OK
         assert "even particle" in err
 
-
     def test_large_n_high_order_exits_cleanly(self, capsys):
         # degree-5 means at N=100 are ~1e8, so their rounding residue must be
         # judged against the operator scale, not an absolute threshold
@@ -369,6 +368,19 @@ def test_unknown_command_is_usage_error(capsys):
     assert main(["frobnicate"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv, line", [
+    (("sweep", "--n", "3", "--steps", "2"), "OAT revival and GHZ statements assume an even particle number"),
+    (("estimate", "--n", "4", "--mu", "10", "--trials", "5"), "mu = 10 is too small for the central-limit"),
+], ids=["odd n", "small mu"])
+def test_warning_is_a_line_under_an_error_filter(capsys, argv, line):
+    # as `python -W error` sets it: the warning is still one line, not a traceback
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert err.startswith(f"warning: {line}") and err.count("\n") == 1
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
 
@@ -424,13 +436,20 @@ def test_integrity_flag_exits_2_with_a_warning(capsys, monkeypatch, argv):
     (["estimate", "--n", "16", "--window", "0"], "window must be positive, got 0.0"),
     (["estimate", "--n", "16", "--window=-1"], "window must be positive, got -1.0"),
     (["estimate", "--n", "16", "--window", "nan"], "window must be positive, got nan"),
+    # 10^17 elements: 8e17 bytes lie beyond any 64-bit address space, so the
+    # allocation fails at once, whatever the overcommit setting
+    (["sweep", "--n", "2", "--steps", "100000000000000000"], "Unable to allocate"),
+    (["estimate", "--n", "4", "--trials", "100000000000000000"], "Unable to allocate"),
+    (["sweep", "--config", "{tmp}/deep.json"], "is nested too deeply"),
 ], ids=["analyze without n", "estimate without n", "unwritable out", "sweep span beyond float range",
         "sweep from -inf", "config from -Infinity", "sweep from nan", "sweep to nan", "sweep to inf",
         "estimate window beyond float range",
         "estimate infinite window", "estimate mu beyond int64",
-        "estimate zero window", "estimate negative window", "estimate nan window"])
+        "estimate zero window", "estimate negative window", "estimate nan window",
+        "sweep steps beyond memory", "estimate trials beyond memory", "config nested too deeply"])
 def test_refusals_exit_one(capsys, tmp_path, argv, fragment):
     (tmp_path / "config.json").write_text('{"n_particles": 4, "steps": 3, "tau_start": -Infinity}')
+    (tmp_path / "deep.json").write_text("[" * 100_000)
     code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == EXIT_USAGE
     assert out == ""

@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -204,6 +205,35 @@ class TestCarriedFloor:
             assert lazy._factor is None
             assert lazy.factor.tobytes() == eager.tobytes()
             assert not lazy.factor.flags.writeable and lazy.factor is lazy.factor
+
+    def test_intermediate_states_are_freed(self):
+        # the deferred factor replays its rotations on the factor of its root,
+        # so it keeps no state between the root and itself alive
+        basis, state = _white_noise(60)
+        prop = _cached_propagator("TAT", 60)
+        middle = prop.apply(state, 0.7)
+        ref = weakref.ref(middle)
+        out = prop.apply(middle, 0.2)
+        del middle
+        assert ref() is None
+        assert out.factor.tobytes() == prop._rotate(prop._rotate(state.factor, 0.7), 0.2).tobytes()
+
+    @pytest.mark.parametrize("formed", ["before", "after"])
+    def test_chain_through_a_formed_factor_keeps_the_bytes(self, formed):
+        # the middle state forms its factor before or after the last step is
+        # applied; either way the same rotations run in the same order
+        basis, state = _white_noise(60)
+        prop = _cached_propagator("OAT", 60)
+        middle = prop.apply(state, 0.7)
+        if formed == "before":
+            middle.factor
+        out = prop.apply(middle, -1.4)
+        if formed == "after":
+            middle.factor
+        eager = prop._rotate(prop._rotate(state.factor, 0.7), -1.4)
+        assert middle._factor.tobytes() == prop._rotate(state.factor, 0.7).tobytes()
+        assert out._factor is None
+        assert out.factor.tobytes() == eager.tobytes()
 
     def test_theta_and_trace_are_checked_when_applied(self, monkeypatch):
         basis, state = _white_noise(16)

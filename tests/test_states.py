@@ -176,9 +176,10 @@ class TestCarriedSplit:
         lam = np.r_[0.5, 0.5 / (dim - 1) + np.linspace(0.0, 0.9, dim - 1) * EPS * dim * 0.5]
         lam /= lam.sum()
         state = QuantumState("test", np.diag(np.sqrt(lam)))
-        floor = spectral_floor(state.factor)
-        assert floor[1].shape == (dim, 1)
-        assert abs(dim * floor[0] + np.linalg.norm(floor[1]) ** 2 - 1.0) > 1e-11
+        # the split's trace: D lambda0 for the floor, and lambda_max - lambda0
+        # for the one column above it
+        assert abs(dim * lam.min() + (lam.max() - lam.min()) - 1.0) > 1e-11
+        assert spectral_floor(state.factor) is None
         assert state._floor is None
         out = HermitianPropagator(HermitianOperator(np.diag(np.arange(dim, dtype=float)), "H")).apply(state, 0.3)
         assert abs(np.linalg.norm(out.factor) - 1.0) <= 1e-14
