@@ -46,6 +46,9 @@ MATRIX = [
     "sweep --n 400 --kmax 5 --steps 5 --qfi --format json",
     "analyze --model TAT --n 3 --kmax 6 --tau 0.4",
     *(f"fock --n {n} --order {order}" for n in (0, 5, 60) for order in (2, 3)),
+    # the largest cv families: cutoff 1020, checked at 1024 = MAX_DIMENSION
+    "fock --n 1012",
+    "fock --n 1012 --order 2",
     "estimate --model OAT --n 16 --tau 0.1",
     # finite ends whose span overflows: one error line, no numpy warning
     "sweep --n 4 --tau-start=-1e308 --tau-end=1e308 --steps 3",

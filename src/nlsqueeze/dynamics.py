@@ -49,6 +49,9 @@ class HermitianPropagator:
             raise TypeError(f"operator must be a HermitianOperator, not {type(generator).__name__}")
         self._decompose(generator.matrix)
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a HermitianPropagator is immutable")
+
     @classmethod
     def _from_matrix(cls, h: np.ndarray) -> "HermitianPropagator":
         """The twisting propagator's path past the Hermitian gate: a real matrix stays real."""
@@ -65,9 +68,12 @@ class HermitianPropagator:
             mats = np.zeros((2, (len(h) + 1) // 2, (len(h) + 1) // 2), h.dtype)
             mats[0] = h[::2, ::2]
             mats[1, :len(h) // 2, :len(h) // 2] = h[1::2, 1::2]
-        self.dim = len(h)
-        self._evals, self._evecs = np.linalg.eigh(mats)
-        self._lam_max = float(np.abs(self._evals).max())
+        evals, evecs = np.linalg.eigh(mats)
+        for array in (evals, evecs):  # shared by `_cached_propagator`'s callers
+            array.setflags(write=False)
+        for name, value in dict(dim=len(h), _evals=evals, _evecs=evecs,
+                                _lam_max=float(np.abs(evals).max())).items():
+            object.__setattr__(self, name, value)
 
     def apply(self, state: QuantumState, theta: float) -> QuantumState:
         """exp(-i theta H) applied to the state (see `QuantumState._rotated`)."""

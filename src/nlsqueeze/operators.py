@@ -7,6 +7,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -131,7 +132,7 @@ def _band_products(f: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _level(box: tuple, n: int):
     """The multi-degrees d <= box of total degree n, by position, and the 0/1
     matrix adding F_j W(d - e_j) (row j * size + position of d - e_j one
-    level down) into W(d) (column)."""
+    level down) into W(d) (column); both read-only, as every caller shares them."""
     here = [d for d in itertools.product(*(range(m, -1, -1) for m in box)) if sum(d) == n]
     here = {d: p for p, d in enumerate(here)}
     below = _level(box, n - 1)[0] if n else {}
@@ -139,7 +140,8 @@ def _level(box: tuple, n: int):
     for d, p in here.items():
         for j in np.flatnonzero(d):
             sums[j * len(below) + below[d[:j] + (d[j] - 1,) + d[j + 1:]], p] = 1.0
-    return here, sums
+    sums.setflags(write=False)
+    return MappingProxyType(here), sums
 
 
 def symmetrized_bands(factors: np.ndarray, degrees) -> np.ndarray:
@@ -221,17 +223,18 @@ class OperatorFamily:
     bands[i, k, w + o] = H_k[i, i + o]; with band_cols[i, w + o] = i + o
     clipped into the matrix, every H_k S is in bands @ S[band_cols], at
     O(L (2w+1) D r) cost (w = K for spin monomials up to degree K).  labels
-    and degrees (monomial degree, 0 if not polynomial) hold one entry per
-    member.  A dense member is built on each access (`fam[k]`, iteration,
+    (stored as a tuple) and degrees (a tuple of monomial degrees, 0 if not
+    polynomial) hold one entry per member.  A dense member is built on each access (`fam[k]`, iteration,
     `tuple(fam)` for all of them) and kept only by the caller.  Each member
     must pass the Hermiticity rule of `HermitianOperator` against its band
     adjoint; the family keeps the exact H_k / 2 + H_k^dagger / 2 in its own array.
     member_noise holds each member's rounding bound e_k (see `_row_noise`),
     formed by the gate from the magnitudes of the input bands it reads.
+    A family is immutable, its arrays read-only, so a cached one is shared.
     """
 
     bands: np.ndarray
-    labels: list
+    labels: tuple
     degrees: tuple
     basis_tag: str
 
@@ -242,6 +245,7 @@ class OperatorFamily:
         if bands.shape[0] == 0 or bands.shape[2] % 2 == 0:
             raise ValueError(f"family bands must have the layout (dim, L, 2w+1) with dim >= 1, "
                              f"got shape {bands.shape}")
+        object.__setattr__(self, "labels", tuple(self.labels))
         if not len(self.labels) == len(self.degrees) == bands.shape[1]:
             raise ValueError("family needs one label and one degree per member")
         w = bands.shape[2] // 2
@@ -256,7 +260,9 @@ class OperatorFamily:
         if len(bad):
             raise ValueError(f"family member {bad[0]} ({self.labels[bad[0]]!r}) is not Hermitian "
                              f"(max residue {resid[bad[0]]:.2e})")
-        object.__setattr__(self, "member_noise", _row_noise(mag))
+        noise = _row_noise(mag)
+        noise.setflags(write=False)
+        object.__setattr__(self, "member_noise", noise)
         # H / 2 + H^dagger / 2 has exactly conjugate entries, and a finite H
         # gives a finite sum, which (H + H^dagger) / 2 does not above DBL_MAX / 2;
         # added in row pieces of SLICE_ENTRIES entries

@@ -13,7 +13,9 @@ from nlsqueeze import (
     qfi,
     quadrature_generator,
 )
-from nlsqueeze.operators import MAX_DIMENSION
+from nlsqueeze import operators
+from nlsqueeze.dynamics import _cached_propagator
+from nlsqueeze.operators import MAX_DIMENSION, _band_cols, _level
 
 
 def _quadratures(basis):
@@ -159,3 +161,66 @@ def test_accepts_numpy_integer_cutoffs():
 def test_refusals(make, exc, fragment):
     with pytest.raises(exc, match=fragment):
         make()
+
+
+def test_families_are_cached_per_basis():
+    for build in (build_cv_second_order_family, build_cv_third_order_family):
+        family = build(FockBasis(12))
+        assert build(FockBasis(12)) is family  # an equal basis, not the same object
+        assert build(FockBasis(np.int64(12))) is family
+        assert build(FockBasis(13)) is not family
+
+
+def test_fock_scan_reuses_families_four_problems_apart(monkeypatch):
+    # the scan of `nlsqueeze fock` over n = 0..60, in its order: per n, orders
+    # 2 then 3, each at the default cutoff n + 8 and its check at n + 12.  A
+    # cutoff c is asked for at n = c - 12 and again at n = c - 8, with 6
+    # other cutoffs of its order in between, so 57 cutoffs per order are
+    # built once for two requests
+    builds = []
+    bands = operators.symmetrized_bands
+    monkeypatch.setattr(operators, "symmetrized_bands", lambda *a: builds.append(a) or bands(*a))
+    order_builders = (build_cv_second_order_family, build_cv_third_order_family)
+    for build in order_builders:
+        build.cache_clear()
+    requests = 0
+    for n in range(61):
+        for build in order_builders:
+            for cutoff in (default_cutoff(n), default_cutoff(n) + 4):
+                build(FockBasis(cutoff))
+                requests += 1
+    assert (requests, len(builds)) == (244, 130)
+
+
+@pytest.mark.parametrize("build, closed_form", [
+    (build_cv_third_order_family, lambda n: 4 * n + 2),
+    (build_cv_second_order_family, lambda n: 1 / (n + 0.5)),
+], ids=["order 3", "order 2"])
+def test_fock_scan_grid_matches_closed_forms(build, closed_form):
+    # every problem of the scan, at both of its cutoffs and two phases
+    for phi in (0.0, 0.9):
+        direction = QuadratureDirection.from_phase(phi).as_array()
+        for n in range(61):
+            want = closed_form(n)
+            for cutoff in (default_cutoff(n), default_cutoff(n) + 4):
+                basis = FockBasis(cutoff)
+                got = chi2_inverse_opt(fock_state(basis, n), build(basis), direction).chi2_inv
+                assert abs(got - want) <= 1e-9 * want, (n, cutoff, phi)
+
+
+def test_cached_objects_are_read_only():
+    # a cached value is shared by every later caller: one write would change
+    # every later family read or evolution on that basis
+    family = build_cv_third_order_family(FockBasis(12))
+    propagator = _cached_propagator("OAT", 4)
+    positions, sums = _level((3, 3), 2)
+    for array in (family.bands, family.member_noise, propagator._evals, propagator._evecs,
+                  sums, _band_cols(12, 3)):
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+    with pytest.raises(TypeError):
+        family.labels[0] = "y"
+    with pytest.raises(AttributeError, match="immutable"):
+        propagator._evals = np.zeros_like(propagator._evals)
+    with pytest.raises(TypeError):
+        positions[(0, 2)] = 0

@@ -422,7 +422,7 @@ class TestSpinAxes:
         basis, twin = DickeBasis(9), DickeBasis(9)
         assert basis.spin_axes is basis.spin_axes
         assert twin == basis and twin.spin_axes is not basis.spin_axes
-        assert basis.spin_axes.labels == ["Jx", "Jy", "Jz"]
+        assert basis.spin_axes.labels == ("Jx", "Jy", "Jz")
         for op, member in zip(build_spin_operators(basis), basis.spin_axes, strict=True):
             assert op.label == member.label and op.matrix.tobytes() == member.matrix.tobytes()
 
@@ -471,6 +471,12 @@ class TestQfiKernel:
         basis = DickeBasis(6)
         for _ in range(5):
             self.check(random_factor(rng, 7, rank, basis.tag), basis, random_hermitian(rng, 7))
+
+    def test_factor_spanning_several_blocks(self, rng):
+        # P = S^dagger R of 3 rows over a full-rank factor of 101 columns has
+        # 30,603 entries, so f_max forms it in two blocks of the factor's columns
+        basis = DickeBasis(100)
+        self.check(random_density(rng, 101, basis.tag), basis, random_hermitian(rng, 101))
 
     def test_factor_with_zero_column(self, rng):
         basis = DickeBasis(6)

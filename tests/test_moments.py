@@ -219,6 +219,18 @@ class TestSlicedKernel:
         # the complex-times-real product of P and its weights, add 0.18 MB each
         assert f_max_peak <= 0.72e6
 
+    def test_qfi_products_stay_within_the_row_pass(self, rng):
+        # at N=200 the 3 rows of a generic full-rank state take 1.94 MB, and
+        # centering them peaks at twice that.  P = S^dagger R and its weighted
+        # copy, formed whole, took two more arrays of that size (6.6 MB peak);
+        # formed in blocks of SLICE_ENTRIES entries, they stay under the peak
+        # of the rows' own pass
+        basis = DickeBasis(200)
+        state = random_density(rng, 201, basis.tag)
+        assert spectral_floor(state.factor) is None
+        _, f_max_peak = _peaks(state, basis, build_spin_family(basis, 3))
+        assert f_max_peak <= 2.05 * 3 * state.factor.size * 16
+
     @pytest.mark.parametrize("n", [60, 200])
     def test_floored_table_stays_within_its_own_columns(self, n):
         # a noisy TAT point splits as lambda0 I + S' S'^dagger with r' = 1:

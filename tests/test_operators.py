@@ -240,10 +240,10 @@ def test_family_bands_rebuild_every_member(name):
 
 def test_family_labels_and_monomial_index():
     spin = build_spin_family(DickeBasis(3), 2)
-    assert spin.labels == ["Jx", "Jy", "Jz", "Jx^2", "S[Jx Jy]", "S[Jx Jz]",
-                           "Jy^2", "S[Jy Jz]", "Jz^2"]
+    assert spin.labels == ("Jx", "Jy", "Jz", "Jx^2", "S[Jx Jy]", "S[Jx Jz]",
+                           "Jy^2", "S[Jy Jz]", "Jz^2")
     cv = build_cv_third_order_family(FockBasis(8))
-    assert cv.labels == ["x", "p", "x^3", "S[p x^2]", "S[p^2 x]", "p^3"]
+    assert cv.labels == ("x", "p", "x^3", "S[p x^2]", "S[p^2 x]", "p^3")
 
 
 def test_family_bands_are_read_only():

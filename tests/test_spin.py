@@ -64,7 +64,7 @@ def test_family_leads_with_jx_jy_jz():
     jx, jy, jz = build_spin_operators(basis)
     for got, want in zip(fam, (jx, jy, jz)):
         assert np.abs(got.matrix - want.matrix).max() < 1e-14
-    assert fam.labels[:3] == ["Jx", "Jy", "Jz"]
+    assert fam.labels[:3] == ("Jx", "Jy", "Jz")
 
 
 def test_family_prefix_extension():
