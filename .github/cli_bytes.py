@@ -46,6 +46,10 @@ MATRIX = [
     "sweep --n 400 --kmax 5 --steps 5 --qfi --format json",
     "analyze --model TAT --n 3 --kmax 6 --tau 0.4",
     *(f"fock --n {n} --order {order}" for n in (0, 5, 60) for order in (2, 3)),
+    # the smallest cutoff that holds the cubic family: an order-2 request
+    # there builds the cubic members too
+    "fock --n 0 --cutoff 4",
+    "fock --n 0 --cutoff 4 --order 2",
     # the largest cv families: cutoff 1020, checked at 1024 = MAX_DIMENSION
     "fock --n 1012",
     "fock --n 1012 --order 2",

@@ -9,7 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import MAX_DIMENSION, HermitianOperator, OperatorFamily, dense_matrix, ladder_bands
+from .operators import (MAX_DIMENSION, HermitianOperator, OperatorFamily, _sym_label, dense_matrix,
+                        ladder_bands, symmetrized_bands)
 # symmetric_product: unused, kept for perfbench's trace targets
 from .operators import symmetric_product
 from .states import QuantumState
@@ -76,19 +77,50 @@ def quadrature_generator(basis: FockBasis, direction: QuadratureDirection) -> He
     return HermitianOperator(dense_matrix(direction.n1 * x + direction.n2 * p), "q_n", degree=1)
 
 
+# The x, p multi-degrees of total degree 1..3, and the members of each order
+_HIERARCHY = ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3))
+_SECOND_ORDER, _THIRD_ORDER = (0, 1, 2, 3, 4), (0, 1, 5, 6, 7, 8)
+
+
+@functools.lru_cache(maxsize=2)
+def _hierarchy_bands(basis: FockBasis) -> np.ndarray:
+    """Bands of the nine monomials of `_HIERARCHY`, read-only: one recursion
+    for both orders, whose levels 1 and 2 are the second-order build's bit for
+    bit.  A scan over n asks for a cutoff's cubic family in the problem after
+    the one that built its second order, and its first problem builds two
+    cutoffs, so 2 entries serve both orders (1 entry: 73 recursions for the 65
+    cutoffs of n = 0..60)."""
+    band = symmetrized_bands(_quadrature_bands(basis), _HIERARCHY)
+    band.setflags(write=False)
+    return band
+
+
+def _gated(basis: FockBasis, members) -> OperatorFamily:
+    """The family of `members` of the hierarchy's band, on the central columns
+    their top degree reaches (the band's width 3 is the top degree of all nine)."""
+    degrees = [_HIERARCHY[k] for k in members]
+    cut = 3 - max(map(sum, degrees))
+    band = _hierarchy_bands(basis)
+    # contiguous, as the gate walks it slower in the layout a fancy index leaves
+    band = np.ascontiguousarray(band[:, list(members), cut:band.shape[2] - cut])
+    labels = [_sym_label(zip(_QUADRATURES, d)) for d in degrees]
+    return OperatorFamily(band, labels, tuple(map(sum, degrees)), basis.tag)
+
+
 # Each builder keeps its last 8 families, one per basis (a frozen, hashable
-# value), and hands the same read-only family to every caller.  A scan over
-# consecutive n at `default_cutoff` with its check at cutoff + 4 requests each
-# cutoff twice, with 6 other cutoffs of the same order in between, so 7
-# entries are the least that reuse anything.  Over n = 0..60 and both orders,
-# 8 entries, like 32, answer 114 of the 244 requests without a build; they
-# added 0.8 MB to the scan's peak resident memory, and 32 added 2.7 MB.
+# value), and hands the same read-only family to every caller; both gate their
+# members from `_hierarchy_bands`, so a cutoff asked for at both orders takes
+# one recursion.  A scan over consecutive n at `default_cutoff` with its check
+# at cutoff + 4 requests each cutoff twice per order, with 6 other cutoffs of
+# that order in between, so 7 entries are the least that reuse anything.  Over
+# n = 0..60 and both orders, 8 entries, like 32, answer 114 of the 244
+# requests without a build, and the 130 builds take 65 recursions; 8 added
+# 0.8 MB to the scan's peak resident memory, and 32 added 2.7 MB.
 @functools.lru_cache(maxsize=8)
 def build_cv_second_order_family(basis: FockBasis) -> OperatorFamily:
     """Quadratures plus all symmetric quadratic combinations (five members),
     built once per basis and shared, read-only."""
-    return OperatorFamily.from_factors(_quadrature_bands(basis), _QUADRATURES,
-                                       [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)], basis.tag)
+    return _gated(basis, _SECOND_ORDER)
 
 
 @functools.lru_cache(maxsize=8)
@@ -97,8 +129,7 @@ def build_cv_third_order_family(basis: FockBasis) -> OperatorFamily:
     built once per basis and shared, read-only."""
     if basis.cutoff < 4:
         raise ValueError("cutoff must be >= 4 for cubic operators")
-    return OperatorFamily.from_factors(_quadrature_bands(basis), _QUADRATURES,
-                                       [(1, 0), (0, 1), (3, 0), (2, 1), (1, 2), (0, 3)], basis.tag)
+    return _gated(basis, _THIRD_ORDER)
 
 
 def default_cutoff(n: int) -> int:

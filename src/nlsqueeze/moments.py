@@ -49,7 +49,7 @@ def _centered_rows(state: QuantumState, family: OperatorFamily):
     if state._floor is None:
         s = state.factor
         rows = np.empty((len(family), *s.shape), dtype=complex)
-        np.matmul(family.bands, s[family.band_cols], out=rows.transpose(1, 0, 2))  # rows[k] = H_k S
+        _band_product(family, s, rows.transpose(1, 0, 2))  # rows[k] = H_k S
         return _center(rows, s)
     lam0, s_top = state._floor
     top, width = s_top.shape[1], family.bands.shape[2] // 2
@@ -59,9 +59,20 @@ def _centered_rows(state: QuantumState, family: OperatorFamily):
     ext[:, top + width] = root
     rows = np.empty((len(family), *ext.shape), dtype=complex)
     by_row = rows.transpose(1, 0, 2)  # by_row[i, k] = rows[k, i]
-    np.matmul(family.bands, s_top[family.band_cols], out=by_row[:, :, :top])  # H_k S'
+    _band_product(family, s_top, by_row[:, :, :top])  # H_k S'
     np.multiply(family.bands, root, out=by_row[:, :, top:])  # H_k sqrt(lambda0) I, in band layout
     return _center(rows, ext)
+
+
+def _band_product(family: OperatorFamily, s: np.ndarray, out: np.ndarray):
+    """out[i, k] = (H_k S)[i] = bands[i, k] @ S[band_cols[i]], formed in row
+    pieces of at most SLICE_ENTRIES gathered entries of S (or one row, if
+    longer).  Each row's product is its own matrix product, so the pieces
+    give the same bits as one batched product over all rows."""
+    cols = family.band_cols
+    step = max(1, SLICE_ENTRIES // (cols.shape[1] * max(1, s.shape[1])))  # S' may have no columns
+    for i in range(0, len(s), step):
+        np.matmul(family.bands[i:i + step], s[cols[i:i + step]], out=out[i:i + step])
 
 
 def _operator_rows(s: np.ndarray, *mats):

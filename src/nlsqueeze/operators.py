@@ -17,9 +17,10 @@ HERMITICITY_ATOL = 1e-12
 # members built on demand) are dense dim x dim matrices, so a basis
 # dimension is bounded: at 1024 one matrix takes 16.8 MB
 MAX_DIMENSION = 1024
-# entries (complex, 256 KB) in one piece of a table walked in pieces: the
-# family gate's row pieces, and `moments._center`'s row chunks and column
-# slices, whose partition fixes the bits of its Gram matrix and must not move
+# entries (complex, 256 KB) in one piece of a table walked in pieces: both
+# Hermitian gates' row pieces, the row pieces of `moments._centered_rows`'
+# band products, and `moments._center`'s row chunks and column slices, whose
+# partition fixes the bits of its Gram matrix and must not move
 SLICE_ENTRIES = 16384
 
 
@@ -36,23 +37,36 @@ class HermitianOperator:
     degree: int = 0
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        src = np.asarray(self.matrix)
+        if src.ndim != 2 or src.shape[0] != src.shape[1] or len(src) == 0:
             raise ValueError(f"operator {self.label!r} must be a square matrix")
+        # checked and kept in row pieces of SLICE_ENTRIES entries, each cast to
+        # complex, so the gate costs its result plus a few pieces.  Halves first:
+        # (H + H^dagger) / 2 overflows on a finite entry above DBL_MAX / 2; the
+        # adjoint is halved after conjugation, which keeps the bits of
+        # (H + H^dagger) / 2, signed zeros included, unless a half is subnormal
+        mat = np.empty(src.shape, dtype=complex)  # the caller's array is neither aliased nor changed
+        resid = scale = 0.0
+        step = max(1, SLICE_ENTRIES // len(src))
+        for i in range(0, len(src), step):
+            rows = np.asarray(src[i:i + step], dtype=complex)
+            adjoint = np.conjugate(src[:, i:i + step].T, dtype=complex)  # rows of H^dagger
+            # the result's piece holds H - H^dagger until it is formed; np.maximum,
+            # unlike max, keeps a NaN from any piece
+            resid = np.maximum(resid, np.abs(np.subtract(rows, adjoint, out=mat[i:i + step])).max())
+            scale = np.maximum(scale, np.abs(rows).max())
+            if not (resid < np.inf and scale < np.inf):
+                break  # the test below fails; halving an infinite entry would warn
+            np.divide(rows, 2, out=mat[i:i + step])
+            adjoint /= 2
+            mat[i:i + step] += adjoint
         # bound HERMITICITY_ATOL * largest entry, so the test does not depend on
         # units; a NaN entry leaves a NaN residue and an infinite one an
         # infinite bound, and both fail
-        resid = np.abs(mat - mat.conj().T).max()
-        if not resid <= HERMITICITY_ATOL * np.abs(mat).max() < np.inf:
+        if not resid <= HERMITICITY_ATOL * scale < np.inf:
             raise ValueError(
                 f"operator {self.label!r} is not Hermitian (max residue {resid:.2e})"
             )
-        # halves first: (H + H^dagger) / 2 overflows on a finite entry above
-        # DBL_MAX / 2; the adjoint is halved after conjugation, which keeps the
-        # bits of (H + H^dagger) / 2, signed zeros included, unless a half is subnormal
-        adjoint = mat.conj().T / 2
-        mat = mat / 2  # a new array: the caller's is neither aliased nor changed
-        mat += adjoint
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
         if self.degree < 0:

@@ -13,9 +13,9 @@ from nlsqueeze import (
     qfi,
     quadrature_generator,
 )
-from nlsqueeze import operators
+from nlsqueeze import cv
 from nlsqueeze.dynamics import _cached_propagator
-from nlsqueeze.operators import MAX_DIMENSION, _band_cols, _level
+from nlsqueeze.operators import MAX_DIMENSION, OperatorFamily, _band_cols, _level
 
 
 def _quadratures(basis):
@@ -171,25 +171,47 @@ def test_families_are_cached_per_basis():
         assert build(FockBasis(13)) is not family
 
 
+@pytest.mark.parametrize("cutoffs", [range(2, 81), [1020, 1024]], ids=["2..80", "1020, 1024"])
+def test_shared_hierarchy_gives_each_order_its_own_build(cutoffs):
+    # both orders are gated from one band of the nine x, p multi-degrees of
+    # total degree 1..3; each must be the family its own recursion gave
+    orders = [(build_cv_second_order_family, [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]),
+              (build_cv_third_order_family, [(1, 0), (0, 1), (3, 0), (2, 1), (1, 2), (0, 3)])]
+    for cutoff in cutoffs:
+        basis = FockBasis(cutoff)
+        for build, degrees in orders[:1 if cutoff < 4 else 2]:
+            got = build(basis)
+            want = OperatorFamily.from_factors(cv._quadrature_bands(basis), ("x", "p"), degrees, basis.tag)
+            assert got.bands.shape == want.bands.shape, (cutoff, degrees)
+            assert got.bands.tobytes() == want.bands.tobytes(), (cutoff, degrees)  # sign bits too
+            assert got.member_noise.tobytes() == want.member_noise.tobytes(), (cutoff, degrees)
+            assert (got.labels, got.degrees, got.basis_tag) == (want.labels, want.degrees, want.basis_tag)
+    with pytest.raises(ValueError, match="cutoff must be >= 4"):
+        build_cv_third_order_family(FockBasis(3))
+    with pytest.raises(ValueError, match="read-only"):  # the shared band is cached too
+        cv._hierarchy_bands(FockBasis(12))[...] = 0
+
+
 def test_fock_scan_reuses_families_four_problems_apart(monkeypatch):
     # the scan of `nlsqueeze fock` over n = 0..60, in its order: per n, orders
     # 2 then 3, each at the default cutoff n + 8 and its check at n + 12.  A
     # cutoff c is asked for at n = c - 12 and again at n = c - 8, with 6
     # other cutoffs of its order in between, so 57 cutoffs per order are
-    # built once for two requests
+    # built once for two requests; both orders of a cutoff are gated from one
+    # recursion, so the 65 cutoffs 8..72 take 65
     builds = []
-    bands = operators.symmetrized_bands
-    monkeypatch.setattr(operators, "symmetrized_bands", lambda *a: builds.append(a) or bands(*a))
+    bands = cv.symmetrized_bands
+    monkeypatch.setattr(cv, "symmetrized_bands", lambda *a: builds.append(a) or bands(*a))
     order_builders = (build_cv_second_order_family, build_cv_third_order_family)
-    for build in order_builders:
-        build.cache_clear()
+    for cache in (*order_builders, cv._hierarchy_bands):
+        cache.cache_clear()
     requests = 0
     for n in range(61):
         for build in order_builders:
             for cutoff in (default_cutoff(n), default_cutoff(n) + 4):
                 build(FockBasis(cutoff))
                 requests += 1
-    assert (requests, len(builds)) == (244, 130)
+    assert (requests, len(builds)) == (244, 65)
 
 
 @pytest.mark.parametrize("build, closed_form", [

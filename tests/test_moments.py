@@ -231,6 +231,25 @@ class TestSlicedKernel:
         _, f_max_peak = _peaks(state, basis, build_spin_family(basis, 3))
         assert f_max_peak <= 2.05 * 3 * state.factor.size * 16
 
+    def test_band_product_gathers_one_row_piece_at_a_time(self, rng):
+        # at N=200 the Jx, Jy, Jz rows of a generic full-rank state take
+        # 1.94 MB (3 D^2 complex entries); their operand S[band_cols],
+        # gathered whole, was as large again (3.88 MB peak).  Gathered in row
+        # pieces of SLICE_ENTRIES entries, the peak is the rows plus `_center`'s
+        # own temporaries: one row chunk of D^2 entries, and the raveled copy
+        # of this factor, which is not C-contiguous (D^2 entries)
+        basis = DickeBasis(200)
+        state = random_density(rng, 201, basis.tag)
+        assert spectral_floor(state.factor) is None
+        _centered_rows(state, basis.spin_axes)
+        tracemalloc.start()
+        try:
+            _centered_rows(state, basis.spin_axes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.01 * 5 * state.factor.size * 16
+
     @pytest.mark.parametrize("n", [60, 200])
     def test_floored_table_stays_within_its_own_columns(self, n):
         # a noisy TAT point splits as lambda0 I + S' S'^dagger with r' = 1:

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -17,7 +18,7 @@ from nlsqueeze import (
     symmetric_product,
 )
 from nlsqueeze.cv import _quadrature_bands
-from nlsqueeze.operators import HERMITICITY_ATOL, _bands_of, dense_matrix, symmetrized_bands
+from nlsqueeze.operators import HERMITICITY_ATOL, SLICE_ENTRIES, _bands_of, dense_matrix, symmetrized_bands
 from nlsqueeze.spin import _monomial_degrees, _spin_bands
 
 from conftest import random_hermitian
@@ -62,6 +63,41 @@ def test_both_gates_keep_a_finite_entry_near_dbl_max(mat, noise_is_inf):
     for kept in (HermitianOperator(mat, "big").matrix, dense_matrix(family.bands[:, 0])):
         assert np.isfinite(kept).all() and np.array_equal(kept, mat)
     assert np.isinf(family.member_noise[0]) == noise_is_inf
+
+
+@pytest.mark.parametrize("dtype", [complex, float])
+def test_hermitian_gate_costs_its_result_plus_a_few_pieces(dtype):
+    # at D = 401 the kept matrix takes 2.57 MB.  Checked and halved whole, the
+    # gate peaked at 5.28 MB for a complex input and at 7.85 MB for a real one
+    # (as `twisting_generator` passes it), cast to complex whole; in row pieces
+    # of SLICE_ENTRIES entries, a few pieces' temporaries come on top of the
+    # result, which keeps the bits of the whole-matrix H / 2 + H^dagger / 2
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(401, 401)) + 1j * rng.normal(size=(401, 401))
+    mat = a + a.conj().T if dtype is complex else a.real + a.real.T
+    zeros = rng.random(mat.shape) < 0.1
+    mat[zeros | zeros.T] *= -0.0  # signed zeros, in the imaginary parts too
+    HermitianOperator(mat, "H")
+    tracemalloc.start()
+    try:
+        kept = HermitianOperator(mat, "H").matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= kept.nbytes + 4 * SLICE_ENTRIES * 16
+    whole = np.asarray(mat, dtype=complex)
+    assert kept.tobytes() == (whole / 2 + whole.conj().T / 2).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["NaN", "inf"])
+@pytest.mark.parametrize("row", [1, 210, 419], ids=["first piece", "middle piece", "last piece"])
+def test_hermitian_gate_fails_a_non_finite_entry_in_any_piece(bad, row):
+    # at D = 420 a piece holds 39 rows; the entry and its mirror lie in one
+    # piece, off the diagonal, where an infinite entry leaves an infinite residue
+    mat = np.diag(np.arange(420.0))
+    mat[row, row - 1] = bad
+    with pytest.raises(ValueError, match="not Hermitian"):
+        HermitianOperator(mat, "bad")
 
 
 @pytest.mark.parametrize("axis", [0, 1], ids=["Jx", "Jy"])
