@@ -114,11 +114,16 @@ def _signal(x: np.ndarray, h: np.ndarray, floor: float = 0.0):
     Returns None when the commutator is no signal: zero, or below 1e-12 of
     its Robertson bound 2 sqrt(Var X Var H), or when ||x|| is within
     `floor`, the rounding error of the row x, so that both quotient terms
-    are noise.
+    are noise.  Raises ValueError when Var X Var H or the squared commutator
+    overflows: the bound and the callers' quotients cannot be formed.
     """
     var_x = np.vdot(x, x).real
     comm = 2.0 * abs(np.vdot(x, h).imag)
-    if var_x > floor * floor and comm > 1e-12 * 2.0 * math.sqrt(var_x * np.vdot(h, h).real):
+    # products of Python floats: one beyond float range is inf, with no warning
+    product = float(var_x) * float(np.vdot(h, h).real)
+    if math.isinf(product) or math.isinf(float(comm) * float(comm)):
+        raise ValueError("second moments overflow the float range: rescale the operators")
+    if var_x > floor * floor and comm > 1e-12 * 2.0 * math.sqrt(product):
         return var_x, comm
     return None
 
@@ -195,6 +200,12 @@ def moment_matrix(gamma: np.ndarray, c: np.ndarray) -> MomentData:
     covariance with eigenvalue <= GAMMA_EPS_REL * lambda_max are dropped;
     their commutator leakage is recorded (not raised) on the returned
     MomentData.
+
+    This is the gate for a caller's matrices: they must be square, of equal
+    size, finite and symmetric (gamma) or skew-symmetric (c) within 1e-10
+    of their largest entry.  An exactly (skew-)symmetric input is copied,
+    any other one symmetrized.  `moment_data` and `chi2_inverse_opt` pass
+    the table the row kernel builds straight to the solve.
     """
     gamma = np.asarray(gamma, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -210,7 +221,12 @@ def moment_matrix(gamma: np.ndarray, c: np.ndarray) -> MomentData:
     # an exactly (skew-)symmetric input is its own symmetric part: keep a copy
     gamma = gamma.copy() if gamma_residue == 0.0 else (gamma + gamma.T) / 2
     c = c.copy() if c_residue == 0.0 else (c - c.T) / 2
+    return _moment_matrix(gamma, c)
 
+
+def _moment_matrix(gamma: np.ndarray, c: np.ndarray) -> MomentData:
+    """The solve of `moment_matrix`, unchecked: gamma and c must be finite
+    and exactly symmetric and skew-symmetric; the result keeps them."""
     dev = np.sqrt(np.maximum(gamma.diagonal(), 0.0))
     scales = 1.0 / np.where(dev > 0.0, dev, 1.0)
     gamma_eq = gamma * scales[:, None] * scales
@@ -235,9 +251,20 @@ def moment_matrix(gamma: np.ndarray, c: np.ndarray) -> MomentData:
     return MomentData(gamma, c, m, retained, leakage, scales, c_norm)
 
 
+def _table_moments(state: QuantumState, family: OperatorFamily):
+    """(rows, MomentData) of one state and family.  `_family_moments` makes
+    its table exactly (skew-)symmetric, so of `moment_matrix`'s checks only
+    finiteness is left to test; a table that fails it goes to the gate,
+    which raises its own message for the first non-finite matrix."""
+    rows, gamma, c = _family_moments(state, family)
+    if np.isfinite(gamma).all() and np.isfinite(c).all():
+        return rows, _moment_matrix(gamma, c)
+    return rows, moment_matrix(gamma, c)
+
+
 def moment_data(state: QuantumState, family: OperatorFamily) -> MomentData:
     """Covariance, commutator and moment matrices for one state and family."""
-    return moment_matrix(*_family_moments(state, family)[1:])
+    return _table_moments(state, family)[1]
 
 
 def principal_eigenpair(matrix: np.ndarray):
@@ -273,10 +300,11 @@ def _measurement(md: MomentData, n_full: np.ndarray) -> np.ndarray:
     `optimal_measurement`, which checks the input)."""
     scales = md.scales
     cn_eq = scales * (md.c @ n_full)  # equilibrated signal vector C' n'
-    if np.linalg.norm(cn_eq) <= 1e-14 * max(1.0, md.c_norm):
+    # sqrt(x @ x) is what np.linalg.norm computes for a real vector
+    if math.sqrt(cn_eq @ cn_eq) <= 1e-14 * max(1.0, md.c_norm):
         raise ZeroSignalError("C n vanishes: zero sensitivity for this generator")
     m = scales * (md.retained @ (md.retained.T @ cn_eq))
-    norm = np.linalg.norm(m)
+    norm = math.sqrt(m @ m)
     if norm == 0.0:
         raise ZeroSignalError("C n lies outside the retained covariance subspace")
     return m / norm
@@ -306,10 +334,15 @@ def optimize_generator(md: MomentData, generator_slots):
     matrix on generator_slots, which must be distinct member indices.
     """
     slots = list(generator_slots)
-    valid = all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) and 0 <= i < md.size for i in slots)
-    if not (slots and valid and len(set(slots)) == len(slots)):
-        raise ValueError(f"generator_slots must be distinct integers in 0..{md.size - 1}")
+    _check_slots(slots, md.size)
     return principal_eigenpair(md.m_matrix[slots][:, slots])
+
+
+def _check_slots(slots: list, size: int):
+    """Refuse generator slots that are not distinct member indices."""
+    valid = all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) and 0 <= i < size for i in slots)
+    if not (slots and valid and len(set(slots)) == len(slots)):
+        raise ValueError(f"generator_slots must be distinct integers in 0..{size - 1}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -373,7 +406,10 @@ def chi2_inverse_opt(state: QuantumState, family: OperatorFamily, n_coeffs,
 
     n_coeffs is a unit vector over the generator candidate slots (default:
     the degree-1 family members); the measurement is optimized analytically
-    over the full family.
+    over the full family.  The table is the one `moment_data` solves, tested
+    for finiteness only (the row kernel makes it exactly symmetric), and
+    lambda_max is the top eigenvalue of M on the slots alone: the bits of
+    `optimize_generator`'s, without choosing its vector.
     """
     slots = list(generator_slots) if generator_slots is not None else family.linear_slots()
     n_coeffs = np.asarray(n_coeffs, dtype=float)
@@ -381,9 +417,10 @@ def chi2_inverse_opt(state: QuantumState, family: OperatorFamily, n_coeffs,
         raise ValueError("n_coeffs length must match the generator slots")
     if not abs(np.linalg.norm(n_coeffs) - 1.0) <= 1e-10:  # NaN fails too
         raise ValueError("generator direction must be a unit vector")
-    rows, gamma, c = _family_moments(state, family)
-    md = moment_matrix(gamma, c)
-    lam = optimize_generator(md, slots)[1]  # also checks the slots
+    rows, md = _table_moments(state, family)
+    _check_slots(slots, md.size)
+    block = md.m_matrix[slots][:, slots]
+    lam = float(np.linalg.eigh((block + block.T) / 2)[0][-1])  # as `principal_eigenpair` forms it
     return _squeeze(md, rows, slots, n_coeffs, lam)
 
 

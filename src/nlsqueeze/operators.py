@@ -96,8 +96,10 @@ def _diagonals(dim: int, width: int):
 
 @functools.lru_cache(maxsize=32)
 def _band_cols(dim: int, width: int) -> np.ndarray:
-    """Column indices i + o of the band layout, clipped into the matrix."""
-    cols = np.clip(np.arange(dim)[:, None] + np.arange(-width, width + 1), 0, dim - 1)
+    """Column indices i + o of the band layout, clipped into the matrix (by
+    hand: `np.clip`'s Python wrapper costs more than the table at these sizes)."""
+    cols = np.arange(dim)[:, None] + np.arange(-width, width + 1)
+    np.minimum(np.maximum(cols, 0, out=cols), dim - 1, out=cols)
     cols.setflags(write=False)
     return cols
 

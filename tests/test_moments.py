@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from nlsqueeze import (
     coherent_spin_state_z,
     combine,
     covariance_matrix,
+    cv,
     entanglement_bound,
     evolve,
     fock_state,
@@ -748,18 +750,23 @@ class TestGeneratorOptimization:
         assert lam == 3.0
         assert np.abs(n_opt - [1.0, 0.0, 0.0]).max() < 1e-14
 
-    @pytest.mark.parametrize("slots, n_vec", [([0, 0], [0.6, 0.8]), ([-1], [1.0]), ([9], [1.0])],
-                             ids=["repeated", "negative", "beyond"])
+    @pytest.mark.parametrize("slots, n_vec", [([0, 0], [0.6, 0.8]), ([-1], [1.0]), ([9], [1.0]),
+                                              ([True], [1.0]), ([], [])],
+                             ids=["repeated", "negative", "beyond", "bool", "empty"])
     def test_rejects_invalid_slots(self, slots, n_vec):
         # unchecked, [0, 0] reported the direction [0.6, 0.8] but measured
-        # 0.8 Jx alone, [-1] used Jz^2, and [9] raised an IndexError
+        # 0.8 Jx alone, [-1] used Jz^2, and [9] raised an IndexError; an
+        # empty direction is refused as no unit vector before its slots
         basis = DickeBasis(8)
         state = evolve(coherent_spin_state_z(basis), EvolutionSpec("OAT", 0.3))
         fam = build_spin_family(basis, 2)
-        with pytest.raises(ValueError, match="distinct integers in 0..8"):
+        message = "generator_slots must be distinct integers in 0..8"
+        with pytest.raises(ValueError) as caught:
             optimize_generator(moment_data(state, fam), slots)
-        with pytest.raises(ValueError, match="distinct integers"):
+        assert str(caught.value) == message
+        with pytest.raises(ValueError) as caught:
             chi2_inverse_opt(state, fam, n_vec, generator_slots=slots)
+        assert str(caught.value) == (message if slots else "generator direction must be a unit vector")
 
     def test_degenerate_top_prefers_smallest_leading_index(self):
         vec, lam = principal_eigenpair(np.eye(4))
@@ -994,6 +1001,142 @@ class TestChi2:
                 + (1 - lam) * chi2_inverse_opt(rho2, fam, n_vec).chi2_inv
             )
             assert lhs <= rhs + 1e-9
+
+    @staticmethod
+    def _scaled_problem(scale):
+        rng = np.random.default_rng(0)
+        family = random_family(rng, 6, 6)
+        family = OperatorFamily(family.bands * scale, family.labels, family.degrees, family.basis_tag)
+        return random_pure_state(rng, 6), family
+
+    def test_large_operators_keep_their_signal(self):
+        # at 1e50 the second moments reach 1e100 and their products 1e200:
+        # chi^-2 scales as the square of the operators, the error-propagation
+        # parameter as the inverse square
+        state, unit = self._scaled_problem(1.0)
+        _, large = self._scaled_problem(1e50)
+        n_vec = [0.6, 0.8, 0.0, 0.0, 0.0, 0.0]
+        want = chi2_inverse_opt(state, unit, n_vec).chi2_inv
+        assert want > 0.0
+        assert chi2_inverse_opt(state, large, n_vec).chi2_inv == pytest.approx(1e100 * want, rel=1e-12)
+        want = chi2_error_propagation(state, unit[0], unit[1])
+        assert chi2_error_propagation(state, large[0], large[1]) == pytest.approx(1e-100 * want, rel=1e-12)
+
+    def test_overflowing_second_moments_are_refused(self):
+        # at 1e100 Var X Var H overflows: the Robertson bound became inf, so
+        # the solve reported "no signal" (chi2_inv 0.0, ZeroSignalError), with
+        # numpy overflow warnings, where chi^-2 is finite
+        state, family = self._scaled_problem(1e100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow the float range"):
+                chi2_inverse_opt(state, family, [0.6, 0.8, 0.0, 0.0, 0.0, 0.0])
+            with pytest.raises(ValueError, match="overflow the float range"):
+                chi2_error_propagation(state, family[0], family[1])
+
+
+def _public_chain(state, family, n_coeffs, slots):
+    """`chi2_inverse_opt` written out through the public gate and generator
+    optimization: moment_matrix -> optimize_generator -> _squeeze."""
+    rows, gamma, c = moments_of(state, family)
+    md = moment_matrix(gamma, c)
+    lam = optimize_generator(md, slots)[1]
+    return moments._squeeze(md, rows, slots, np.asarray(n_coeffs, dtype=float), lam)
+
+
+class TestFixedGeneratorSolve:
+    """`chi2_inverse_opt` solves the table `_family_moments` builds without
+    the public gate's residue checks and reads only the top eigenvalue of
+    its slot block, yet gives the public chain's bits in every field."""
+
+    @staticmethod
+    def _assert_chain_bits(state, family, n_coeffs, slots=None):
+        got = chi2_inverse_opt(state, family, n_coeffs, generator_slots=slots)
+        want = _public_chain(state, family, n_coeffs, family.linear_slots() if slots is None else list(slots))
+        assert np.float64(got.chi2_inv).tobytes() == np.float64(want.chi2_inv).tobytes()
+        assert got.lambda_max == want.lambda_max and type(got.lambda_max) is float
+        assert got.n_coeffs.tobytes() == want.n_coeffs.tobytes()
+        assert (got.m_coeffs is None) == (want.m_coeffs is None)
+        if want.m_coeffs is not None:
+            assert got.m_coeffs.tobytes() == want.m_coeffs.tobytes()
+        assert got.kernel_leakage == want.kernel_leakage
+        assert _moment_bytes(got.moments) == _moment_bytes(want.moments)
+        assert _moment_bytes(moment_data(state, family)) == _moment_bytes(want.moments)
+        return got
+
+    @pytest.mark.parametrize("phase", [0.0, 0.7])
+    def test_fock_states(self, phase):
+        direction = cv.QuadratureDirection.from_phase(phase).as_array()
+        signals = 0
+        for n in range(61):
+            for pad in (8, 12):
+                basis = FockBasis(n + pad)
+                for family in (build_cv_second_order_family(basis), build_cv_third_order_family(basis)):
+                    signals += self._assert_chain_bits(fock_state(basis, n), family, direction).m_coeffs is not None
+        assert signals == 61 * 2 * 2
+
+    def test_coherent_states(self):
+        basis = FockBasis(24)
+        for alpha in (0.0, 0.5, 1.0 + 0.5j, -1.5j):
+            for family in (build_cv_second_order_family(basis), build_cv_third_order_family(basis)):
+                for phase in (0.0, 0.3, 2.0):
+                    direction = cv.QuadratureDirection.from_phase(phase).as_array()
+                    self._assert_chain_bits(cv.coherent_state(basis, alpha), family, direction)
+
+    @pytest.mark.parametrize("slots", [[0, 1, 2], [2, 0], [3, 5, 8], [1, 7, 11, 18]])
+    def test_random_spin_states(self, rng, slots):
+        basis = DickeBasis(12)
+        family = build_spin_family(basis, 3)
+        dim = basis.dimension
+        states = [random_pure_state(rng, dim, basis.tag), random_density(rng, dim, basis.tag),
+                  random_density(rng, dim, basis.tag, rank=3),
+                  evolve(coherent_spin_state_z(basis), EvolutionSpec("OAT", np.pi / 2))]
+        for state in states:
+            n_vec = rng.normal(size=len(slots))
+            self._assert_chain_bits(state, family, n_vec / np.linalg.norm(n_vec), slots)
+            self._assert_chain_bits(state, family, np.eye(len(slots))[0], slots)
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"gamma": np.nan}, "gamma is not a finite symmetric matrix"),
+        ({"gamma": np.inf, "c": np.nan}, "gamma is not a finite symmetric matrix"),
+        ({"c": -np.inf}, "c is not a finite skew-symmetric matrix"),
+    ], ids=["gamma", "both", "c"])
+    def test_a_non_finite_table_gets_the_gates_message(self, monkeypatch, bad, message):
+        _, state, family = css_and_linear_family(8)
+        rows, gamma, c = moments_of(state, family)
+        tables = {"gamma": gamma, "c": c}
+        for name, value in bad.items():
+            tables[name][0, 1] = tables[name][1, 0] = value
+        monkeypatch.setattr(moments, "_family_moments", lambda *_: (rows, gamma, c))
+        solves = (lambda: moment_matrix(gamma, c), lambda: moment_data(state, family),
+                  lambda: chi2_inverse_opt(state, family, [1.0, 0.0, 0.0]))
+        with np.errstate(invalid="ignore"):  # the gate's residue of an infinite entry
+            for solve in solves:
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    solve()
+
+    def test_an_overflowing_family_gets_the_gates_message(self):
+        # members of 1e160: the Gram matrix overflows before any signal is formed
+        _, state, family = css_and_linear_family(8)
+        huge = OperatorFamily(family.bands * 1e160, family.labels, family.degrees, family.basis_tag)
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError, match="^gamma is not a finite symmetric matrix$"):
+                moment_matrix(*moments_of(state, huge)[1:])
+            with pytest.raises(ValueError, match="^gamma is not a finite symmetric matrix$"):
+                chi2_inverse_opt(state, huge, [1.0, 0.0, 0.0])
+
+    def test_solve_runs_neither_the_gate_nor_the_vector_selection(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("called")
+
+        monkeypatch.setattr(moments, "moment_matrix", refuse)
+        monkeypatch.setattr(moments, "principal_eigenpair", refuse)
+        basis = FockBasis(13)
+        res = chi2_inverse_opt(fock_state(basis, 5), build_cv_third_order_family(basis), [0.6, 0.8])
+        assert abs(res.chi2_inv - 22.0) <= 1e-9 * 22.0
+        _, state, family = css_and_linear_family(8)
+        assert chi2_inverse_opt(state, family, [1.0, 0.0, 0.0]).chi2_inv == pytest.approx(8.0)
+        assert moment_data(state, family).retained_count == 2
 
 
 class TestSpinSqueezingOrders:

@@ -18,7 +18,8 @@ from nlsqueeze import (
     symmetric_product,
 )
 from nlsqueeze.cv import _quadrature_bands
-from nlsqueeze.operators import HERMITICITY_ATOL, SLICE_ENTRIES, _bands_of, dense_matrix, symmetrized_bands
+from nlsqueeze.operators import (HERMITICITY_ATOL, SLICE_ENTRIES, _band_cols, _bands_of, dense_matrix,
+                                 symmetrized_bands)
 from nlsqueeze.spin import _monomial_degrees, _spin_bands
 
 from conftest import random_hermitian
@@ -288,6 +289,16 @@ def test_family_bands_are_read_only():
         fam.bands[0, 0, 0] = 1.0
     with pytest.raises(ValueError):
         fam.band_cols[0, 0] = 1
+
+
+def test_band_cols_are_the_clipped_offsets():
+    # the np.clip formula is the reference: the same integer table, read-only
+    for dim in range(1, 81):
+        for width in range(7):
+            want = np.clip(np.arange(dim)[:, None] + np.arange(-width, width + 1), 0, dim - 1)
+            got = _band_cols(dim, width)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert got.shape == want.shape and not got.flags.writeable
 
 
 def _upper_shift(dim):
