@@ -50,9 +50,11 @@ MATRIX = [
     # there builds the cubic members too
     "fock --n 0 --cutoff 4",
     "fock --n 0 --cutoff 4 --order 2",
-    # the largest cv families: cutoff 1020, checked at 1024 = MAX_DIMENSION
-    "fock --n 1012",
-    "fock --n 1012 --order 2",
+    # the support bound n + order + 1 at the dense limit 1024 = MAX_DIMENSION,
+    # and at its least, cutoff 3, below the cubic family's least cutoff
+    "fock --n 1020 --cutoff 1024",
+    "fock --n 1021 --order 2 --cutoff 1024",
+    "fock --n 0 --cutoff 3 --order 2",
     "estimate --model OAT --n 16 --tau 0.1",
     # finite ends whose span overflows: one error line, no numpy warning
     "sweep --n 4 --tau-start=-1e308 --tau-end=1e308 --steps 3",

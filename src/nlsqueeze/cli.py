@@ -163,47 +163,34 @@ def _run_sweep(args: argparse.Namespace) -> tuple[str | None, str, bool]:
     return cfg.output_path, "\n".join(lines) + "\n", flagged
 
 
-def _fock_result(basis: FockBasis, n: int, order: int):
-    build = build_cv_second_order_family if order == 2 else build_cv_third_order_family
-    family = build(basis)
-    state = fock_state(basis, n)
-    return chi2_inverse_opt(state, family, [1.0, 0.0]), family
-
-
 def _run_fock(args: argparse.Namespace) -> tuple[str | None, str, bool]:
-    n = args.n
+    n, order = args.n, args.order
     if n is None or n < 0:
         raise ValueError("fock needs --n >= 0")
     cutoff = args.cutoff if args.cutoff is not None else default_cutoff(n)
-    if cutoff < n + 4:
+    # a truncated quadrature acts exactly on vectors below level cutoff - 1, so
+    # from this bound on every H_k|n>, and with it gamma and C, is untruncated
+    bound = n + order + 1
+    if cutoff < bound:
         raise ValueError(
-            f"cutoff {cutoff} too small: cubic observables on |{n}> reach "
-            f"|{n + 3}>, need at least {n + 4}"
-        )
-    if cutoff + 4 > MAX_DIMENSION:
-        raise ValueError(
-            f"cutoff {cutoff} too large: the convergence check at cutoff "
-            f"{cutoff + 4} exceeds the dense limit {MAX_DIMENSION}"
+            f"cutoff {cutoff} too small: {('quadratic', 'cubic')[order - 2]} observables "
+            f"on |{n}> reach |{n + order}>, need at least {bound}"
         )
     basis = FockBasis(cutoff)
-    result, family = _fock_result(basis, n, args.order)
-    check, _ = _fock_result(FockBasis(cutoff + 4), n, args.order)
-    drift = abs(check.chi2_inv - result.chi2_inv) / max(abs(check.chi2_inv), 1e-300)
-    if drift > 1e-9:
-        raise ValueError(
-            f"cutoff {cutoff} not converged: chi2_inv changes by {drift:.3e} "
-            f"relative when the cutoff grows; increase --cutoff"
-        )
+    build = build_cv_second_order_family if order == 2 else build_cv_third_order_family
+    family = build(basis)
+    result = chi2_inverse_opt(fock_state(basis, n), family, [1.0, 0.0])
     xi2 = basis.shot_noise / result.chi2_inv if result.chi2_inv else float("inf")
     lines = [
-        f"fock state |{n}>, order-{args.order} family, cutoff {cutoff}",
+        f"fock state |{n}>, order-{order} family, cutoff {cutoff}",
         f"chi2_inv = {_fmt(result.chi2_inv)}",
         f"xi2      = {_fmt(xi2)}",
     ]
     if result.m_coeffs is not None:
         pairs = ", ".join(f"{lbl}: {_fmt(v)}" for lbl, v in zip(family.labels, result.m_coeffs))
         lines.append(f"m_opt    = [{pairs}]")
-    lines.append(f"cutoff convergence: relative drift {drift:.3e} at cutoff {cutoff + 4}")
+    lines.append(f"support bound: cutoff {cutoff} >= n + order + 1 = {bound}, "
+                 f"so every moment is untruncated")
     return None, "\n".join(lines) + "\n", result.robertson_violated
 
 
@@ -310,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     fock.add_argument("--n", type=int, default=None, help="Fock index")
     fock.add_argument("--order", type=int, choices=(2, 3), default=3)
     fock.add_argument("--cutoff", type=int, default=None,
-                      help=f"Fock dimension (default n + 8, at most {MAX_DIMENSION - 4})")
+                      help=f"Fock dimension (default n + 8, at most {MAX_DIMENSION})")
     fock.set_defaults(func=_run_fock)
 
     # the evolved spin state of analyze and estimate (see `_spin_state`)

@@ -110,12 +110,13 @@ def _gated(basis: FockBasis, members) -> OperatorFamily:
 # Each builder keeps its last 8 families, one per basis (a frozen, hashable
 # value), and hands the same read-only family to every caller; both gate their
 # members from `_hierarchy_bands`, so a cutoff asked for at both orders takes
-# one recursion.  A scan over consecutive n at `default_cutoff` with its check
-# at cutoff + 4 requests each cutoff twice per order, with 6 other cutoffs of
-# that order in between, so 7 entries are the least that reuse anything.  Over
-# n = 0..60 and both orders, 8 entries, like 32, answer 114 of the 244
-# requests without a build, and the 130 builds take 65 recursions; 8 added
-# 0.8 MB to the scan's peak resident memory, and 32 added 2.7 MB.
+# one recursion.  The benchmark's Fock scan over consecutive n solves each
+# problem at `default_cutoff` and again at cutoff + 4, so it requests each
+# cutoff twice per order, with 6 other cutoffs of that order in between, and
+# 7 entries are the least that reuse anything.  Over n = 0..60 and both
+# orders, 8 entries, like 32, answer 114 of the 244 requests without a build,
+# and the 130 builds take 65 recursions; 8 added 0.8 MB to the scan's peak
+# resident memory, and 32 added 2.7 MB.
 @functools.lru_cache(maxsize=8)
 def build_cv_second_order_family(basis: FockBasis) -> OperatorFamily:
     """Quadratures plus all symmetric quadratic combinations (five members),
@@ -135,8 +136,9 @@ def build_cv_third_order_family(basis: FockBasis) -> OperatorFamily:
 def default_cutoff(n: int) -> int:
     """Cutoff used when analyzing Fock state |n> with cubic observables.
 
-    Cubic operators connect |n> to |n +- 3>, so n + 8 leaves safety margin
-    for every second moment entering the covariance matrix.
+    A truncated quadrature acts exactly on vectors below level cutoff - 1, so
+    every moment of an order-K family on |n> is the untruncated one from
+    cutoff n + K + 1 on; n + 8 exceeds that exact bound for K = 2 and 3.
     """
     return n + 8
 

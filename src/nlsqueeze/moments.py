@@ -135,11 +135,12 @@ def _family_moments(state: QuantumState, family: OperatorFamily):
 
     Re(Z) is the symmetrized covariance and 2 Im(Z) equals -i<[H_k, H_l]>,
     so one Gram matrix Z feeds both matrices.  An exact-zero member (row within
-    100 e_k, `OperatorFamily.member_noise`) gets zero row, Gram row and column.
+    100 e_k, `OperatorFamily.member_noise`) gets zero row, Gram row and column;
+    the row norm is compared, as (100 e_k) ** 2 overflows for entries above about 3e166.
     """
     check_same_basis(state, family)
     rows, gram = _centered_rows(state, family)
-    exact_zero = gram.diagonal().real <= (100.0 * family.member_noise) ** 2
+    exact_zero = np.sqrt(gram.diagonal().real) <= 100.0 * family.member_noise
     if exact_zero.any():
         rows[exact_zero] = gram[exact_zero] = gram[:, exact_zero] = 0.0
     return rows, (gram.real + gram.real.T) / 2, gram.imag - gram.imag.T
@@ -440,7 +441,11 @@ def chi2_error_propagation(state: QuantumState, generator: HermitianOperator,
     if signal is None:
         raise ZeroSignalError("observable carries no signal for this generator")
     var_x, comm = signal
-    return var_x / comm ** 2
+    if comm >= 2.0 ** -511:  # comm ** 2 is normal
+        return var_x / comm ** 2
+    # below, comm = mant 2^exp and var_x are scaled by exact powers of two
+    mant, exp = math.frexp(comm)
+    return math.ldexp(var_x, -2 * exp) / mant ** 2
 
 
 def spin_squeezing_profile(state: QuantumState, basis: DickeBasis, k_max: int,

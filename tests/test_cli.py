@@ -213,6 +213,42 @@ class TestFock:
         assert code == EXIT_USAGE
         assert "cutoff" in err
 
+    # order K reaches |n + K>: the least cutoff is n + K + 1, from which on
+    # every moment is the untruncated one
+    @pytest.mark.parametrize("argv, code", [
+        (("--n", "5", "--cutoff", "8", "--order", "2"), EXIT_OK),
+        (("--n", "5", "--cutoff", "7", "--order", "2"), EXIT_USAGE),
+        (("--n", "5", "--cutoff", "8", "--order", "3"), EXIT_USAGE),
+        (("--n", "0", "--cutoff", "3", "--order", "2"), EXIT_OK),
+    ], ids=["n5 cutoff8 order2", "n5 cutoff7 order2", "n5 cutoff8 order3", "n0 cutoff3 order2"])
+    def test_cutoff_floor_is_the_support_bound(self, capsys, argv, code):
+        got, out, err = run(capsys, "fock", *argv)
+        assert got == code
+        if code == EXIT_USAGE:
+            assert out == ""
+            assert err.startswith("error: cutoff") and err.count("\n") == 1
+        else:
+            assert err == ""
+            bound = int(argv[1]) + int(argv[5]) + 1
+            assert out.splitlines()[-1].endswith(f" = {bound}, so every moment is untruncated")
+
+    @pytest.mark.parametrize("argv, line", [
+        (("--n", "1020", "--cutoff", "1024"), "chi2_inv = 4082"),
+        (("--n", "1021", "--cutoff", "1024", "--order", "2"), "chi2_inv = 0.000978952520803"),
+    ], ids=["n1020 order3", "n1021 order2"])
+    def test_cutoff_reaches_the_dense_limit(self, capsys, argv, line):
+        code, out, _ = run(capsys, "fock", *argv)
+        assert code == EXIT_OK
+        assert line in out.splitlines()
+
+    @pytest.mark.parametrize("order", ["2", "3"])
+    def test_one_solve_per_request(self, capsys, monkeypatch, order):
+        calls = []
+        solve = cli.chi2_inverse_opt
+        monkeypatch.setattr(cli, "chi2_inverse_opt", lambda *a, **k: calls.append(a) or solve(*a, **k))
+        code, _, _ = run(capsys, "fock", "--n", "4", "--order", order)
+        assert (code, len(calls)) == (EXIT_OK, 1)
+
     def test_missing_n_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "fock")
         assert code == EXIT_USAGE

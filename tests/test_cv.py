@@ -193,8 +193,8 @@ def test_shared_hierarchy_gives_each_order_its_own_build(cutoffs):
 
 
 def test_fock_scan_reuses_families_four_problems_apart(monkeypatch):
-    # the scan of `nlsqueeze fock` over n = 0..60, in its order: per n, orders
-    # 2 then 3, each at the default cutoff n + 8 and its check at n + 12.  A
+    # the benchmark's Fock scan over n = 0..60, in its order: per n, orders
+    # 2 then 3, each at the default cutoff n + 8 and again at n + 12.  A
     # cutoff c is asked for at n = c - 12 and again at n = c - 8, with 6
     # other cutoffs of its order in between, so 57 cutoffs per order are
     # built once for two requests; both orders of a cutoff are gated from one
@@ -228,6 +228,26 @@ def test_fock_scan_grid_matches_closed_forms(build, closed_form):
                 basis = FockBasis(cutoff)
                 got = chi2_inverse_opt(fock_state(basis, n), build(basis), direction).chi2_inv
                 assert abs(got - want) <= 1e-9 * want, (n, cutoff, phi)
+
+
+@pytest.mark.parametrize("order, build", [
+    (2, build_cv_second_order_family),
+    (3, build_cv_third_order_family),
+], ids=["order 2", "order 3"])
+def test_fock_moments_are_exact_from_the_support_bound(order, build):
+    # a truncated quadrature acts exactly on vectors below level cutoff - 1,
+    # so from cutoff n + order + 1 on every H_k|n> is the untruncated one and
+    # chi2_inv does not depend on the cutoff: `nlsqueeze fock` solves once
+    directions = [QuadratureDirection.from_phase(phi).as_array() for phi in (0.0, 0.9)]
+    for n in [*range(61), 1000]:
+        values = []
+        for cutoff in range(n + order + 1, min(n + 12, MAX_DIMENSION) + 1):
+            basis = FockBasis(cutoff)
+            results = [chi2_inverse_opt(fock_state(basis, n), build(basis), d) for d in directions]
+            assert not any(r.robertson_violated for r in results), (n, cutoff)
+            values.append([r.chi2_inv for r in results])
+        values = np.array(values)
+        assert (np.ptp(values, axis=0) <= 1e-12 * values.max(axis=0)).all(), n
 
 
 def test_cached_objects_are_read_only():

@@ -1034,6 +1034,36 @@ class TestChi2:
             with pytest.raises(ValueError, match="overflow the float range"):
                 chi2_error_propagation(state, family[0], family[1])
 
+    @staticmethod
+    def _scaled_axes(scale):
+        """Jx, Jy, Jz of N = 8, scaled, as a family."""
+        axes = build_spin_family(DickeBasis(8), 1)
+        return OperatorFamily(axes.bands * scale, axes.labels, axes.degrees, axes.basis_tag)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e170, 1e200])
+    def test_huge_members_are_not_taken_for_exact_zeros(self, scale):
+        # the Gram diagonal overflows to inf at all three scales; compared with
+        # (100 e_k) ** 2, which overflows too above about 3e166, every member
+        # passed for an exact zero and the solve reported "no signal" (0.0)
+        family = self._scaled_axes(scale)
+        state = coherent_spin_state_z(DickeBasis(8))
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", r"(overflow|invalid value) encountered in (matmul|subtract)",
+                                    RuntimeWarning)
+            with pytest.raises(ValueError, match="gamma is not a finite symmetric matrix"):
+                chi2_inverse_opt(state, family, [1.0, 0.0, 0.0])
+
+    def test_small_operators_keep_their_error_propagation(self):
+        # (Delta X)^2 / |<[X, H]>|^2 scales as 1 / s^2; below about 1e-77 the
+        # squared commutator leaves the normal range (1e-80: 2.6e-5 off; 1e-100: inf)
+        state = evolve(coherent_spin_state_z(DickeBasis(8)), EvolutionSpec("OAT", 0.3))
+        unit = self._scaled_axes(1.0)
+        want = chi2_error_propagation(state, unit[0], unit[1])
+        for scale in (1e-60, 1e-80, 1e-100):
+            small = self._scaled_axes(scale)
+            got = chi2_error_propagation(state, small[0], small[1])
+            assert got == pytest.approx(want / scale ** 2, rel=1e-12), scale
+
 
 def _public_chain(state, family, n_coeffs, slots):
     """`chi2_inverse_opt` written out through the public gate and generator
