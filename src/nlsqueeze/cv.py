@@ -82,55 +82,44 @@ _HIERARCHY = ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0
 _SECOND_ORDER, _THIRD_ORDER = (0, 1, 2, 3, 4), (0, 1, 5, 6, 7, 8)
 
 
-@functools.lru_cache(maxsize=2)
-def _hierarchy_bands(basis: FockBasis) -> np.ndarray:
-    """Bands of the nine monomials of `_HIERARCHY`, read-only: one recursion
-    for both orders, whose levels 1 and 2 are the second-order build's bit for
-    bit.  A scan over n asks for a cutoff's cubic family in the problem after
-    the one that built its second order, and its first problem builds two
-    cutoffs, so 2 entries serve both orders (1 entry: 73 recursions for the 65
-    cutoffs of n = 0..60)."""
-    band = symmetrized_bands(_quadrature_bands(basis), _HIERARCHY)
-    band.setflags(write=False)
-    return band
-
-
-def _gated(basis: FockBasis, members) -> OperatorFamily:
+def _gated(basis: FockBasis, band: np.ndarray, members) -> OperatorFamily:
     """The family of `members` of the hierarchy's band, on the central columns
     their top degree reaches (the band's width 3 is the top degree of all nine)."""
     degrees = [_HIERARCHY[k] for k in members]
     cut = 3 - max(map(sum, degrees))
-    band = _hierarchy_bands(basis)
     # contiguous, as the gate walks it slower in the layout a fancy index leaves
     band = np.ascontiguousarray(band[:, list(members), cut:band.shape[2] - cut])
     labels = [_sym_label(zip(_QUADRATURES, d)) for d in degrees]
     return OperatorFamily(band, labels, tuple(map(sum, degrees)), basis.tag)
 
 
-# Each builder keeps its last 8 families, one per basis (a frozen, hashable
-# value), and hands the same read-only family to every caller; both gate their
-# members from `_hierarchy_bands`, so a cutoff asked for at both orders takes
-# one recursion.  The benchmark's Fock scan over consecutive n solves each
-# problem at `default_cutoff` and again at cutoff + 4, so it requests each
-# cutoff twice per order, with 6 other cutoffs of that order in between, and
-# 7 entries are the least that reuse anything.  Over n = 0..60 and both
-# orders, 8 entries, like 32, answer 114 of the 244 requests without a build,
-# and the 130 builds take 65 recursions; 8 added 0.8 MB to the scan's peak
-# resident memory, and 32 added 2.7 MB.
+# Each basis (a frozen, hashable value) keeps the families of both orders,
+# gated from one recursion whose levels 1 and 2 are the second-order build's
+# bit for bit, and every caller shares them, read-only.  The benchmark's Fock
+# scan over consecutive n asks for cutoffs n + 8 and n + 12 at both orders,
+# so a cutoff comes back after 6 others: over n = 0..60, 8 entries answer its
+# 244 requests with 65 recursions and 130 gates.
 @functools.lru_cache(maxsize=8)
+def _families(basis: FockBasis) -> tuple:
+    """(second-order family, third-order family) of the basis; the second
+    alone below cutoff 4, which holds no cubic member."""
+    band = symmetrized_bands(_quadrature_bands(basis), _HIERARCHY)
+    orders = (_SECOND_ORDER,) if basis.cutoff < 4 else (_SECOND_ORDER, _THIRD_ORDER)
+    return tuple(_gated(basis, band, members) for members in orders)
+
+
 def build_cv_second_order_family(basis: FockBasis) -> OperatorFamily:
     """Quadratures plus all symmetric quadratic combinations (five members),
     built once per basis and shared, read-only."""
-    return _gated(basis, _SECOND_ORDER)
+    return _families(basis)[0]
 
 
-@functools.lru_cache(maxsize=8)
 def build_cv_third_order_family(basis: FockBasis) -> OperatorFamily:
     """Quadratures plus the four symmetric cubic observables (six members),
     built once per basis and shared, read-only."""
     if basis.cutoff < 4:
         raise ValueError("cutoff must be >= 4 for cubic operators")
-    return _gated(basis, _THIRD_ORDER)
+    return _families(basis)[1]
 
 
 def default_cutoff(n: int) -> int:

@@ -9,7 +9,7 @@ from .dynamics import HermitianPropagator
 from .errors import BasisMismatchError
 # covariance_matrix, build_spin_family, build_spin_operators: unused, kept for perfbench's trace targets
 from .moments import _centered_rows, _operator_rows, covariance_matrix, principal_eigenpair
-from .operators import SLICE_ENTRIES, HermitianOperator
+from .operators import HermitianOperator, pieces
 from .spin import DickeBasis, build_spin_family, build_spin_operators
 from .states import QuantumState
 
@@ -33,19 +33,17 @@ def _qfi_matrix(s: np.ndarray, rows: np.ndarray, gram: np.ndarray) -> np.ndarray
     and only l_i = l_j = 0 is 0/0.  For a pure state P vanishes and Q is
     four times the covariance matrix.  Re Z is read from the centering
     pass, so the rows are not copied again here.  P and its weighted copy
-    are formed in blocks of the factor's columns i, at most SLICE_ENTRIES
-    entries each, and their products added up, so the largest temporaries
-    are two blocks; a P of at most SLICE_ENTRIES entries (a pure state's)
-    is one block, and gets Q bit for bit as one product over all i.
+    are formed in `pieces` of the factor's columns i and their products
+    added up, so the largest temporaries are two blocks; a P of one piece
+    (a pure state's) gets Q bit for bit as one product over all i.
     """
     lam = np.linalg.norm(s, axis=0) ** 2
     stack = rows.reshape(len(rows), *s.shape)
-    step = max(1, SLICE_ENTRIES // (len(rows) * len(lam)))
     weighted = None
-    for i in range(0, len(lam), step):
-        sums = lam[i:i + step, None] + lam[None, :]
+    for piece in pieces(len(lam), len(rows) * len(lam)):
+        sums = lam[piece, None] + lam[None, :]
         inv = np.divide(1.0, sums, out=np.zeros_like(sums), where=sums > 0.0)
-        p = s[:, i:i + step].conj().T @ stack
+        p = s[:, piece].conj().T @ stack
         block = _real_gram(p * inv, p)
         weighted = block if weighted is None else weighted + block
     return 4.0 * gram.real - 8.0 * weighted

@@ -12,7 +12,7 @@ import numpy as np
 
 from .dynamics import HermitianPropagator
 from .errors import BasisMismatchError, CalibrationError, ZeroSignalError
-from .operators import SLICE_ENTRIES, HermitianOperator, OperatorFamily
+from .operators import HermitianOperator, OperatorFamily, pieces
 from .spin import DickeBasis, build_spin_family, spin_family_size
 from .states import QuantumState, check_same_basis
 
@@ -66,13 +66,12 @@ def _centered_rows(state: QuantumState, family: OperatorFamily):
 
 def _band_product(family: OperatorFamily, s: np.ndarray, out: np.ndarray):
     """out[i, k] = (H_k S)[i] = bands[i, k] @ S[band_cols[i]], formed in row
-    pieces of at most SLICE_ENTRIES gathered entries of S (or one row, if
-    longer).  Each row's product is its own matrix product, so the pieces
-    give the same bits as one batched product over all rows."""
+    `pieces` of gathered entries of S.  Each row's product is its own matrix
+    product, so the pieces give the same bits as one batched product over
+    all rows."""
     cols = family.band_cols
-    step = max(1, SLICE_ENTRIES // (cols.shape[1] * max(1, s.shape[1])))  # S' may have no columns
-    for i in range(0, len(s), step):
-        np.matmul(family.bands[i:i + step], s[cols[i:i + step]], out=out[i:i + step])
+    for piece in pieces(len(s), cols.shape[1] * s.shape[1]):
+        np.matmul(family.bands[piece], s[cols[piece]], out=out[piece])
 
 
 def _operator_rows(s: np.ndarray, *mats):
@@ -87,22 +86,20 @@ def _center(rows: np.ndarray, s: np.ndarray):
 
     The means are the real part of one product of the flattened rows with
     S*; every H_k was checked Hermitian when it was made.  The table is
-    then walked twice in pieces of SLICE_ENTRIES entries (or one row, if
-    longer), the largest temporaries.  The centering walks contiguous row
-    chunks; being elementwise, it gives the same bits in any partition.
-    The Gram product walks column slices and adds up their blocks; a table
-    of one slice gets Z bit for bit as the one-shot R* R^T.
+    then walked twice in `pieces`, the largest temporaries.  The centering
+    walks contiguous row chunks; being elementwise, it gives the same bits
+    in any partition.  The Gram product walks column slices and adds up
+    their blocks; a table of one slice gets Z bit for bit as the one-shot
+    R* R^T.
     """
     flat = rows.reshape(len(rows), -1)
     s_flat = s.ravel()
     mu = (flat @ s_flat.conj()).real.astype(complex)[:, None]  # cast once, not per chunk
-    per = max(1, SLICE_ENTRIES // flat.shape[1])
-    for k in range(0, len(flat), per):
-        flat[k:k + per] -= mu[k:k + per] * s_flat
-    step = max(1, SLICE_ENTRIES // len(flat))
+    for piece in pieces(len(flat), flat.shape[1]):
+        flat[piece] -= mu[piece] * s_flat
     gram = None
-    for j in range(0, flat.shape[1], step):
-        part = flat[:, j:j + step]
+    for piece in pieces(flat.shape[1], len(flat)):
+        part = flat[:, piece]
         block = part.conj() @ part.T
         gram = block if gram is None else gram + block
     return flat, gram

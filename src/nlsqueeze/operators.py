@@ -17,11 +17,16 @@ HERMITICITY_ATOL = 1e-12
 # members built on demand) are dense dim x dim matrices, so a basis
 # dimension is bounded: at 1024 one matrix takes 16.8 MB
 MAX_DIMENSION = 1024
-# entries (complex, 256 KB) in one piece of a table walked in pieces: both
-# Hermitian gates' row pieces, the row pieces of `moments._centered_rows`'
-# band products, and `moments._center`'s row chunks and column slices, whose
-# partition fixes the bits of its Gram matrix and must not move
+# entries (complex, 256 KB) in one piece of a table walked in `pieces`; a
+# partition can fix the bits of a sum over pieces, so it must not move
 SLICE_ENTRIES = 16384
+
+
+def pieces(count: int, per_item: int) -> Iterator[slice]:
+    """Slices covering range(count) in order, each of at most SLICE_ENTRIES
+    entries at per_item entries per item (or of one item, if longer)."""
+    step = max(1, SLICE_ENTRIES // max(1, per_item))
+    return (slice(i, i + step) for i in range(0, count, step))
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,19 +52,18 @@ class HermitianOperator:
         # (H + H^dagger) / 2, signed zeros included, unless a half is subnormal
         mat = np.empty(src.shape, dtype=complex)  # the caller's array is neither aliased nor changed
         resid = scale = 0.0
-        step = max(1, SLICE_ENTRIES // len(src))
-        for i in range(0, len(src), step):
-            rows = np.asarray(src[i:i + step], dtype=complex)
-            adjoint = np.conjugate(src[:, i:i + step].T, dtype=complex)  # rows of H^dagger
+        for piece in pieces(len(src), len(src)):
+            rows = np.asarray(src[piece], dtype=complex)
+            adjoint = np.conjugate(src[:, piece].T, dtype=complex)  # rows of H^dagger
             # the result's piece holds H - H^dagger until it is formed; np.maximum,
             # unlike max, keeps a NaN from any piece
-            resid = np.maximum(resid, np.abs(np.subtract(rows, adjoint, out=mat[i:i + step])).max())
+            resid = np.maximum(resid, np.abs(np.subtract(rows, adjoint, out=mat[piece])).max())
             scale = np.maximum(scale, np.abs(rows).max())
             if not (resid < np.inf and scale < np.inf):
                 break  # the test below fails; halving an infinite entry would warn
-            np.divide(rows, 2, out=mat[i:i + step])
+            np.divide(rows, 2, out=mat[piece])
             adjoint /= 2
-            mat[i:i + step] += adjoint
+            mat[piece] += adjoint
         # bound HERMITICITY_ATOL * largest entry, so the test does not depend on
         # units; a NaN entry leaves a NaN residue and an infinite one an
         # infinite bound, and both fail
@@ -94,10 +98,9 @@ def _diagonals(dim: int, width: int):
         yield o, slice(max(0, -o), min(dim, dim - o))
 
 
-@functools.lru_cache(maxsize=32)
 def _band_cols(dim: int, width: int) -> np.ndarray:
-    """Column indices i + o of the band layout, clipped into the matrix (by
-    hand: `np.clip`'s Python wrapper costs more than the table at these sizes)."""
+    """Column indices i + o of the band layout, clipped into the matrix by hand
+    (`np.clip`'s Python wrapper costs more than the table here), read-only."""
     cols = np.arange(dim)[:, None] + np.arange(-width, width + 1)
     np.minimum(np.maximum(cols, 0, out=cols), dim - 1, out=cols)
     cols.setflags(write=False)
@@ -244,8 +247,8 @@ class OperatorFamily:
     `tuple(fam)` for all of them) and kept only by the caller.  Each member
     must pass the Hermiticity rule of `HermitianOperator` against its band
     adjoint; the family keeps the exact H_k / 2 + H_k^dagger / 2 in its own array.
-    member_noise holds each member's rounding bound e_k (see `_row_noise`),
-    formed by the gate from the magnitudes of the input bands it reads.
+    The gate also stores band_cols and member_noise, each member's rounding
+    bound e_k (see `_row_noise`) from the magnitudes of the bands it reads.
     A family is immutable, its arrays read-only, so a cached one is shared.
     """
 
@@ -279,13 +282,13 @@ class OperatorFamily:
         noise = _row_noise(mag)
         noise.setflags(write=False)
         object.__setattr__(self, "member_noise", noise)
+        object.__setattr__(self, "band_cols", _band_cols(len(bands), w))
         # H / 2 + H^dagger / 2 has exactly conjugate entries, and a finite H
         # gives a finite sum, which (H + H^dagger) / 2 does not above DBL_MAX / 2;
-        # added in row pieces of SLICE_ENTRIES entries
+        # added in row pieces
         herm /= 2
-        step = max(1, SLICE_ENTRIES // (bands.shape[1] * bands.shape[2]))
-        for i in range(0, len(bands), step):
-            herm[i:i + step] += bands[i:i + step] / 2
+        for piece in pieces(len(bands), bands.shape[1] * bands.shape[2]):
+            herm[piece] += bands[piece] / 2
         herm.setflags(write=False)
         object.__setattr__(self, "bands", herm)
 
@@ -318,10 +321,6 @@ class OperatorFamily:
     @property
     def dim(self) -> int:
         return self.bands.shape[0]
-
-    @property
-    def band_cols(self) -> np.ndarray:
-        return _band_cols(self.dim, self.bands.shape[2] // 2)
 
     def linear_slots(self) -> list[int]:
         """Positions of the degree-1 members (the default generator candidates)."""

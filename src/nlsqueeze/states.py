@@ -115,9 +115,11 @@ class QuantumState:
         keep = lam > _rounding_cut(rho.shape[0], lam[-1])
         s = vecs[:, keep] * np.sqrt(lam[keep])
         s /= np.linalg.norm(s)
-        # a fresh factor in its eigenframe already: kept as it is, neither copied nor rotated
+        # a fresh factor in its eigenframe already, so not rotated; held
+        # row-major, which its readers ravel without a copy, and split as
+        # `eigh` left it (column-major), which keeps the split's bits
         state = cls.__new__(cls)
-        state._hold(basis_tag, s, spectral_floor(s))
+        state._hold(basis_tag, np.ascontiguousarray(s), spectral_floor(s))
         return state
 
     @property

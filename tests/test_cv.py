@@ -15,7 +15,7 @@ from nlsqueeze import (
 )
 from nlsqueeze import cv
 from nlsqueeze.dynamics import _cached_propagator
-from nlsqueeze.operators import MAX_DIMENSION, OperatorFamily, _band_cols, _level
+from nlsqueeze.operators import MAX_DIMENSION, OperatorFamily, _level
 
 
 def _quadratures(basis):
@@ -185,33 +185,30 @@ def test_shared_hierarchy_gives_each_order_its_own_build(cutoffs):
             assert got.bands.shape == want.bands.shape, (cutoff, degrees)
             assert got.bands.tobytes() == want.bands.tobytes(), (cutoff, degrees)  # sign bits too
             assert got.member_noise.tobytes() == want.member_noise.tobytes(), (cutoff, degrees)
+            assert got.band_cols.tobytes() == want.band_cols.tobytes(), (cutoff, degrees)
             assert (got.labels, got.degrees, got.basis_tag) == (want.labels, want.degrees, want.basis_tag)
     with pytest.raises(ValueError, match="cutoff must be >= 4"):
         build_cv_third_order_family(FockBasis(3))
-    with pytest.raises(ValueError, match="read-only"):  # the shared band is cached too
-        cv._hierarchy_bands(FockBasis(12))[...] = 0
 
 
 def test_fock_scan_reuses_families_four_problems_apart(monkeypatch):
     # the benchmark's Fock scan over n = 0..60, in its order: per n, orders
     # 2 then 3, each at the default cutoff n + 8 and again at n + 12.  A
     # cutoff c is asked for at n = c - 12 and again at n = c - 8, with 6
-    # other cutoffs of its order in between, so 57 cutoffs per order are
-    # built once for two requests; both orders of a cutoff are gated from one
-    # recursion, so the 65 cutoffs 8..72 take 65
-    builds = []
-    bands = cv.symmetrized_bands
+    # other cutoffs in between, so each of the 65 cutoffs 8..72 takes one
+    # recursion and two gates, one per order, for all of its requests
+    builds, gates = [], []
+    bands, gated = cv.symmetrized_bands, cv._gated
     monkeypatch.setattr(cv, "symmetrized_bands", lambda *a: builds.append(a) or bands(*a))
-    order_builders = (build_cv_second_order_family, build_cv_third_order_family)
-    for cache in (*order_builders, cv._hierarchy_bands):
-        cache.cache_clear()
+    monkeypatch.setattr(cv, "_gated", lambda *a: gates.append(a) or gated(*a))
+    cv._families.cache_clear()
     requests = 0
     for n in range(61):
-        for build in order_builders:
+        for build in (build_cv_second_order_family, build_cv_third_order_family):
             for cutoff in (default_cutoff(n), default_cutoff(n) + 4):
                 build(FockBasis(cutoff))
                 requests += 1
-    assert (requests, len(builds)) == (244, 65)
+    assert (requests, len(builds), len(gates)) == (244, 65, 130)
 
 
 @pytest.mark.parametrize("build, closed_form", [
@@ -253,15 +250,15 @@ def test_fock_moments_are_exact_from_the_support_bound(order, build):
 def test_cached_objects_are_read_only():
     # a cached value is shared by every later caller: one write would change
     # every later family read or evolution on that basis
-    family = build_cv_third_order_family(FockBasis(12))
+    families = [build(FockBasis(12)) for build in (build_cv_second_order_family, build_cv_third_order_family)]
     propagator = _cached_propagator("OAT", 4)
     positions, sums = _level((3, 3), 2)
-    for array in (family.bands, family.member_noise, propagator._evals, propagator._evecs,
-                  sums, _band_cols(12, 3)):
+    for array in (*(getattr(fam, name) for fam in families for name in ("bands", "member_noise", "band_cols")),
+                  propagator._evals, propagator._evecs, sums):
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
     with pytest.raises(TypeError):
-        family.labels[0] = "y"
+        families[1].labels[0] = "y"
     with pytest.raises(AttributeError, match="immutable"):
         propagator._evals = np.zeros_like(propagator._evals)
     with pytest.raises(TypeError):

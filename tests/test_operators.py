@@ -19,7 +19,7 @@ from nlsqueeze import (
 )
 from nlsqueeze.cv import _quadrature_bands
 from nlsqueeze.operators import (HERMITICITY_ATOL, SLICE_ENTRIES, _band_cols, _bands_of, dense_matrix,
-                                 symmetrized_bands)
+                                 pieces, symmetrized_bands)
 from nlsqueeze.spin import _monomial_degrees, _spin_bands
 
 from conftest import random_hermitian
@@ -289,6 +289,23 @@ def test_family_bands_are_read_only():
         fam.bands[0, 0, 0] = 1.0
     with pytest.raises(ValueError):
         fam.band_cols[0, 0] = 1
+
+
+@pytest.mark.parametrize("per_item", [0, 1, 3, 401, SLICE_ENTRIES, SLICE_ENTRIES + 1, 5 * SLICE_ENTRIES])
+def test_pieces_cover_the_items_in_order_within_the_bound(per_item):
+    # every walk in pieces (both Hermitian gates, the band product, `_center`'s
+    # centering and Gram slices, `_qfi_matrix`) stepped by
+    # max(1, SLICE_ENTRIES // per_item) on its own, so the Gram partition and
+    # its bits stay; per_item 0 (a floor split's S' of no columns) puts no
+    # entry in any piece
+    for count in (0, 1, 7, SLICE_ENTRIES, 3 * SLICE_ENTRIES + 5):
+        got = [range(count)[piece] for piece in pieces(count, per_item)]
+        assert [i for items in got for i in items] == list(range(count))
+        assert all(len(items) * per_item <= SLICE_ENTRIES or len(items) == 1 for items in got)
+        if per_item:
+            step = max(1, SLICE_ENTRIES // per_item)
+            assert [(items.start, items.step) for items in got] == [(i, 1) for i in range(0, count, step)]
+            assert all(len(items) == step for items in got[:-1])
 
 
 def test_band_cols_are_the_clipped_offsets():
