@@ -51,9 +51,9 @@ def _qfi_matrix(s: np.ndarray, rows: np.ndarray, gram: np.ndarray) -> np.ndarray
 
 def _floor_qfi_matrix(lam0: float, s_top: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Quantum Fisher matrix of rho = lambda0 I + S' S'^dagger (see
-    `states.spectral_floor`) from the centered rows over [S' | sqrt(lambda0) I]
-    that `moments._centered_rows` forms, of which only the r' columns
-    X_a = (A_a - <A_a>) S' are read.
+    `states.spectral_floor`) from the floored rows that
+    `moments._centered_rows` forms, of which only the first D r' entries,
+    X_a = (A_a - <A_a>) S', are read.
 
     The columns of S' are sqrt(d_i) v_i with v_i the eigenvectors of rho
     above the floor, l_i = lambda0 + d_i, and Pi = I - V V^dagger (V the
@@ -66,7 +66,7 @@ def _floor_qfi_matrix(lam0: float, s_top: np.ndarray, rows: np.ndarray) -> np.nd
     explicitly (D x r'), so no D x D product enters and each diagonal
     entry Q_aa is a sum of non-negative terms.
     """
-    x = rows.reshape(len(rows), len(s_top), -1)[:, :, :s_top.shape[1]]
+    x = rows[:, :s_top.size].reshape(len(rows), *s_top.shape)
     d = np.linalg.norm(s_top, axis=0) ** 2
     lam = lam0 + d
     p = s_top.conj().T @ x
@@ -95,7 +95,9 @@ def f_max_density(state: QuantumState, basis: DickeBasis):
     floor split (see `QuantumState` and `states.spectral_floor`) is read
     through it: the matrix comes from the rows over the r' columns above the
     floor alone (`_floor_qfi_matrix`), so a white-noise mixture costs r' x r'
-    products instead of D x D ones and its D x D factor is never formed.
+    products instead of D x D ones and its D x D factor is never formed; the
+    floored table reads the trace factor of `basis.spin_axes`, built on the
+    first such read of the basis.
     """
     if state.basis_tag != basis.tag:
         raise BasisMismatchError("state does not live in the given Dicke basis")

@@ -38,13 +38,15 @@ def _centered_rows(state: QuantumState, family: OperatorFamily):
     written straight into the returned table.
 
     A state that carries a floor split, rho = lambda0 I + S' S'^dagger
-    (see `QuantumState` and `states.spectral_floor`), is tabled over it,
-    factored as [S' | sqrt(lambda0) I] with the identity in band layout
-    (sqrt(lambda0) on the diagonal column of each row): the identity part's
-    products are the members' own bands, so the table has D (r' + 2w + 1)
-    columns, and `_center` gives the moments of the factor's table (each
-    mean picks up lambda0 tr H_k from the diagonal column).  Such a state's
-    D x D factor is never formed.
+    (see `QuantumState` and `states.spectral_floor`), is tabled over it in
+    D r' + L + 1 columns: the entries of (H_k - <H_k>) S', then the L + 1
+    real coordinates sqrt(lambda0) [F_k | sqrt(D) (tbar_k - <H_k>)] of
+    sqrt(lambda0) (H_k - <H_k>) in an orthonormal operator basis, from the
+    family's `trace_factor`.  Their products give the identity part's
+    lambda0 tr((H_k - <H_k>)(H_l - <H_l>)), and nothing to the commutators.
+    `_center` centers the table against [S' | 0 | sqrt(lambda0 D)], whose
+    last entry adds lambda0 tr H_k to each mean.  Such a state's D x D
+    factor is never formed.
     """
     if state._floor is None:
         s = state.factor
@@ -52,15 +54,16 @@ def _centered_rows(state: QuantumState, family: OperatorFamily):
         _band_product(family, s, rows.transpose(1, 0, 2))  # rows[k] = H_k S
         return _center(rows, s)
     lam0, s_top = state._floor
-    top, width = s_top.shape[1], family.bands.shape[2] // 2
-    root = math.sqrt(lam0)
-    ext = np.zeros((len(s_top), top + 2 * width + 1), dtype=complex)
-    ext[:, :top] = s_top
-    ext[:, top + width] = root
-    rows = np.empty((len(family), *ext.shape), dtype=complex)
-    by_row = rows.transpose(1, 0, 2)  # by_row[i, k] = rows[k, i]
-    _band_product(family, s_top, by_row[:, :, :top])  # H_k S'
-    np.multiply(family.bands, root, out=by_row[:, :, top:])  # H_k sqrt(lambda0) I, in band layout
+    tbar, trace = family.trace_factor
+    head = s_top.size
+    ext = np.zeros(head + len(family) + 1, dtype=complex)
+    ext[:head] = s_top.ravel()
+    ext[-1] = math.sqrt(lam0 * len(s_top))
+    rows = np.empty((len(family), len(ext)), dtype=complex)
+    heads = rows[:, :head].reshape(len(family), *s_top.shape)  # a view: rows[k, :head] = H_k S'
+    _band_product(family, s_top, heads.transpose(1, 0, 2))
+    rows[:, head:-1] = math.sqrt(lam0) * trace
+    rows[:, -1] = ext[-1] * tbar
     return _center(rows, ext)
 
 
@@ -85,12 +88,13 @@ def _center(rows: np.ndarray, s: np.ndarray):
     return the flattened rows R with Z = R* R^T.
 
     The means are the real part of one product of the flattened rows with
-    S*; every H_k was checked Hermitian when it was made.  The table is
-    then walked twice in `pieces`, the largest temporaries.  The centering
-    walks contiguous row chunks; being elementwise, it gives the same bits
-    in any partition.  The Gram product walks column slices and adds up
-    their blocks; a table of one slice gets Z bit for bit as the one-shot
-    R* R^T.
+    S*; every H_k was checked Hermitian when it was made.  S only has to
+    flatten as the rows do: a floored table's is [S' | 0 | sqrt(lambda0 D)]
+    (see `_centered_rows`).  The table is then walked twice in `pieces`,
+    the largest temporaries.  The centering walks contiguous row chunks;
+    being elementwise, it gives the same bits in any partition.  The Gram
+    product walks column slices and adds up their blocks; a table of one
+    slice gets Z bit for bit as the one-shot R* R^T.
     """
     flat = rows.reshape(len(rows), -1)
     s_flat = s.ravel()

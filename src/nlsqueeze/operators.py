@@ -249,7 +249,9 @@ class OperatorFamily:
     adjoint; the family keeps the exact H_k / 2 + H_k^dagger / 2 in its own array.
     The gate also stores band_cols and member_noise, each member's rounding
     bound e_k (see `_row_noise`) from the magnitudes of the bands it reads.
-    A family is immutable, its arrays read-only, so a cached one is shared.
+    `trace_factor`, which only a state with a floor split reads, is built
+    on its first read and kept.  A family is immutable, its arrays
+    read-only, so a cached one is shared.
     """
 
     bands: np.ndarray
@@ -321,6 +323,31 @@ class OperatorFamily:
     @property
     def dim(self) -> int:
         return self.bands.shape[0]
+
+    @functools.cached_property
+    def trace_factor(self) -> tuple[np.ndarray, np.ndarray]:
+        """(tbar, F): tbar_k = tr H_k / D and a real L x L factor with
+        F F^T = tr((H_k - tbar_k)(H_l - tbar_l)), both read-only, built once
+        per family object, on first read.
+
+        The trace is the dot product of the centered bands B_k, as rows
+        [Re, Im], so F = R^T for the R of a QR of B^T, taken in row `pieces`
+        stacked under the R so far.  Householder QR keeps each column's
+        rounding relative to its norm, so each entry of F F^T is good to a
+        few eps times its two members' norms, whatever their scales (c I
+        gets a zero row).
+        """
+        dim, size, span = self.bands.shape
+        tbar = self.bands[:, :, span // 2].real.sum(axis=0) / dim  # a Hermitian diagonal is real
+        r = np.zeros((size, size))
+        for piece in pieces(dim, size * span):
+            part = self.bands[piece].transpose(1, 0, 2).copy()
+            part[:, :, span // 2] -= tbar[:, None]
+            r = np.linalg.qr(np.vstack([r, part.reshape(size, -1).view(float).T]), mode="r")
+        trace = r.T
+        for array in (tbar, trace):
+            array.setflags(write=False)
+        return tbar, trace
 
     def linear_slots(self) -> list[int]:
         """Positions of the degree-1 members (the default generator candidates)."""

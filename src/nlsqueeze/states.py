@@ -38,7 +38,8 @@ class QuantumState:
     white-noise mixture, is split once, where it is made, as
     rho = lambda0 I + S' S'^dagger when `spectral_floor`'s rules keep it.  A
     state that carries a split is read through it by every band reader: the
-    moment table and `f_max_density` table [S' | sqrt(lambda0) I], never S.
+    moment table and `f_max_density` take the rows over S' and L + 1 real
+    columns of the identity part (see `moments._centered_rows`), never S.
     A unitary keeps the floor, U rho U^dagger = lambda0 I + (U S')(U S')^dagger,
     so `_rotated` carries the split by rotating S' alone and defers the
     D x D factor U S to the first read of `factor` (the dense-operator
@@ -169,14 +170,16 @@ def spectral_floor(s: np.ndarray):
     the columns within `mixed()`'s cut eps D lambda_max of it are taken as
     exactly lambda0, an error no larger than the eigenvalues `mixed()`
     drops.  The other r' columns, rescaled by sqrt(1 - lambda0 / l), make
-    S'.  The split is kept when r' + 3 < r, the columns per row of a table
-    over [S' | sqrt(lambda0) I] in the band of Jx, Jy, Jz against those of
-    one over S (a white-noise mixture of a pure state has r' = 1, a pure
-    state r = 1), and when its trace D lambda0 + ||S'||^2 is 1 within a
-    norm's rounding, as evolution checks it: the floor columns taken as
-    exactly lambda0 may add up to more.  `QuantumState` calls it once per
-    state, where its factor is made, and every band reader reads the split
-    it carries, whatever the width of its own band.
+    S'.  The split is kept when r' + 3 < r (a white-noise mixture of a pure
+    state has r' = 1, a pure state r = 1): a table over it has D r' + L + 1
+    columns per member (see `moments._centered_rows`), at most D (r' + 3)
+    and so fewer than the D r of a table over S, for every family of
+    L + 1 <= 3 D members (Jx, Jy, Jz at any D).  It is kept only when its
+    trace D lambda0 + ||S'||^2 is 1 within a norm's rounding, as evolution
+    checks it: the floor columns taken as exactly lambda0 may add up to
+    more.  `QuantumState` calls it once per state, where its factor is
+    made, and every band reader reads the split it carries, whatever the
+    size of its family.
     """
     dim, rank = s.shape
     if rank < dim:

@@ -10,6 +10,7 @@ from nlsqueeze import (
     CalibrationError,
     DickeBasis,
     FockBasis,
+    HermitianOperator,
     MomentData,
     OperatorFamily,
     QuantumState,
@@ -272,11 +273,13 @@ class TestSlicedKernel:
     @pytest.mark.parametrize("n", [60, 200])
     def test_floored_table_stays_within_its_own_columns(self, n):
         # a noisy TAT point splits as lambda0 I + S' S'^dagger with r' = 1:
-        # its K=3 table holds L (D r' + D (2w + 1)) complex entries (19 x 488,
-        # 0.15 MB, at N=60; the unfloored 19 x 61 x 61 took 1.13 MB).  Such
-        # a table is smaller than one SLICE_ENTRIES piece, so `_center`
-        # centers and multiplies it whole, with numpy's buffers; its own peak
-        # on a table of that shape is allowed on top of the table's bound
+        # its K=3 table holds L (D r' + L + 1) complex entries (19 x 81,
+        # 25 KB, at N=60; the unfloored 19 x 61 x 61 took 1.13 MB).  The
+        # bounds are those of the band layout it replaced, L D (r' + 2w + 1)
+        # entries (19 x 488), which it stays well within.  Such a table is
+        # smaller than one SLICE_ENTRIES piece, so `_center` centers and
+        # multiplies it whole, with numpy's buffers; its own peak on a table
+        # of that shape is allowed on top of the table's bound
         basis, state = _noisy_tat_point(n)
         family = build_spin_family(basis, 3)
         width = family.bands.shape[2] // 2
@@ -285,9 +288,9 @@ class TestSlicedKernel:
         profile_peak, f_max_peak = _peaks(state, basis, family)
         shape = (len(family), basis.dimension, top + 2 * width + 1)
         assert profile_peak <= 1.42 * math.prod(shape) * 16 + _center_peak(shape)
-        # f_max reads 3 rows in the band of width 1 (3 x 61 x 4 complex,
-        # 12 KB, at N=60), never a D x D array (60 KB); the extended factor
-        # and the gathered S' rows add a third of those 3 rows
+        # f_max reads 3 rows of D r' + 4 entries (3 x 65 complex at N=60),
+        # never a D x D array (60 KB); the bound is again the band layout's
+        # (3 x 61 x 4), plus a third of those rows
         shape = (3, basis.dimension, top + 3)
         assert f_max_peak <= 2.0 * math.prod(shape) * 16 + _center_peak(shape)
 
@@ -335,8 +338,8 @@ class TestSpectralFloor:
     @pytest.mark.parametrize("weight", [0.01, 0.1, 0.9])
     @pytest.mark.parametrize("n, kmax", [
         pytest.param(16, 3, id="16"), pytest.param(60, 3, id="60"), pytest.param(200, 3, id="200"),
-        # small states and wide bands, whose tables over the split have more
-        # columns than over S (r' + 2w + 1 >= D): the split is read all the same
+        # small states and large families, whose tables over the split have
+        # more columns than over S (D r' + L + 1 >= D r): the split is read all the same
         *(pytest.param(n, kmax, id=f"{n}-k{kmax}")
           for n, kmax in ((4, 1), (4, 3), (4, 6), (7, 3), (7, 6), (10, 6), (13, 6), (16, 6))),
     ])
@@ -345,9 +348,8 @@ class TestSpectralFloor:
         basis = DickeBasis(n)
         state = _noisy_twisted(basis, model, 0.3, noise=weight)
         family = build_spin_family(basis, kmax)
-        width = family.bands.shape[2] // 2
         rows, _ = _centered_rows(state, family)
-        assert rows.shape == (len(family), basis.dimension * (2 * width + 2))  # r' = 1 and the band
+        assert rows.shape == (len(family), basis.dimension + len(family) + 1)  # r' = 1 and the trace factor
         gamma, c = covariance_matrix(state, family), moment_data(state, family).c
         profile = spin_squeezing_profile(state, basis, kmax, family=family)
         f_max = f_max_density(state, basis)[0]
@@ -401,16 +403,17 @@ class TestSpectralFloor:
         assert abs(f_max - f_max_density(fresh, basis)[0]) <= 1e-13 * f_max
 
     def test_maximally_mixed_state_has_no_signal(self):
-        # r' = 0: the table is the identity part alone.  Its C is rounding
-        # noise (||C|| ~ 4e-17), which the leakage rule divides by itself, so
-        # the integrity flag is left unchecked here, as on the full factor
-        basis = DickeBasis(60)
-        state = QuantumState.mixed(np.eye(61) / 61, basis.tag)
-        family = build_spin_family(basis, 3)
-        assert _centered_rows(state, family)[0].shape == (19, 61 * 7)
-        for res in spin_squeezing_profile(state, basis, 3, family=family):
-            assert res.chi2_inv == 0.0 and res.m_coeffs is None
-        assert f_max_density(state, basis)[0] == 0.0
+        # r' = 0: the table is the identity part alone, L + 1 real columns,
+        # so C is exactly zero and no order can leak into a dropped direction
+        for n in (4, 20, 60):
+            basis = DickeBasis(n)
+            state = QuantumState.mixed(np.eye(n + 1) / (n + 1), basis.tag)
+            family = build_spin_family(basis, 3)
+            assert _centered_rows(state, family)[0].shape == (19, 20)
+            for res in spin_squeezing_profile(state, basis, 3, family=family):
+                assert res.chi2_inv == 0.0 and res.m_coeffs is None
+                assert res.kernel_leakage == 0.0 and not res.robertson_violated
+            assert f_max_density(state, basis)[0] == 0.0
 
     def test_states_without_a_floor_keep_the_full_table(self, rng):
         # a generic full-rank state, rank-deficient ones and a pure one are
@@ -428,6 +431,86 @@ class TestSpectralFloor:
             want_rows, want_gram = _center(want, s)
             rows, gram = _centered_rows(state, family)
             assert rows.tobytes() == want_rows.tobytes() and gram.tobytes() == want_gram.tobytes()
+
+
+class TestTraceFactor:
+    """`OperatorFamily.trace_factor`: (tbar, F) with F F^T the traces
+    tr((H_k - tbar_k)(H_l - tbar_l)) that carry a floored state's lambda0 I
+    into its table, built once per family, on its first floored read."""
+
+    @staticmethod
+    def _dense_traces(family):
+        """tr(H_k)/D and tr((H_k - tbar_k)(H_l - tbar_l)) from the dense
+        members, with the Frobenius norms of the centered members."""
+        tbar = np.array([np.trace(op.matrix).real for op in family]) / family.dim
+        flat = np.stack([(op.matrix - t * np.eye(family.dim)).ravel() for op, t in zip(family, tbar)])
+        real = flat.view(float)  # tr(A_k A_l) = Re <A_k, A_l> for Hermitian A
+        gram = real @ real.T
+        return tbar, gram, np.sqrt(gram.diagonal())
+
+    def _check(self, family, tbar_want, gram, norms):
+        tbar, trace = family.trace_factor
+        assert trace.shape == (len(family), len(family))
+        assert (np.abs(tbar - tbar_want) <= 1e-13 * np.abs(tbar_want).max()).all()
+        assert (np.abs(trace @ trace.T - gram) <= 1e-13 * np.outer(norms, norms)).all()
+
+    @pytest.mark.parametrize("n", [4, 16, 200])
+    def test_factor_matches_the_dense_traces_of_spin_families(self, n):
+        basis = DickeBasis(n)
+        # the order-k family is a prefix of the order-6 one: one dense reference serves all
+        tbar, gram, norms = self._dense_traces(build_spin_family(basis, 6))
+        for k in range(1, 7):
+            size = spin_family_size(k)
+            self._check(build_spin_family(basis, k), tbar[:size], gram[:size, :size], norms[:size])
+
+    @pytest.mark.parametrize("cutoff", [4, 20, 61])
+    def test_factor_matches_the_dense_traces_of_cv_families(self, cutoff):
+        # built afresh, past the shared cache, whose families no floored state reads
+        for family in cv._families.__wrapped__(FockBasis(cutoff)):
+            self._check(family, *self._dense_traces(family))
+
+    def test_factor_is_read_only_and_built_once(self):
+        basis, state = _noisy_tat_point(16)
+        family = build_spin_family(basis, 3)
+        spin_squeezing_profile(state, basis, 3, family=family)
+        tbar, trace = built = family.__dict__["trace_factor"]
+        assert not tbar.flags.writeable and not trace.flags.writeable
+        spin_squeezing_profile(state, basis, 3, family=family)
+        chi2_inverse_opt(state, family, [1.0, 0.0, 0.0])
+        assert family.trace_factor is built and family.__dict__["trace_factor"] is built
+
+    def test_pure_states_never_build_it(self):
+        basis = DickeBasis(16)
+        family = build_spin_family(basis, 3)
+        state = evolve(coherent_spin_state_z(basis), EvolutionSpec("TAT", 0.7))
+        spin_squeezing_profile(state, basis, 3, family=family)
+        f_max_density(state, basis)
+        assert "trace_factor" not in family.__dict__ and "trace_factor" not in basis.spin_axes.__dict__
+        cv._families.cache_clear()  # the solve's own, fresh families
+        fock = FockBasis(12)
+        direction = cv.QuadratureDirection.from_phase(0.3).as_array()
+        assert chi2_inverse_opt(fock_state(fock, 3), build_cv_third_order_family(fock), direction).chi2_inv > 0
+        for family in cv._families(fock):
+            assert "trace_factor" not in family.__dict__
+
+    def test_zero_and_identity_members_are_exact_zeros(self):
+        # neither a zero member nor c I varies in any state: on the floored
+        # table both have rows of rounding noise, which the exact-zero rule zeroes
+        basis, state = _noisy_tat_point(16)
+        assert state._floor is not None
+        dim = basis.dimension
+        ops = [*build_spin_operators(basis), HermitianOperator(np.zeros((dim, dim)), "0"),
+               HermitianOperator(0.7 * np.eye(dim), "c I")]
+        family = OperatorFamily.from_operators(ops, basis.tag)
+        rows, gram = _centered_rows(state, family)
+        assert rows.shape == (5, dim + 6)
+        rows, gamma, c = moments_of(state, family)
+        assert not rows[3:].any() and not gamma[3:].any() and not gamma[:, 3:].any()
+        assert not c[3:].any() and not c[:, 3:].any()
+        assert np.abs(gamma[:3, :3]).max() > 1.0
+        md = moment_data(state, family)
+        assert md.kernel_leakage == 0.0 and not md.robertson_violated
+        assert not chi2_inverse_opt(state, family, [0.0, 1.0, 0.0]).robertson_violated
 
 
 class TestMomentMatrix:
