@@ -339,7 +339,7 @@ class OperatorFamily:
         """
         dim, size, span = self.bands.shape
         tbar = self.bands[:, :, span // 2].real.sum(axis=0) / dim  # a Hermitian diagonal is real
-        r = np.zeros((size, size))
+        r = np.zeros((size, size))  # zero rows leave R as it is, and L x L from the first piece
         for piece in pieces(dim, size * span):
             part = self.bands[piece].transpose(1, 0, 2).copy()
             part[:, :, span // 2] -= tbar[:, None]
