@@ -9,9 +9,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BasisMismatchError
-from .operators import MAX_DIMENSION, HermitianOperator, OperatorFamily, dense_matrix
+from .operators import MAX_DIMENSION, HermitianOperator, dense_matrix, symmetrized_bands
 # build_spin_operators: unused, kept for perfbench's trace targets
-from .spin import _AXES, DickeBasis, _spin_bands, build_spin_operators
+from .spin import DickeBasis, _spin_bands, build_spin_operators
 from .states import QuantumState
 
 MODELS = ("OAT", "TAT")
@@ -101,10 +101,9 @@ class HermitianPropagator:
 
 
 def _twisting_band(basis: DickeBasis, model: str) -> np.ndarray:
-    """Band (D, 5) of Jy^2 (OAT) or Jy^2 - (N/2) Jz (TAT), from the ladder
-    factors; both are real in the Dicke basis, so the band is held real."""
-    family = OperatorFamily.from_factors(_spin_bands(basis), _AXES, [(0, 2, 0), (0, 0, 1)], basis.tag)
-    jy2, jz = family.bands.real.transpose(1, 0, 2)
+    """Band (D, 5), held real, of Jy^2 (OAT) or Jy^2 - (N/2) Jz (TAT): the
+    ladder recursion gives real entries, each exactly its mirror's."""
+    jy2, jz = symmetrized_bands(_spin_bands(basis), [(0, 2, 0), (0, 0, 1)]).real.transpose(1, 0, 2)
     if model == "OAT":
         return jy2
     if model == "TAT":

@@ -48,23 +48,19 @@ def _centered_rows(state: QuantumState, family: OperatorFamily):
     last entry adds lambda0 tr H_k to each mean.  Such a state's D x D
     factor is never formed.
     """
-    if state._floor is None:
-        s = state.factor
-        rows = np.empty((len(family), *s.shape), dtype=complex)
-        _band_product(family, s, rows.transpose(1, 0, 2))  # rows[k] = H_k S
-        return _center(rows, s)
-    lam0, s_top = state._floor
-    tbar, trace = family.trace_factor
-    head = s_top.size
-    ext = np.zeros(head + len(family) + 1, dtype=complex)
-    ext[:head] = s_top.ravel()
-    ext[-1] = math.sqrt(lam0 * len(s_top))
-    rows = np.empty((len(family), len(ext)), dtype=complex)
-    heads = rows[:, :head].reshape(len(family), *s_top.shape)  # a view: rows[k, :head] = H_k S'
-    _band_product(family, s_top, heads.transpose(1, 0, 2))
-    rows[:, head:-1] = math.sqrt(lam0) * trace
-    rows[:, -1] = ext[-1] * tbar
-    return _center(rows, ext)
+    floor = state._floor
+    s = center = state.factor if floor is None else floor[1]
+    rows = np.empty((len(family), s.size if floor is None else s.size + len(family) + 1), dtype=complex)
+    heads = rows[:, :s.size].reshape(len(family), *s.shape)  # a view: rows[k, :D r] = H_k S
+    _band_product(family, s, heads.transpose(1, 0, 2))
+    if floor is not None:
+        tbar, trace = family.trace_factor
+        center = np.zeros(rows.shape[1], dtype=complex)
+        center[:s.size] = s.ravel()
+        center[-1] = math.sqrt(floor[0] * len(s))
+        rows[:, s.size:-1] = math.sqrt(floor[0]) * trace
+        rows[:, -1] = center[-1] * tbar
+    return _center(rows, center)
 
 
 def _band_product(family: OperatorFamily, s: np.ndarray, out: np.ndarray):

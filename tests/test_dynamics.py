@@ -329,10 +329,12 @@ def test_oat_propagator_build_allocates_no_complex_dense_matrix():
     assert peak < 4e6
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 16, 400])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 17, 400, 1023])
 @pytest.mark.parametrize("model", ["OAT", "TAT"])
 def test_twisting_bands_are_exactly_hermitian(model, n):
-    # the band comes from a gated family, which keeps the exact Hermitian part
+    # the band is read from `symmetrized_bands` with no Hermitian gate after
+    # it: the recursion forms each entry of Jy^2 and its mirror image from the
+    # same two ladder factors, so the band must come out exactly symmetric
     band = _twisting_band(DickeBasis(n), model)
     assert band.dtype == float
     mat = dense_matrix(band)

@@ -274,24 +274,23 @@ class TestSlicedKernel:
     def test_floored_table_stays_within_its_own_columns(self, n):
         # a noisy TAT point splits as lambda0 I + S' S'^dagger with r' = 1:
         # its K=3 table holds L (D r' + L + 1) complex entries (19 x 81,
-        # 25 KB, at N=60; the unfloored 19 x 61 x 61 took 1.13 MB).  The
-        # bounds are those of the band layout it replaced, L D (r' + 2w + 1)
-        # entries (19 x 488), which it stays well within.  Such a table is
-        # smaller than one SLICE_ENTRIES piece, so `_center` centers and
-        # multiplies it whole, with numpy's buffers; its own peak on a table
-        # of that shape is allowed on top of the table's bound
+        # 25 KB, at N=60; the unfloored 19 x 61 x 61 took 1.13 MB).  Such a
+        # table is smaller than one SLICE_ENTRIES piece, so `_center` centers
+        # and multiplies it whole, with numpy's buffers; its own peak on a
+        # table of that shape is allowed on top of 1.42 tables (the profile
+        # peaks at 102,816 B against a bound of 111,398 B at N=60, and at
+        # 275,296 B against 299,513 B at N=200)
         basis, state = _noisy_tat_point(n)
         family = build_spin_family(basis, 3)
-        width = family.bands.shape[2] // 2
         top = spectral_floor(state.factor)[1].shape[1]
         assert top == 1
         profile_peak, f_max_peak = _peaks(state, basis, family)
-        shape = (len(family), basis.dimension, top + 2 * width + 1)
+        shape = (len(family), basis.dimension * top + len(family) + 1)
         assert profile_peak <= 1.42 * math.prod(shape) * 16 + _center_peak(shape)
         # f_max reads 3 rows of D r' + 4 entries (3 x 65 complex at N=60),
-        # never a D x D array (60 KB); the bound is again the band layout's
-        # (3 x 61 x 4), plus a third of those rows
-        shape = (3, basis.dimension, top + 3)
+        # never a D x D array (60 KB): two such tables plus `_center`'s peak
+        # (16,608 B against 17,904 B at N=60; 45,728 B against 51,504 B at N=200)
+        shape = (3, basis.dimension * top + 4)
         assert f_max_peak <= 2.0 * math.prod(shape) * 16 + _center_peak(shape)
 
 
@@ -431,6 +430,30 @@ class TestSpectralFloor:
             want_rows, want_gram = _center(want, s)
             rows, gram = _centered_rows(state, family)
             assert rows.tobytes() == want_rows.tobytes() and gram.tobytes() == want_gram.tobytes()
+
+    @pytest.mark.parametrize("make", [lambda: _noisy_tat_point(16)[1], lambda: _noisy_tat_point(60)[1],
+                                      lambda: QuantumState.mixed(np.eye(21) / 21, DickeBasis(20).tag)],
+                             ids=["tat-16", "tat-60", "maximally-mixed-20"])
+    def test_states_with_a_floor_keep_their_table(self, make):
+        # a split state (r' = 1 for white-noise TAT, r' = 0 for the maximally
+        # mixed state) is tabled byte for byte as by the table's own layout:
+        # the rows H_k S', then sqrt(lambda0) F_k and sqrt(lambda0 D) tbar_k
+        # from the trace factor, centered against [S' | 0 | sqrt(lambda0 D)]
+        state = make()
+        family = build_spin_family(DickeBasis(state.dim - 1), 3)
+        lam0, s_top = state._floor
+        tbar, trace = family.trace_factor
+        center = np.zeros(s_top.size + len(family) + 1, dtype=complex)
+        center[:s_top.size] = s_top.ravel()
+        center[-1] = math.sqrt(lam0 * state.dim)
+        heads = (family.bands @ s_top[family.band_cols]).transpose(1, 0, 2).reshape(len(family), -1)
+        want = np.empty((len(family), len(center)), dtype=complex)
+        want[:, :s_top.size] = heads
+        want[:, s_top.size:-1] = math.sqrt(lam0) * trace
+        want[:, -1] = center[-1] * tbar
+        want_rows, want_gram = _center(want, center)
+        rows, gram = _centered_rows(state, family)
+        assert rows.tobytes() == want_rows.tobytes() and gram.tobytes() == want_gram.tobytes()
 
 
 class TestTraceFactor:

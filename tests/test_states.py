@@ -151,6 +151,9 @@ class TestCarriedSplit:
         want_lam0, want_top = spectral_floor(state.factor)
         assert lam0 == want_lam0 and s_top.tobytes() == want_top.tobytes()
         assert not s_top.flags.writeable
+        # `mixed()` goes through the constructor, whose rotation leaves the
+        # factor row-major: `moments._center` ravels it without a D x r copy
+        assert state.factor.flags.c_contiguous and not state.factor.flags.writeable
         # a factor handed to the constructor is split after its rotation
         built = QuantumState(state.basis_tag, state.factor)
         assert built._floor[1].shape == (61, 1) and abs(built._floor[0] - lam0) <= 1e-17
