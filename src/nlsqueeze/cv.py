@@ -79,18 +79,29 @@ def quadrature_generator(basis: FockBasis, direction: QuadratureDirection) -> He
 
 # The x, p multi-degrees of total degree 1..3, and the members of each order
 _HIERARCHY = ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3))
-_SECOND_ORDER, _THIRD_ORDER = (0, 1, 2, 3, 4), (0, 1, 5, 6, 7, 8)
 
 
-def _gated(basis: FockBasis, band: np.ndarray, members) -> OperatorFamily:
-    """The family of `members` of the hierarchy's band, on the central columns
-    their top degree reaches (the band's width 3 is the top degree of all nine)."""
+def _order(members: tuple) -> tuple:
+    """(members, cut, labels, degrees) of one order, the members as a
+    read-only index array; the cut drops the hierarchy band's columns beyond
+    the order's top degree (the band's width 3 is the top degree of all nine)."""
     degrees = [_HIERARCHY[k] for k in members]
-    cut = 3 - max(map(sum, degrees))
+    index = np.array(members)
+    index.setflags(write=False)
+    return (index, 3 - max(map(sum, degrees)), tuple(_sym_label(zip(_QUADRATURES, d)) for d in degrees),
+            tuple(map(sum, degrees)))
+
+
+# the orders' parts, computed once for every gate
+_ORDERS = (_order((0, 1, 2, 3, 4)), _order((0, 1, 5, 6, 7, 8)))
+
+
+def _gated(basis: FockBasis, band: np.ndarray, order: tuple) -> OperatorFamily:
+    """The family of one order (an entry of `_ORDERS`) cut out of the hierarchy's band."""
+    members, cut, labels, degrees = order
     # contiguous, as the gate walks it slower in the layout a fancy index leaves
-    band = np.ascontiguousarray(band[:, list(members), cut:band.shape[2] - cut])
-    labels = [_sym_label(zip(_QUADRATURES, d)) for d in degrees]
-    return OperatorFamily(band, labels, tuple(map(sum, degrees)), basis.tag)
+    return OperatorFamily(np.ascontiguousarray(band[:, members, cut:band.shape[2] - cut]), labels, degrees,
+                          basis.tag)
 
 
 # Each basis (a frozen, hashable value) keeps the families of both orders,
@@ -104,8 +115,7 @@ def _families(basis: FockBasis) -> tuple:
     """(second-order family, third-order family) of the basis; the second
     alone below cutoff 4, which holds no cubic member."""
     band = symmetrized_bands(_quadrature_bands(basis), _HIERARCHY)
-    orders = (_SECOND_ORDER,) if basis.cutoff < 4 else (_SECOND_ORDER, _THIRD_ORDER)
-    return tuple(_gated(basis, band, members) for members in orders)
+    return tuple(_gated(basis, band, order) for order in _ORDERS[:1 if basis.cutoff < 4 else 2])
 
 
 def build_cv_second_order_family(basis: FockBasis) -> OperatorFamily:

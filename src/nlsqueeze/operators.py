@@ -151,16 +151,37 @@ def _band_products(f: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _level(box: tuple, n: int):
     """The multi-degrees d <= box of total degree n, by position, and the 0/1
     matrix adding F_j W(d - e_j) (row j * size + position of d - e_j one
-    level down) into W(d) (column); both read-only, as every caller shares them."""
+    level down) into W(d) (column), complex as the products it sums; both
+    read-only, as every caller shares them."""
     here = [d for d in itertools.product(*(range(m, -1, -1) for m in box)) if sum(d) == n]
     here = {d: p for p, d in enumerate(here)}
     below = _level(box, n - 1)[0] if n else {}
-    sums = np.zeros((len(box) * len(below), len(here)))
+    sums = np.zeros((len(box) * len(below), len(here)), dtype=complex)
     for d, p in here.items():
         for j in np.flatnonzero(d):
             sums[j * len(below) + below[d[:j] + (d[j] - 1,) + d[j + 1:]], p] = 1.0
     sums.setflags(write=False)
     return MappingProxyType(here), sums
+
+
+@functools.lru_cache(maxsize=64)
+def _plan(degrees: tuple) -> tuple:
+    """The recursion of `symmetrized_bands` for one tuple of degree tuples:
+    per total degree n = 1..top, (`_level`'s level-sum matrix, the members of
+    degree n, their positions in the level, their word counts as an (m, 1)
+    complex column), all read-only, as every caller shares them."""
+    box = tuple(map(max, zip(*degrees)))
+    steps = []
+    for n in range(1, max(map(sum, degrees)) + 1):
+        here, sums = _level(box, n)
+        ks = [k for k, d in enumerate(degrees) if sum(d) == n]
+        step = (sums, np.array(ks, dtype=int), np.array([here[degrees[k]] for k in ks], dtype=int),
+                np.array([math.factorial(n) // math.prod(map(math.factorial, degrees[k])) for k in ks],
+                         dtype=complex).reshape(-1, 1))
+        for array in step:
+            array.setflags(write=False)
+        steps.append(step)
+    return tuple(steps)
 
 
 def symmetrized_bands(factors: np.ndarray, degrees) -> np.ndarray:
@@ -170,23 +191,19 @@ def symmetrized_bands(factors: np.ndarray, degrees) -> np.ndarray:
     The sum W(d) of all words of multi-degree d obeys W(d) = sum_j F_j
     W(d - e_j) with W(0) = 1, so all W of one total degree come from one
     banded product of every factor with every W one degree lower.  Monomial
-    d is W(d) over its number of words, Hermitian up to rounding.
+    d is W(d) over its number of words, Hermitian up to rounding.  The
+    bookkeeping of each level is planned once per degree set (`_plan`).
     """
     dim, _, span = factors.shape
-    degrees = [tuple(d) for d in degrees]
-    box, top = tuple(map(max, zip(*degrees))), max(map(sum, degrees))
-    width = top * (span // 2)
+    steps = _plan(tuple(map(tuple, degrees)))
+    width = len(steps) * (span // 2)
     bands = np.zeros((dim, len(degrees), 2 * width + 1), dtype=complex)
     level = np.ones((dim, 1, 1), dtype=complex)  # level[i, v + o, m] = W_m[i, i + o]
-    for n in range(1, top + 1):
-        here, sums = _level(box, n)
+    for sums, ks, here, words in steps:
         prod = _band_products(factors, level)
         level = (prod.reshape(-1, len(sums)) @ sums).reshape(dim, prod.shape[1], -1)
-        ks = [k for k, d in enumerate(degrees) if sum(d) == n]
-        words = [[math.factorial(n) // math.prod(map(math.factorial, degrees[k]))] for k in ks]
         pad = width - level.shape[1] // 2
-        bands[:, ks, pad:2 * width + 1 - pad] = (level[:, :, [here[degrees[k]] for k in ks]]
-                                                 .transpose(0, 2, 1) / np.reshape(words, (-1, 1)))
+        bands[:, ks, pad:2 * width + 1 - pad] = level[:, :, here].transpose(0, 2, 1) / words
     return bands
 
 

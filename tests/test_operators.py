@@ -18,7 +18,7 @@ from nlsqueeze import (
     symmetric_product,
 )
 from nlsqueeze.cv import _quadrature_bands
-from nlsqueeze.operators import (HERMITICITY_ATOL, SLICE_ENTRIES, _band_cols, _bands_of, dense_matrix,
+from nlsqueeze.operators import (HERMITICITY_ATOL, SLICE_ENTRIES, _band_cols, _bands_of, _plan, dense_matrix,
                                  pieces, symmetrized_bands)
 from nlsqueeze.spin import _monomial_degrees, _spin_bands
 
@@ -407,6 +407,28 @@ def test_library_bands_clear_the_relative_gate_by_a_wide_margin():
         for k, band in enumerate(bands.transpose(1, 0, 2)):
             mat = dense_matrix(band)
             assert np.abs(mat - mat.conj().T).max() <= HERMITICITY_ATOL / 100 * np.abs(mat).max(), (name, k)
+
+
+@pytest.mark.parametrize("degrees", [
+    [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3)],
+    [(0, 2, 0), (0, 0, 1)],  # the twisting band's: degree 2 before degree 1
+    [(0, 1), (2, 0), (1, 0)],  # degree-1 members apart and out of level order
+], ids=["cv hierarchy", "twisting", "scattered"])
+def test_symmetrized_bands_keep_their_bytes_through_the_plan_cache(degrees):
+    # the recursion is planned once per tuple of degree tuples; lists of
+    # lists find the same plan, and a call that plans gives the bytes of one
+    # that finds its plan cached
+    factors = _spin_bands(DickeBasis(9)) if len(degrees[0]) == 3 else _quadrature_bands(FockBasis(9))
+    _plan.cache_clear()
+    first = symmetrized_bands(factors, tuple(map(tuple, degrees)))
+    assert _plan.cache_info().misses == 1
+    for form in ([list(d) for d in degrees], tuple(map(tuple, degrees))):
+        assert symmetrized_bands(factors, form).tobytes() == first.tobytes()
+    assert _plan.cache_info()[:2] == (2, 1)
+    if len(degrees) == 3:  # against the dense monomials x, p and x^2
+        x, p = (dense_matrix(band) for band in factors.transpose(1, 0, 2))
+        for band, want in zip(first.transpose(1, 0, 2), (p, x @ x, x)):
+            assert np.allclose(dense_matrix(band), want, rtol=0, atol=1e-13)
 
 
 def _input_noise(bands):
