@@ -77,31 +77,21 @@ def quadrature_generator(basis: FockBasis, direction: QuadratureDirection) -> He
     return HermitianOperator(dense_matrix(direction.n1 * x + direction.n2 * p), "q_n", degree=1)
 
 
-# The x, p multi-degrees of total degree 1..3, and the members of each order
+# The x, p multi-degrees of total degree 1..3, the members of each order, and
+# the label of each multi-degree (made once, not on every gate)
 _HIERARCHY = ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3))
+_SECOND_ORDER, _THIRD_ORDER = (0, 1, 2, 3, 4), (0, 1, 5, 6, 7, 8)
+_LABELS = tuple(_sym_label(zip(_QUADRATURES, d)) for d in _HIERARCHY)
 
 
-def _order(members: tuple) -> tuple:
-    """(members, cut, labels, degrees) of one order, the members as a
-    read-only index array; the cut drops the hierarchy band's columns beyond
-    the order's top degree (the band's width 3 is the top degree of all nine)."""
+def _gated(basis: FockBasis, band: np.ndarray, members) -> OperatorFamily:
+    """The family of `members` of the hierarchy's band, on the central columns
+    their top degree reaches (the band's width 3 is the top degree of all nine)."""
     degrees = [_HIERARCHY[k] for k in members]
-    index = np.array(members)
-    index.setflags(write=False)
-    return (index, 3 - max(map(sum, degrees)), tuple(_sym_label(zip(_QUADRATURES, d)) for d in degrees),
-            tuple(map(sum, degrees)))
-
-
-# the orders' parts, computed once for every gate
-_ORDERS = (_order((0, 1, 2, 3, 4)), _order((0, 1, 5, 6, 7, 8)))
-
-
-def _gated(basis: FockBasis, band: np.ndarray, order: tuple) -> OperatorFamily:
-    """The family of one order (an entry of `_ORDERS`) cut out of the hierarchy's band."""
-    members, cut, labels, degrees = order
+    cut = 3 - max(map(sum, degrees))
     # contiguous, as the gate walks it slower in the layout a fancy index leaves
-    return OperatorFamily(np.ascontiguousarray(band[:, members, cut:band.shape[2] - cut]), labels, degrees,
-                          basis.tag)
+    band = np.ascontiguousarray(band[:, list(members), cut:band.shape[2] - cut])
+    return OperatorFamily(band, [_LABELS[k] for k in members], tuple(map(sum, degrees)), basis.tag)
 
 
 # Each basis (a frozen, hashable value) keeps the families of both orders,
@@ -115,7 +105,8 @@ def _families(basis: FockBasis) -> tuple:
     """(second-order family, third-order family) of the basis; the second
     alone below cutoff 4, which holds no cubic member."""
     band = symmetrized_bands(_quadrature_bands(basis), _HIERARCHY)
-    return tuple(_gated(basis, band, order) for order in _ORDERS[:1 if basis.cutoff < 4 else 2])
+    orders = (_SECOND_ORDER,) if basis.cutoff < 4 else (_SECOND_ORDER, _THIRD_ORDER)
+    return tuple(_gated(basis, band, members) for members in orders)
 
 
 def build_cv_second_order_family(basis: FockBasis) -> OperatorFamily:

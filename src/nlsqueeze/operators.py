@@ -7,7 +7,6 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -148,32 +147,22 @@ def _band_products(f: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _level(box: tuple, n: int):
-    """The multi-degrees d <= box of total degree n, by position, and the 0/1
-    matrix adding F_j W(d - e_j) (row j * size + position of d - e_j one
-    level down) into W(d) (column), complex as the products it sums; both
-    read-only, as every caller shares them."""
-    here = [d for d in itertools.product(*(range(m, -1, -1) for m in box)) if sum(d) == n]
-    here = {d: p for p, d in enumerate(here)}
-    below = _level(box, n - 1)[0] if n else {}
-    sums = np.zeros((len(box) * len(below), len(here)), dtype=complex)
-    for d, p in here.items():
-        for j in np.flatnonzero(d):
-            sums[j * len(below) + below[d[:j] + (d[j] - 1,) + d[j + 1:]], p] = 1.0
-    sums.setflags(write=False)
-    return MappingProxyType(here), sums
-
-
-@functools.lru_cache(maxsize=64)
 def _plan(degrees: tuple) -> tuple:
     """The recursion of `symmetrized_bands` for one tuple of degree tuples:
-    per total degree n = 1..top, (`_level`'s level-sum matrix, the members of
-    degree n, their positions in the level, their word counts as an (m, 1)
-    complex column), all read-only, as every caller shares them."""
+    per total degree n = 1..top, (the 0/1 matrix adding F_j W(d - e_j) (row
+    j * size + position of d - e_j one level down) into W(d) (column),
+    complex as the products it sums; the members of degree n; their
+    positions in the level; their word counts as an (m, 1) complex column),
+    all read-only, as every caller shares them."""
     box = tuple(map(max, zip(*degrees)))
-    steps = []
+    below, steps = {(0,) * len(box): 0}, []
     for n in range(1, max(map(sum, degrees)) + 1):
-        here, sums = _level(box, n)
+        here = [d for d in itertools.product(*(range(m, -1, -1) for m in box)) if sum(d) == n]
+        here = {d: p for p, d in enumerate(here)}
+        sums = np.zeros((len(box) * len(below), len(here)), dtype=complex)
+        for d, p in here.items():
+            for j in np.flatnonzero(d):
+                sums[j * len(below) + below[d[:j] + (d[j] - 1,) + d[j + 1:]], p] = 1.0
         ks = [k for k, d in enumerate(degrees) if sum(d) == n]
         step = (sums, np.array(ks, dtype=int), np.array([here[degrees[k]] for k in ks], dtype=int),
                 np.array([math.factorial(n) // math.prod(map(math.factorial, degrees[k])) for k in ks],
@@ -181,6 +170,7 @@ def _plan(degrees: tuple) -> tuple:
         for array in step:
             array.setflags(write=False)
         steps.append(step)
+        below = here
     return tuple(steps)
 
 

@@ -31,7 +31,7 @@ class QuantumState:
     The factor is kept in its eigenframe, S^dagger S = diag(l) with l the
     eigenvalues of rho: a factor of several columns is rotated once on
     construction, S <- S W with S^dagger S = W diag(l) W^dagger (the same
-    rho); `mixed()`'s factor and an evolved factor U S are in it already.
+    rho), `mixed()`'s too; an evolved factor U S is in it already.
     Every expectation value is a product of S with operators, so pure and
     mixed states share one code path.
     A full-rank factor whose smallest eigenvalues form a floor, such as a
@@ -115,13 +115,7 @@ class QuantumState:
         # noise, so a pure density keeps one column
         keep = lam > _rounding_cut(rho.shape[0], lam[-1])
         s = vecs[:, keep] * np.sqrt(lam[keep])
-        # `eigh` left the factor in its eigenframe, so it is held as `_rotated`
-        # holds one, without the constructor's rotation; row-major, as that
-        # rotation leaves a factor, so the moment table ravels it without a copy
-        s = np.ascontiguousarray(s / np.linalg.norm(s))
-        state = cls.__new__(cls)
-        state._hold(basis_tag, s, spectral_floor(s))
-        return state
+        return cls(basis_tag, s / np.linalg.norm(s))
 
     @property
     def is_pure(self) -> bool:

@@ -151,29 +151,12 @@ class TestCarriedSplit:
         want_lam0, want_top = spectral_floor(state.factor)
         assert lam0 == want_lam0 and s_top.tobytes() == want_top.tobytes()
         assert not s_top.flags.writeable
-        # `mixed()` holds its factor row-major, as the constructor's rotation
-        # leaves one: `moments._center` ravels it without a D x r copy
+        # `mixed()` goes through the constructor, whose rotation leaves the
+        # factor row-major: `moments._center` ravels it without a D x r copy
         assert state.factor.flags.c_contiguous and not state.factor.flags.writeable
         # a factor handed to the constructor is split after its rotation
         built = QuantumState(state.basis_tag, state.factor)
         assert built._floor[1].shape == (61, 1) and abs(built._floor[0] - lam0) <= 1e-17
-
-    def test_mixed_diagonalizes_its_density_once(self, monkeypatch, rng):
-        # `eigh` of rho leaves the factor in its eigenframe, so `mixed()` does
-        # not rotate it again (which takes a second `eigh`, of S^dagger S)
-        calls = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: calls.append(a.shape) or eigh(a, *args, **kw))
-        a = rng.normal(size=(40, 30)) + 1j * rng.normal(size=(40, 30))
-        white = 0.9 * coherent_spin_state_z(DickeBasis(60)).density_matrix() + 0.1 * np.eye(61) / 61
-        for rho in (white, a @ a.conj().T / np.linalg.norm(a) ** 2):
-            calls.clear()
-            factor = QuantumState.mixed(rho, "test").factor
-            assert calls == [rho.shape]
-            assert factor.flags.c_contiguous
-            gram = factor.conj().T @ factor
-            lam = np.diag(gram).real
-            assert np.abs(gram - np.diag(lam)).max() <= 10 * len(rho) * EPS * lam.max()
 
     def test_kept_only_when_it_narrows_the_axes_table(self):
         assert _white_noise(3, 0.1)._floor is None  # D = 4: 1 + 3 columns, not fewer than 4
