@@ -199,32 +199,33 @@ def moment_matrix(gamma: np.ndarray, c: np.ndarray) -> MomentData:
     their commutator leakage is recorded (not raised) on the returned
     MomentData.
 
-    This is the gate for a caller's matrices: they must be square, of equal
-    size, finite and symmetric (gamma) or skew-symmetric (c) within 1e-10
-    of their largest entry.  An exactly (skew-)symmetric input is copied,
-    any other one symmetrized.  `moment_data` and `chi2_inverse_opt` pass
-    the table the row kernel builds straight to the solve.
+    This is the one gate from (gamma, c) to MomentData, for a caller's
+    matrices and the row kernel's tables alike: they must be square, of
+    equal size, nonempty, finite and symmetric (gamma) or skew-symmetric (c)
+    within 1e-10 of their largest entry.  An exactly (skew-)symmetric input,
+    as every table of the row kernel is, is copied, any other one
+    symmetrized.
     """
     gamma = np.asarray(gamma, dtype=float)
     c = np.asarray(c, dtype=float)
-    k = gamma.shape[0]
-    if gamma.shape != (k, k) or c.shape != (k, k):
+    k = gamma.shape[-1] if gamma.ndim else 0
+    if not k or gamma.shape != (k, k) or c.shape != (k, k):
         raise ValueError("gamma and c must be square matrices of equal size")
-    # written `not x <= tol < inf`: a NaN entry leaves a NaN residue and an
-    # infinite one an infinite tolerance
-    if not (gamma_residue := np.abs(gamma - gamma.T).max()) <= 1e-10 * np.abs(gamma).max() < np.inf:
+    # one residue per matrix: a NaN or infinite entry leaves a NaN or
+    # infinite one, so a residue of exact zeros proves the matrix finite and
+    # exactly (skew-)symmetric, and it is kept as a copy
+    with np.errstate(invalid="ignore", over="ignore"):
+        gamma_residue, c_residue = gamma - gamma.T, c + c.T
+    gamma_exact, c_exact = not np.count_nonzero(gamma_residue), not np.count_nonzero(c_residue)
+    # written `not x <= tol < inf`: a NaN residue fails, and an infinite
+    # entry gives an infinite tolerance
+    if not (gamma_exact or np.abs(gamma_residue).max() <= 1e-10 * np.abs(gamma).max() < np.inf):
         raise ValueError("gamma is not a finite symmetric matrix")
-    if not (c_residue := np.abs(c + c.T).max()) <= 1e-10 * np.abs(c).max() < np.inf:
+    if not (c_exact or np.abs(c_residue).max() <= 1e-10 * np.abs(c).max() < np.inf):
         raise ValueError("c is not a finite skew-symmetric matrix")
-    # an exactly (skew-)symmetric input is its own symmetric part: keep a copy
-    gamma = gamma.copy() if gamma_residue == 0.0 else (gamma + gamma.T) / 2
-    c = c.copy() if c_residue == 0.0 else (c - c.T) / 2
-    return _moment_matrix(gamma, c)
+    gamma = gamma.copy() if gamma_exact else (gamma + gamma.T) / 2
+    c = c.copy() if c_exact else (c - c.T) / 2
 
-
-def _moment_matrix(gamma: np.ndarray, c: np.ndarray) -> MomentData:
-    """The solve of `moment_matrix`, unchecked: gamma and c must be finite
-    and exactly symmetric and skew-symmetric; the result keeps them."""
     dev = np.sqrt(np.maximum(gamma.diagonal(), 0.0))
     scales = 1.0 / np.where(dev > 0.0, dev, 1.0)
     gamma_eq = gamma * scales[:, None] * scales
@@ -249,20 +250,9 @@ def _moment_matrix(gamma: np.ndarray, c: np.ndarray) -> MomentData:
     return MomentData(gamma, c, m, retained, leakage, scales, c_norm)
 
 
-def _table_moments(state: QuantumState, family: OperatorFamily):
-    """(rows, MomentData) of one state and family.  `_family_moments` makes
-    its table exactly (skew-)symmetric, so of `moment_matrix`'s checks only
-    finiteness is left to test; a table that fails it goes to the gate,
-    which raises its own message for the first non-finite matrix."""
-    rows, gamma, c = _family_moments(state, family)
-    if np.isfinite(gamma).all() and np.isfinite(c).all():
-        return rows, _moment_matrix(gamma, c)
-    return rows, moment_matrix(gamma, c)
-
-
 def moment_data(state: QuantumState, family: OperatorFamily) -> MomentData:
     """Covariance, commutator and moment matrices for one state and family."""
-    return _table_moments(state, family)[1]
+    return moment_matrix(*_family_moments(state, family)[1:])
 
 
 def principal_eigenpair(matrix: np.ndarray):
@@ -404,10 +394,9 @@ def chi2_inverse_opt(state: QuantumState, family: OperatorFamily, n_coeffs,
 
     n_coeffs is a unit vector over the generator candidate slots (default:
     the degree-1 family members); the measurement is optimized analytically
-    over the full family.  The table is the one `moment_data` solves, tested
-    for finiteness only (the row kernel makes it exactly symmetric), and
-    lambda_max is the top eigenvalue of M on the slots alone: the bits of
-    `optimize_generator`'s, without choosing its vector.
+    over the full family.  The table is the one `moment_data` passes to
+    `moment_matrix`, and lambda_max is the top eigenvalue of M on the slots
+    alone: the bits of `optimize_generator`'s, without choosing its vector.
     """
     slots = list(generator_slots) if generator_slots is not None else family.linear_slots()
     n_coeffs = np.asarray(n_coeffs, dtype=float)
@@ -415,7 +404,8 @@ def chi2_inverse_opt(state: QuantumState, family: OperatorFamily, n_coeffs,
         raise ValueError("n_coeffs length must match the generator slots")
     if not abs(np.linalg.norm(n_coeffs) - 1.0) <= 1e-10:  # NaN fails too
         raise ValueError("generator direction must be a unit vector")
-    rows, md = _table_moments(state, family)
+    rows, gamma, c = _family_moments(state, family)
+    md = moment_matrix(gamma, c)
     _check_slots(slots, md.size)
     block = md.m_matrix[slots][:, slots]
     lam = float(np.linalg.eigh((block + block.T) / 2)[0][-1])  # as `principal_eigenpair` forms it
@@ -452,11 +442,12 @@ def spin_squeezing_profile(state: QuantumState, basis: DickeBasis, k_max: int,
 
     The order-k family is a prefix of the order-k_max family, so the
     covariance and commutator matrices are computed once and sliced.  Each
-    order runs `moment_matrix` on its prefix; the generator slots Jx, Jy, Jz
+    order runs `moment_matrix` on its prefix, which its one residue pass per
+    matrix finds exactly (skew-)symmetric; the generator slots Jx, Jy, Jz
     of all orders are then solved at once, by `principal_eigenpair` on the
     stack of the k_max blocks M[:3, :3].  The results are bit for bit those
     of the public per-order path (`moment_matrix`, `optimize_generator`,
-    `optimal_measurement`), whose input checks the profile does not need.
+    `optimal_measurement`).
     """
     if family is None:
         family = build_spin_family(basis, k_max)

@@ -763,6 +763,21 @@ class TestMomentMatrixBytes:
             assert not np.array_equal(gamma, gamma.T) and not np.array_equal(c, -c.T)
             self._assert_reference_bytes(gamma, c)
 
+    def test_exact_inputs_come_back_as_copies(self, rng):
+        for gamma, c in list(self._random_pairs(rng)) + list(self._table_cases())[::5]:
+            md = moment_matrix(gamma, c)
+            assert not np.shares_memory(md.gamma, gamma) and not np.shares_memory(md.c, c)
+            assert md.gamma.tobytes() == gamma.tobytes() and md.c.tobytes() == c.tobytes()
+
+    def test_rounding_off_inputs_are_symmetrized_bit_for_bit(self, rng):
+        # each entry above the diagonal one ulp up: a residue of rounding size
+        for gamma, c in list(self._random_pairs(rng))[3:]:  # the 1 x 1 pairs have no off-diagonal entry
+            upper = np.triu_indices(len(gamma), 1)
+            gamma[upper], c[upper] = np.nextafter(gamma[upper], np.inf), np.nextafter(c[upper], np.inf)
+            md = moment_matrix(gamma, c)
+            assert md.gamma.tobytes() == ((gamma + gamma.T) / 2).tobytes()
+            assert md.c.tobytes() == ((c - c.T) / 2).tobytes()
+
     def test_result_owns_its_arrays(self, rng):
         # the profile passes views of one table; a later write to the caller's
         # arrays must not reach the MomentData
@@ -1171,8 +1186,7 @@ class TestChi2:
         family = self._scaled_axes(scale)
         state = coherent_spin_state_z(DickeBasis(8))
         with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", r"(overflow|invalid value) encountered in (matmul|subtract)",
-                                    RuntimeWarning)
+            warnings.filterwarnings("ignore", r"(overflow|invalid value) encountered in matmul", RuntimeWarning)
             with pytest.raises(ValueError, match="gamma is not a finite symmetric matrix"):
                 chi2_inverse_opt(state, family, [1.0, 0.0, 0.0])
 
@@ -1198,9 +1212,9 @@ def _public_chain(state, family, n_coeffs, slots):
 
 
 class TestFixedGeneratorSolve:
-    """`chi2_inverse_opt` solves the table `_family_moments` builds without
-    the public gate's residue checks and reads only the top eigenvalue of
-    its slot block, yet gives the public chain's bits in every field."""
+    """`chi2_inverse_opt` passes the table `_family_moments` builds through
+    the one gate, `moment_matrix`, and reads only the top eigenvalue of its
+    slot block, yet gives the public chain's bits in every field."""
 
     @staticmethod
     def _assert_chain_bits(state, family, n_coeffs, slots=None):
@@ -1263,10 +1277,9 @@ class TestFixedGeneratorSolve:
         monkeypatch.setattr(moments, "_family_moments", lambda *_: (rows, gamma, c))
         solves = (lambda: moment_matrix(gamma, c), lambda: moment_data(state, family),
                   lambda: chi2_inverse_opt(state, family, [1.0, 0.0, 0.0]))
-        with np.errstate(invalid="ignore"):  # the gate's residue of an infinite entry
-            for solve in solves:
-                with pytest.raises(ValueError, match=f"^{message}$"):
-                    solve()
+        for solve in solves:  # the gate forms its residues without a numpy warning
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                solve()
 
     def test_an_overflowing_family_gets_the_gates_message(self):
         # members of 1e160: the Gram matrix overflows before any signal is formed
@@ -1278,18 +1291,28 @@ class TestFixedGeneratorSolve:
             with pytest.raises(ValueError, match="^gamma is not a finite symmetric matrix$"):
                 chi2_inverse_opt(state, huge, [1.0, 0.0, 0.0])
 
-    def test_solve_runs_neither_the_gate_nor_the_vector_selection(self, monkeypatch):
+    def test_solve_runs_the_gate_once_and_no_vector_selection(self, monkeypatch):
+        gates = []
+
+        def gate(gamma, c):
+            gates.append(gamma.shape)
+            return moment_matrix(gamma, c)
+
         def refuse(*_):
             raise AssertionError("called")
 
-        monkeypatch.setattr(moments, "moment_matrix", refuse)
+        monkeypatch.setattr(moments, "moment_matrix", gate)
         monkeypatch.setattr(moments, "principal_eigenpair", refuse)
         basis = FockBasis(13)
-        res = chi2_inverse_opt(fock_state(basis, 5), build_cv_third_order_family(basis), [0.6, 0.8])
+        cubic = build_cv_third_order_family(basis)
+        res = chi2_inverse_opt(fock_state(basis, 5), cubic, [0.6, 0.8])
         assert abs(res.chi2_inv - 22.0) <= 1e-9 * 22.0
+        assert gates == [(len(cubic), len(cubic))]
         _, state, family = css_and_linear_family(8)
         assert chi2_inverse_opt(state, family, [1.0, 0.0, 0.0]).chi2_inv == pytest.approx(8.0)
+        assert gates == [(len(cubic), len(cubic)), (3, 3)]
         assert moment_data(state, family).retained_count == 2
+        assert gates == [(len(cubic), len(cubic)), (3, 3), (3, 3)]
 
 
 class TestSpinSqueezingOrders:
@@ -1594,6 +1617,23 @@ def _css_jx_jy():
 @pytest.mark.parametrize("make, exc, fragment", [
     (lambda: moment_matrix(np.zeros((2, 2)), np.zeros((3, 3))), ValueError,
      "gamma and c must be square matrices of equal size"),
+    (lambda: moment_matrix(np.float64(1.0), np.float64(0.0)), ValueError,
+     "gamma and c must be square matrices of equal size"),
+    (lambda: moment_matrix(np.zeros((0, 0)), np.zeros((0, 0))), ValueError,
+     "gamma and c must be square matrices of equal size"),
+    # refused without a numpy warning, which the suite turns into an error
+    (lambda: moment_matrix(np.diag([np.inf, 1.0]), np.zeros((2, 2))), ValueError,
+     "gamma is not a finite symmetric matrix"),
+    (lambda: moment_matrix(np.diag([-np.inf, 1.0]), np.zeros((2, 2))), ValueError,
+     "gamma is not a finite symmetric matrix"),
+    (lambda: moment_matrix(np.diag([np.nan, 1.0]), np.zeros((2, 2))), ValueError,
+     "gamma is not a finite symmetric matrix"),
+    (lambda: moment_matrix(np.eye(2), [[0.0, np.inf], [-np.inf, 0.0]]), ValueError,
+     "c is not a finite skew-symmetric matrix"),
+    (lambda: moment_matrix(np.eye(2), [[0.0, -np.inf], [np.inf, 0.0]]), ValueError,
+     "c is not a finite skew-symmetric matrix"),
+    (lambda: moment_matrix(np.eye(2), [[0.0, np.nan], [np.nan, 0.0]]), ValueError,
+     "c is not a finite skew-symmetric matrix"),
     # no retained direction: C n is nonzero but W W^T C n vanishes
     (lambda: optimal_measurement(moment_matrix(np.zeros((2, 2)), [[0.0, 1.0], [-1.0, 0.0]]), [1.0, 0.0]),
      ZeroSignalError, "outside the retained covariance subspace"),
@@ -1617,7 +1657,8 @@ def _css_jx_jy():
     (lambda: spin_squeezing_profile(coherent_spin_state_z(DickeBasis(16)), DickeBasis(20), 1,
                                     family=build_spin_family(DickeBasis(16), 1)),
      BasisMismatchError, "family does not live in the given Dicke basis"),
-], ids=["shapes differ", "outside retained", "generator length", "family order", "infinite xi2",
+], ids=["shapes differ", "0-d", "empty", "gamma inf", "gamma -inf", "gamma nan", "c inf", "c -inf", "c nan",
+        "outside retained", "generator length", "family order", "infinite xi2",
         "mu 0", "mu beyond int64", "one trial", "theta outside window", "window beyond float range", "family of another basis"])
 def test_refusals(make, exc, fragment):
     with pytest.raises(exc, match=fragment):
